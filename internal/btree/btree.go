@@ -11,6 +11,8 @@ package btree
 import (
 	"fmt"
 	"sort"
+
+	"github.com/sitstats/sits/internal/radix"
 )
 
 // DefaultDegree is the default maximum number of keys per node.
@@ -67,9 +69,7 @@ func Build(vals []int64) *Tree {
 	if len(vals) == 0 {
 		return t
 	}
-	sorted := make([]int64, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := radix.SortedCopy(vals)
 	keys := make([]int64, 0, len(sorted))
 	counts := make([]int64, 0, len(sorted))
 	i := 0

@@ -9,10 +9,14 @@
 package histogram
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+
+	"github.com/sitstats/sits/internal/radix"
 )
 
 // Bucket is one histogram bucket over the inclusive integer value range
@@ -88,13 +92,30 @@ func FromValues(vals []int64, nb int, m Method) (*Histogram, error) {
 	return FromPairs(Tally(vals), nb, m)
 }
 
-// Tally aggregates raw values into sorted (value, frequency) pairs.
+// Tally aggregates raw values into sorted (value, frequency) pairs: one radix
+// sort of a copy, then a run-length count.
 func Tally(vals []int64) []ValueFreq {
-	counts := make(map[int64]float64, len(vals))
-	for _, v := range vals {
-		counts[v]++
+	return TallySorted(radix.SortedCopy(vals))
+}
+
+// TallySorted is Tally over values already in ascending order.
+func TallySorted(sorted []int64) []ValueFreq {
+	distinct := 0
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			distinct++
+		}
 	}
-	return TallyMap(counts)
+	pairs := make([]ValueFreq, 0, distinct)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		pairs = append(pairs, ValueFreq{Value: sorted[i], Freq: float64(j - i)})
+		i = j
+	}
+	return pairs
 }
 
 // TallyMap converts a value->frequency map into sorted pairs, dropping
@@ -106,7 +127,7 @@ func TallyMap(counts map[int64]float64) []ValueFreq {
 			pairs = append(pairs, ValueFreq{Value: v, Freq: f})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Value < pairs[j].Value })
+	slices.SortFunc(pairs, func(a, b ValueFreq) int { return cmp.Compare(a.Value, b.Value) })
 	return pairs
 }
 
@@ -170,9 +191,41 @@ func fromBreaks(pairs []ValueFreq, breaks []int) *Histogram {
 	return h
 }
 
+// breakDiff is a candidate boundary: a break before pairs[pos], scored by the
+// difference d between the metrics of the two adjacent values.
+type breakDiff struct {
+	pos int
+	d   float64
+}
+
+// before is MaxDiff's total order over candidates: larger difference first,
+// earlier position on ties.
+func (a breakDiff) before(b breakDiff) bool {
+	if a.d != b.d {
+		return a.d > b.d
+	}
+	return a.pos < b.pos
+}
+
+// maxDiffMetric is the quantity whose adjacent differences MaxDiff ranks: the
+// frequency of pairs[i], times its spread v_{i+1} - v_i for the area variant
+// (the last value's spread is taken as 1).
+func maxDiffMetric(pairs []ValueFreq, i int, useArea bool) float64 {
+	m := pairs[i].Freq
+	if useArea {
+		spread := 1.0
+		if i+1 < len(pairs) {
+			spread = float64(pairs[i+1].Value - pairs[i].Value)
+		}
+		m *= spread
+	}
+	return m
+}
+
 // maxDiffBreaks places nb-1 boundaries at the largest adjacent differences in
-// area (or frequency). The "area" of value v_i is f_i * spread_i where
-// spread_i = v_{i+1} - v_i (the last value's spread is taken as 1).
+// area (or frequency). The nb-1 winners are selected with a bounded heap
+// whose root is the worst candidate kept so far; the order is total, so the
+// chosen set is the one a full sort would put first.
 func maxDiffBreaks(pairs []ValueFreq, nb int, useArea bool) []int {
 	n := len(pairs)
 	if n <= nb {
@@ -183,35 +236,49 @@ func maxDiffBreaks(pairs []ValueFreq, nb int, useArea bool) []int {
 		}
 		return breaks
 	}
-	metric := make([]float64, n)
-	for i := 0; i < n; i++ {
-		m := pairs[i].Freq
-		if useArea {
-			spread := 1.0
-			if i+1 < n {
-				spread = float64(pairs[i+1].Value - pairs[i].Value)
+	k := nb - 1
+	if k == 0 {
+		return nil
+	}
+	// heap[:k] is a binary heap under "ranks before" once full, so heap[0] is
+	// the worst candidate kept.
+	heap := make([]breakDiff, 0, k)
+	siftDown := func(i int) {
+		for {
+			worst := i
+			if l := 2*i + 1; l < k && heap[worst].before(heap[l]) {
+				worst = l
 			}
-			m *= spread
+			if r := 2*i + 2; r < k && heap[worst].before(heap[r]) {
+				worst = r
+			}
+			if worst == i {
+				return
+			}
+			heap[i], heap[worst] = heap[worst], heap[i]
+			i = worst
 		}
-		metric[i] = m
 	}
-	type diff struct {
-		pos int // break before pairs[pos]
-		d   float64
-	}
-	diffs := make([]diff, 0, n-1)
-	for i := 0; i+1 < n; i++ {
-		diffs = append(diffs, diff{pos: i + 1, d: math.Abs(metric[i+1] - metric[i])})
-	}
-	sort.Slice(diffs, func(i, j int) bool {
-		if diffs[i].d != diffs[j].d {
-			return diffs[i].d > diffs[j].d
+	prev := maxDiffMetric(pairs, 0, useArea)
+	for pos := 1; pos < n; pos++ {
+		cur := maxDiffMetric(pairs, pos, useArea)
+		c := breakDiff{pos: pos, d: math.Abs(cur - prev)}
+		prev = cur
+		switch {
+		case len(heap) < k:
+			if heap = append(heap, c); len(heap) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(i)
+				}
+			}
+		case c.before(heap[0]):
+			heap[0] = c
+			siftDown(0)
 		}
-		return diffs[i].pos < diffs[j].pos // deterministic tie-break
-	})
-	breaks := make([]int, 0, nb-1)
-	for i := 0; i < nb-1 && i < len(diffs); i++ {
-		breaks = append(breaks, diffs[i].pos)
+	}
+	breaks := make([]int, len(heap))
+	for i, c := range heap {
+		breaks[i] = c.pos
 	}
 	return breaks
 }

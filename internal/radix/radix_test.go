@@ -1,0 +1,159 @@
+package radix
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+type pair struct {
+	k int64
+	p int32
+}
+
+// checkAgainstStable sorts keys (payload = original position) with the kernel
+// and with slices.SortStableFunc and requires identical key and payload
+// sequences — the payload column is what makes instability visible.
+func checkAgainstStable(t *testing.T, keys []int64) {
+	t.Helper()
+	n := len(keys)
+	want := make([]pair, n)
+	pay := make([]int32, n)
+	for i, k := range keys {
+		want[i] = pair{k, int32(i)}
+		pay[i] = int32(i)
+	}
+	slices.SortStableFunc(want, func(a, b pair) int {
+		switch {
+		case a.k < b.k:
+			return -1
+		case a.k > b.k:
+			return 1
+		}
+		return 0
+	})
+	in := slices.Clone(keys)
+	gotK, gotP := Sort(in, make([]int64, n), pay, make([]int32, n))
+	if len(gotK) != n || len(gotP) != n {
+		t.Fatalf("Sort returned %d keys and %d payloads for %d inputs", len(gotK), len(gotP), n)
+	}
+	for i := range want {
+		if gotK[i] != want[i].k || gotP[i] != want[i].p {
+			t.Fatalf("position %d: got (%d, %d), stable sort has (%d, %d)", i, gotK[i], gotP[i], want[i].k, want[i].p)
+		}
+	}
+	if sc := SortedCopy(keys); !slices.Equal(sc, gotK) {
+		t.Fatalf("SortedCopy disagrees with Sort")
+	}
+}
+
+func TestSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := map[string][]int64{
+		"empty":     {},
+		"single":    {42},
+		"extremes":  {math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64, math.MaxInt64, -1},
+		"all-equal": make([]int64, 300),
+		"sorted":    {-3, -2, -1, 0, 1, 2, 3},
+		"reversed":  {3, 2, 1, 0, -1, -2, -3},
+	}
+	narrow := make([]int64, 5000)
+	for i := range narrow {
+		narrow[i] = rng.Int63n(300) - 150 // one varying byte plus the sign
+	}
+	cases["narrow"] = narrow
+	wide := make([]int64, 5000)
+	for i := range wide {
+		wide[i] = int64(rng.Uint64()) // all eight bytes vary
+	}
+	cases["wide"] = wide
+	for name, keys := range cases {
+		t.Run(name, func(t *testing.T) { checkAgainstStable(t, keys) })
+	}
+}
+
+// TestSortedCopyLeavesInputUntouched: SortedCopy must not reorder its input.
+func TestSortedCopyLeavesInputUntouched(t *testing.T) {
+	in := []int64{5, -9, 5, 0, math.MinInt64, 3}
+	orig := slices.Clone(in)
+	out := SortedCopy(in)
+	if !slices.Equal(in, orig) {
+		t.Fatalf("input reordered: %v", in)
+	}
+	if !slices.IsSorted(out) || len(out) != len(in) {
+		t.Fatalf("bad sorted copy %v", out)
+	}
+}
+
+// FuzzRadixPairs feeds arbitrary byte strings as int64 keys (8 bytes each;
+// the first byte picks how many low bytes survive, so the fuzzer reaches the
+// skip-constant-byte paths) and compares against slices.SortStableFunc.
+func FuzzRadixPairs(f *testing.F) {
+	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{1, 0xff, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		keep := uint(raw[0]%8) + 1
+		raw = raw[1:]
+		keys := make([]int64, 0, len(raw)/8)
+		for ; len(raw) >= 8; raw = raw[8:] {
+			u := binary.LittleEndian.Uint64(raw)
+			// Sign-extend from the kept width so negatives stay in play.
+			shift := 64 - 8*keep
+			keys = append(keys, int64(u<<shift)>>shift)
+		}
+		checkAgainstStable(t, keys)
+	})
+}
+
+var sink []int64
+
+func BenchmarkSort(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		n      int
+		domain int64
+	}{
+		{"chunk4096/domain60k", 4096, 60000},
+		{"batch64k/domain60k", 64 << 10, 60000},
+		{"column600k/domain60k", 600000, 60000},
+		{"column600k/domain300k", 600000, 300000},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		src := make([]int64, bc.n)
+		for i := range src {
+			src[i] = rng.Int63n(bc.domain)
+		}
+		b.Run(bc.name+"/perm", func(b *testing.B) {
+			keys, tmpK := make([]int64, bc.n), make([]int64, bc.n)
+			pay, tmpP := make([]int32, bc.n), make([]int32, bc.n)
+			b.SetBytes(int64(bc.n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(keys, src)
+				sink, _ = Sort(keys, tmpK, pay, tmpP)
+			}
+		})
+		b.Run(bc.name+"/weight", func(b *testing.B) {
+			keys, tmpK := make([]int64, bc.n), make([]int64, bc.n)
+			pay, tmpP := make([]float64, bc.n), make([]float64, bc.n)
+			b.SetBytes(int64(bc.n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(keys, src)
+				sink, _ = Sort(keys, tmpK, pay, tmpP)
+			}
+		})
+		b.Run(bc.name+"/keys", func(b *testing.B) {
+			b.SetBytes(int64(bc.n))
+			for i := 0; i < b.N; i++ {
+				sink = SortedCopy(src)
+			}
+		})
+	}
+}

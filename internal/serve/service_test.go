@@ -546,3 +546,75 @@ func TestServiceErrors(t *testing.T) {
 		t.Fatal("negative shed queue must fail")
 	}
 }
+
+// TestColdEstimateFreshAfterAppendToUncoveredTable: an append to a table no
+// SIT covers triggers no rebuild, yet the next cold estimate touching it must
+// equal a from-scratch service's bit for bit — the builder's base-histogram
+// cache follows the table's data generation.
+func TestColdEstimateFreshAfterAppendToUncoveredTable(t *testing.T) {
+	svc, cat := newChainService(t, sit.DefaultConfig(), Config{})
+	q := cardest.SPJQuery{
+		Expr: mustExpr(t, "T3 JOIN T4 ON T3.jnext = T4.jprev"),
+		Preds: []cardest.Predicate{
+			{Table: "T4", Attr: "a", Lo: 0, Hi: 2_000_000},
+			{Table: "T3", Attr: "a", Lo: 0, Hi: 1200},
+		},
+	}
+	before, _, err := svc.Estimate(q) // warms the T4 base histograms
+	if err != nil {
+		t.Fatal(err)
+	}
+	t4 := cat.MustTable("T4")
+	n := t4.NumRows() / 4
+	cols := make([][]int64, t4.NumCols())
+	for c := range cols {
+		cols[c] = make([]int64, n)
+		for i := range cols[c] {
+			cols[c][i] = int64(1_000_000 + 7*i + c)
+		}
+	}
+	// Mutations go through the builder lock, as a refresher's would.
+	if err := svc.Registry().WithBuilder(func(*sit.Builder) error { return t4.AppendColumns(cols...) }); err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt, err := svc.Registry().Refresh(0.2); err != nil || len(rebuilt) != 0 {
+		t.Fatalf("refresh rebuilt %v, err %v; the served SITs do not touch T4", rebuilt, err)
+	}
+	got, tier, err := svc.Estimate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier != TierCold {
+		t.Fatalf("estimate after the append came from tier %v, want cold", tier)
+	}
+
+	// From scratch: a new registry over the mutated catalog with the same SITs.
+	reg, err := sit.NewRegistry(cat, sit.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for _, text := range serveSpecs {
+		spec, err := query.ParseSIT(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Get(spec, sit.SweepFull); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := NewService(reg, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := fresh.Estimate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cold estimate after the append mixes in stale base statistics:\n got %+v\nwant %+v", got, want)
+	}
+	if reflect.DeepEqual(got, before) {
+		t.Errorf("estimate did not move after a 25%% append of out-of-domain rows: %+v", got)
+	}
+}

@@ -57,29 +57,54 @@ func TestMultiplicityBatchMatchesScalar(t *testing.T) {
 	oracles["hist"].multiplicityBatch(empty, nil, &scratch) // must not panic
 }
 
-// vmPair records one consumer add call.
+// vmPair records one streamed (value, multiplicity) pair.
 type vmPair struct {
 	v int64
 	m float64
 }
 
-// recorder is a consumer that records its exact add stream, so two scan
-// implementations can be compared call for call.
+// recorder is a consumer that records its exact stream, so two scan
+// implementations can be compared pair for pair. sorted makes it ask for the
+// target argsort the way the exact consumer does (it checks the argsort and
+// still records in row order).
 type recorder struct {
-	pairs   []vmPair
-	chunked bool
+	pairs  []vmPair
+	sorted bool
+	bad    string
 }
 
 func (r *recorder) add(v int64, m float64) { r.pairs = append(r.pairs, vmPair{v, m}) }
+func (r *recorder) addChunk(target []int64, m []float64, ts *sortedCol) {
+	if (ts != nil) != r.sorted {
+		r.bad = "argsort presence does not match sortsTarget"
+	}
+	if ts != nil {
+		for i, p := range ts.perm {
+			if ts.vals[i] != target[p] || (i > 0 && (ts.vals[i-1] > ts.vals[i] ||
+				(ts.vals[i-1] == ts.vals[i] && ts.perm[i-1] > p))) {
+				r.bad = "target argsort is not a stable ascending argsort"
+			}
+		}
+	}
+	for i, mv := range m {
+		if mv > 0 {
+			r.add(target[i], mv)
+		}
+	}
+}
+func (r *recorder) sortsTarget() bool { return r.sorted }
 func (r *recorder) result(int, histogram.Method) (*histogram.Histogram, float64, error) {
 	return nil, 0, nil
 }
-func (r *recorder) fork(int) (consumer, error) { return &recorder{chunked: r.chunked}, nil }
+func (r *recorder) fork(int) (consumer, error) { return &recorder{sorted: r.sorted}, nil }
 func (r *recorder) merge(shard consumer) error {
-	r.pairs = append(r.pairs, shard.(*recorder).pairs...)
+	s := shard.(*recorder)
+	r.pairs = append(r.pairs, s.pairs...)
+	if s.bad != "" {
+		r.bad = s.bad
+	}
 	return nil
 }
-func (r *recorder) perChunk() bool { return r.chunked }
 
 // feedChunkRowRef is the pre-refactor row-at-a-time feedChunk, kept as the
 // bit-identity reference for the batched implementation.
@@ -101,7 +126,7 @@ func feedChunkRowRef(ch data.Chunk, jobs []*scanJob, dst []consumer) {
 				}
 			}
 			if m > 0 {
-				dst[ji].add(ch.Cols[j.targetCol][r], m)
+				dst[ji].(*recorder).add(ch.Cols[j.targetCol][r], m)
 			}
 		}
 	}
@@ -147,25 +172,40 @@ func probeJobs(t *testing.T, rng *rand.Rand) []*scanJob {
 func TestFeedChunkMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	jobs := probeJobs(t, rng)
-	cols := resolveColumns(jobs)
+	got := make([]consumer, len(jobs))
+	for i, j := range jobs {
+		got[i] = &recorder{sorted: i%2 == 0}
+		j.cons = got[i]
+	}
+	plan := planScan(jobs)
+	// Jobs 0, 2 and 3 probe column u with the same histogram oracle and jobs
+	// 1 and 2 column v with the same index: three distinct probes serve five
+	// predicates (the 2-D one is never batched), and the sorted jobs 0 and 2
+	// target different attributes.
+	if len(plan.probes) != 3 || len(plan.sorts) != 2 {
+		t.Fatalf("plan shares %d probes and %d target sorts, want 3 and 2", len(plan.probes), len(plan.sorts))
+	}
 	for _, n := range []int{0, 1, 37, 4096} {
-		ch := data.Chunk{Cols: make([][]int64, len(cols))}
-		for c := range cols {
+		ch := data.Chunk{Cols: make([][]int64, len(plan.cols))}
+		for c := range plan.cols {
 			ch.Cols[c] = randVals(rng, n, -300, 600)
 		}
-		got := make([]consumer, len(jobs))
 		want := make([]consumer, len(jobs))
 		for i := range jobs {
-			got[i], want[i] = &recorder{}, &recorder{}
+			got[i].(*recorder).pairs = nil
+			want[i] = &recorder{}
 		}
 		var scratch probeScratch
-		feedChunk(ch, jobs, got, &scratch)
+		feedChunk(ch, plan, got, &scratch)
 		feedChunkRowRef(ch, jobs, want)
 		for i := range jobs {
-			g, w := got[i].(*recorder).pairs, want[i].(*recorder).pairs
-			if !reflect.DeepEqual(g, w) {
+			g, w := got[i].(*recorder), want[i].(*recorder)
+			if g.bad != "" {
+				t.Fatalf("chunk len %d job %d: %s", n, i, g.bad)
+			}
+			if !reflect.DeepEqual(g.pairs, w.pairs) {
 				t.Fatalf("chunk len %d job %d: batched stream (%d adds) != row stream (%d adds)",
-					n, i, len(g), len(w))
+					n, i, len(g.pairs), len(w.pairs))
 			}
 		}
 	}
@@ -200,10 +240,10 @@ func TestSharedScanBatchedProbingBitIdentical(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 4} {
-		run := func(jobs []*scanJob, chunked bool) [][]vmPair {
+		run := func(jobs []*scanJob, sorted bool) [][]vmPair {
 			cons := make([]*recorder, len(jobs))
 			for i, j := range jobs {
-				cons[i] = &recorder{chunked: chunked}
+				cons[i] = &recorder{sorted: sorted}
 				j.cons = cons[i]
 			}
 			if err := runSharedScan(tab, jobs, par); err != nil {
@@ -211,15 +251,18 @@ func TestSharedScanBatchedProbingBitIdentical(t *testing.T) {
 			}
 			out := make([][]vmPair, len(cons))
 			for i, c := range cons {
+				if c.bad != "" {
+					t.Fatalf("parallelism %d job %d: %s", par, i, c.bad)
+				}
 				out[i] = c.pairs
 			}
 			return out
 		}
-		for _, chunked := range []bool{false, true} {
-			batched := run(probeJobs(t, rand.New(rand.NewSource(6))), chunked)
-			rowwise := run(stripBatch(probeJobs(t, rand.New(rand.NewSource(6)))), chunked)
+		for _, sorted := range []bool{false, true} {
+			batched := run(probeJobs(t, rand.New(rand.NewSource(6))), sorted)
+			rowwise := run(stripBatch(probeJobs(t, rand.New(rand.NewSource(6)))), sorted)
 			if !reflect.DeepEqual(batched, rowwise) {
-				t.Fatalf("parallelism %d chunked %v: batched scan stream != row scan stream", par, chunked)
+				t.Fatalf("parallelism %d sorted %v: batched scan stream != row scan stream", par, sorted)
 			}
 		}
 	}

@@ -1,0 +1,256 @@
+package sit
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"github.com/sitstats/sits/internal/data"
+	"github.com/sitstats/sits/internal/histogram"
+)
+
+// mapConsumer is the pre-radix exact consumer, kept as the bit-identity
+// oracle for fullConsumer: every chunk aggregates into a fresh
+// value -> weight map in row order, and the chunk maps are merged into the
+// root map in chunk order. It runs serial scans only.
+type mapConsumer struct {
+	weights map[int64]float64
+	mass    float64
+}
+
+func newMapConsumer() *mapConsumer { return &mapConsumer{weights: map[int64]float64{}} }
+
+func (c *mapConsumer) addChunk(target []int64, m []float64, _ *sortedCol) {
+	part := newMapConsumer()
+	for r, mv := range m {
+		if mv > 0 {
+			part.weights[target[r]] += mv
+			part.mass += mv
+		}
+	}
+	for v, w := range part.weights {
+		c.weights[v] += w
+	}
+	c.mass += part.mass
+}
+
+func (c *mapConsumer) sortsTarget() bool { return false }
+
+// pairs is the reference's sorted output (map + comparison sort).
+func (c *mapConsumer) pairs() []histogram.ValueFreq {
+	out := make([]histogram.ValueFreq, 0, len(c.weights))
+	for v, w := range c.weights {
+		out = append(out, histogram.ValueFreq{Value: v, Freq: w})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	return out
+}
+
+func (c *mapConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
+	h, err := histogram.FromPairs(c.pairs(), nb, method)
+	return h, c.mass, err
+}
+
+func (c *mapConsumer) fork(int) (consumer, error) {
+	return nil, fmt.Errorf("map reference consumer scans serially")
+}
+
+func (c *mapConsumer) merge(consumer) error {
+	return fmt.Errorf("map reference consumer scans serially")
+}
+
+// exactFixture is one table S(y, a) scanned with a fractional histogram
+// m-Oracle on y, streaming a.
+type exactFixture struct {
+	name string
+	y, a []int64
+}
+
+// fractionalOracle answers with bucket-average multiplicities, so nearly
+// every streamed weight is a non-integer and summation order shows up in the
+// low bits.
+func fractionalOracle(t testing.TB, probeCol []int64) histOracle {
+	t.Helper()
+	rng := rand.New(rand.NewSource(41))
+	child := make([]int64, 3000)
+	for i := range child {
+		child[i] = rng.Int63n(700) - 100
+	}
+	hc, err := histogram.FromValues(child, 13, histogram.MaxDiffArea)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, err := histogram.FromValues(probeCol, 7, histogram.MaxDiffArea)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return histOracle{child: hc, parent: hp}
+}
+
+func exactFixtures() []exactFixture {
+	rng := rand.New(rand.NewSource(8))
+	gen := func(n int, target func(i int) int64) exactFixture {
+		f := exactFixture{y: make([]int64, n), a: make([]int64, n)}
+		for i := 0; i < n; i++ {
+			f.y[i] = rng.Int63n(650) - 80
+			f.a[i] = target(i)
+		}
+		return f
+	}
+	named := func(name string, f exactFixture) exactFixture { f.name = name; return f }
+	extremes := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, math.MaxInt64 - 1, -4096}
+	return []exactFixture{
+		named("empty", gen(0, nil)),
+		named("single-chunk", gen(1000, func(int) int64 { return rng.Int63n(200) })),
+		named("fractional-multi-chunk", gen(3*scanChunkRows+123, func(int) int64 { return rng.Int63n(1500) - 700 })),
+		named("extremes", gen(2*scanChunkRows+9, func(i int) int64 { return extremes[rng.Intn(len(extremes))] })),
+		named("all-equal", gen(2*scanChunkRows+500, func(int) int64 { return -17 })),
+		// Nearly all-distinct targets: the root's pending backlog crosses
+		// foldBatch mid-scan several times, and later chunks revisit values
+		// the root already holds.
+		named("fold-boundary", gen(40*scanChunkRows+77, func(i int) int64 { return int64(i%90001) * 3 })),
+	}
+}
+
+func (f exactFixture) table(t testing.TB, segment bool) *data.Table {
+	t.Helper()
+	tab := data.MustNewTable("S", "y", "a")
+	if err := tab.AppendColumns(f.y, f.a); err != nil {
+		t.Fatal(err)
+	}
+	if !segment {
+		return tab
+	}
+	path := filepath.Join(t.TempDir(), "s.seg")
+	if err := data.WriteSegment(path, tab); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := data.OpenSegmentTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	return seg
+}
+
+func samePairBits(a, b []histogram.ValueFreq) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Value != b[i].Value || math.Float64bits(a[i].Freq) != math.Float64bits(b[i].Freq) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExactConsumerBitIdenticalToMapReference: the sorted-run consumer must
+// reproduce the map consumer's per-value sums and total mass bit for bit at
+// every pool width, from memory and from a streamed segment.
+func TestExactConsumerBitIdenticalToMapReference(t *testing.T) {
+	for _, f := range exactFixtures() {
+		t.Run(f.name, func(t *testing.T) {
+			o := fractionalOracle(t, f.y)
+			job := func(c consumer) []*scanJob {
+				return []*scanJob{{targetAttr: "a", preds: []jobPred{newJobPred([]string{"y"}, o)}, cons: c}}
+			}
+			ref := newMapConsumer()
+			if err := runSharedScan(f.table(t, false), job(ref), 1); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.pairs()
+			if f.name == "fold-boundary" && len(want) <= foldBatch {
+				t.Fatalf("fixture has %d distinct values, need more than foldBatch = %d", len(want), foldBatch)
+			}
+			if len(f.y) > 0 && ref.mass == math.Trunc(ref.mass) {
+				t.Fatalf("streamed mass %v is integral: the fixture does not exercise fractional weights", ref.mass)
+			}
+			wantHist, _, err := ref.result(100, histogram.MaxDiffArea)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, segment := range []bool{false, true} {
+				tab := f.table(t, segment)
+				for _, width := range []int{1, 2, 4, 8} {
+					c := newFullConsumer()
+					if err := runSharedScan(tab, job(c), width); err != nil {
+						t.Fatal(err)
+					}
+					h, mass, err := c.result(100, histogram.MaxDiffArea)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !samePairBits(c.root, want) {
+						t.Errorf("segment=%v width=%d: per-value sums differ from the map reference (%d vs %d values)",
+							segment, width, len(c.root), len(want))
+					}
+					if math.Float64bits(mass) != math.Float64bits(ref.mass) {
+						t.Errorf("segment=%v width=%d: mass %v, map reference %v", segment, width, mass, ref.mass)
+					}
+					if fmt.Sprint(h.Buckets) != fmt.Sprint(wantHist.Buckets) {
+						t.Errorf("segment=%v width=%d: histogram differs from the map reference", segment, width)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExactFold measures exact aggregation alone — chunk argsort, run
+// fold and root merge against the preserved per-chunk map reference — over
+// bench-sized streams, in ns per streamed row.
+func BenchmarkExactFold(b *testing.B) {
+	const rows = 600000
+	for _, domain := range []int64{60000, 300000} {
+		rng := rand.New(rand.NewSource(1))
+		target := make([]int64, rows)
+		m := make([]float64, rows)
+		for i := range target {
+			target[i] = rng.Int63n(domain)
+			m[i] = 0.25 + rng.Float64()
+		}
+		run := func(b *testing.B, feed func(target []int64, m []float64), finish func()) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < rows; lo += scanChunkRows {
+					hi := min(lo+scanChunkRows, rows)
+					feed(target[lo:hi], m[lo:hi])
+				}
+				finish()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		}
+		b.Run(fmt.Sprintf("domain=%d/radix", domain), func(b *testing.B) {
+			var s probeScratch
+			var ts sortedCol
+			var c *fullConsumer
+			run(b, func(target []int64, m []float64) {
+				if c == nil {
+					c = newFullConsumer()
+				}
+				s.argsort(target, &ts)
+				c.addChunk(target, m, &ts)
+			}, func() {
+				c.absorb(c)
+				c = nil
+			})
+		})
+		b.Run(fmt.Sprintf("domain=%d/map-ref", domain), func(b *testing.B) {
+			var c *mapConsumer
+			run(b, func(target []int64, m []float64) {
+				if c == nil {
+					c = newMapConsumer()
+				}
+				c.addChunk(target, m, nil)
+			}, func() {
+				sinkPairs = c.pairs()
+				c = nil
+			})
+		})
+	}
+}
+
+var sinkPairs []histogram.ValueFreq

@@ -2,6 +2,7 @@ package sit
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/sitstats/sits/internal/data"
 	"github.com/sitstats/sits/internal/exec"
@@ -23,10 +24,11 @@ import (
 //
 // Determinism contract:
 //
-//   - Exact consumers (SweepFull, SweepExact) shard per chunk and merge in
-//     chunk index order. Chunk boundaries depend only on the table size, so
-//     the result is bit-identical at every parallelism level, including the
-//     serial one.
+//   - Exact consumers (SweepFull, SweepExact) fold every chunk into its own
+//     sorted partial and the root folds the partials in chunk index order
+//     (worker shards only collect them). Chunk boundaries depend only on the
+//     table size, so the result is bit-identical at every parallelism level,
+//     including the serial one.
 //   - Sampled consumers (Sweep, SweepIndex) shard per worker with seeds
 //     derived from the builder's seed sequence, so results are deterministic
 //     for a fixed parallelism level; a single worker feeds the root consumer
@@ -48,42 +50,75 @@ func shardSeed(base int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// resolveColumns collects the union of the jobs' required columns and caches
-// each job's target and predicate attribute offsets into that union, so the
-// per-tuple loops index column slices directly instead of consulting a name
-// map per value.
-func resolveColumns(jobs []*scanJob) []string {
+// probe is one distinct batched m-Oracle probe of a shared scan: an oracle
+// answering a scanned column. Jobs whose predicates agree on both share one
+// answer vector per chunk.
+type probe struct {
+	col int
+	bo  batchOracle
+}
+
+// scanPlan is what a shared scan resolves once, before the first chunk: the
+// union of the jobs' columns (jobs cache their integer offsets into it, so
+// the per-tuple loops never consult a name map) and the per-chunk work the
+// jobs can share — each distinct (column, oracle) probe and each distinct
+// target attribute's argsort is computed once and fanned out.
+type scanPlan struct {
+	jobs   []*scanJob
+	cols   []string
+	probes []probe
+	sorts  []int // target column offsets argsorted per chunk
+}
+
+func planScan(jobs []*scanJob) *scanPlan {
+	p := &scanPlan{jobs: jobs}
 	colIdx := map[string]int{}
-	var cols []string
 	need := func(c string) int {
 		if i, ok := colIdx[c]; ok {
 			return i
 		}
-		colIdx[c] = len(cols)
-		cols = append(cols, c)
-		return len(cols) - 1
+		colIdx[c] = len(p.cols)
+		p.cols = append(p.cols, c)
+		return len(p.cols) - 1
 	}
 	for _, j := range jobs {
 		j.targetCol = need(j.targetAttr)
+		j.sort = -1
+		if j.cons.sortsTarget() {
+			j.sort = slot(&p.sorts, j.targetCol)
+		}
 		for pi := range j.preds {
-			p := &j.preds[pi]
-			p.cols = p.cols[:0]
-			for _, a := range p.attrs {
-				p.cols = append(p.cols, need(a))
+			jp := &j.preds[pi]
+			jp.cols = jp.cols[:0]
+			for _, a := range jp.attrs {
+				jp.cols = append(jp.cols, need(a))
+			}
+			jp.probe = -1
+			if jp.bo != nil {
+				jp.probe = slot(&p.probes, probe{col: jp.cols[0], bo: jp.bo})
 			}
 		}
 	}
-	return cols
+	return p
 }
 
-// probeScratch holds the per-scanner buffers reused across chunks: m
-// accumulates the per-row predicate product, tmp receives one predicate's
-// batched answers before they are folded into m, and the remaining slices
-// back the radix argsort and answer vectors of the batched m-Oracles. One
-// scratch lives per scanning goroutine and is handed down through every
-// batched probe, so feedChunk allocates nothing per chunk. The oracles
-// themselves are shared across workers and must stay stateless — scratch is
-// always caller-supplied, never stored on an oracle.
+// slot returns v's index in *list, appending it when absent.
+func slot[T comparable](list *[]T, v T) int {
+	if i := slices.Index(*list, v); i >= 0 {
+		return i
+	}
+	*list = append(*list, v)
+	return len(*list) - 1
+}
+
+// probeScratch holds the per-scanner buffers reused across chunks: ans is one
+// answer vector per distinct probe, tsort one argsort per distinct sorted
+// target, m accumulates the per-row predicate product of multi-predicate
+// jobs, and the remaining slices back the radix argsort and answer vectors
+// of the batched m-Oracles. One scratch lives per scanning goroutine and is
+// handed down through every batched probe, so feedChunk allocates nothing
+// per chunk. The oracles themselves are shared across workers and must stay
+// stateless — scratch is always caller-supplied, never stored on an oracle.
 //
 //statcheck:scratch
 type probeScratch struct {
@@ -92,90 +127,98 @@ type probeScratch struct {
 	// every worker's scratch. nil means un-budgeted.
 	grant *mem.Grant
 
-	m, tmp []float64
-	// radix argsort buffers (sortedProbe): biased keys and permutation plus
-	// their ping-pong partners, and the decoded ascending values.
-	keys, keys2 []uint64
-	perm, perm2 []int32
-	sorted      []int64
+	m     []float64
+	ans   [][]float64
+	tsort []sortedCol
+	// probe is the argsort of the probe vector a batched m-Oracle is
+	// answering; keys2/perm2 are the ping-pong partners of every argsort this
+	// scratch runs.
+	probe sortedCol
+	keys2 []int64
+	perm2 []int32
 	// answer buffers for multiplicityBatch: per-sorted-probe multiplicities
 	// (histogram oracles) and duplicate counts (index oracles).
 	f64 []float64
 	i64 []int64
 }
 
-//statcheck:hot
-func (s *probeScratch) grow(n int) {
-	if cap(s.m) < n {
-		// m and tmp: 2 float64 slices, net of the buffers being replaced.
-		s.grant.Force(16 * int64(n-cap(s.m)))
-		s.m = make([]float64, n)
-		s.tmp = make([]float64, n)
-	}
-	s.m = s.m[:n]
-	s.tmp = s.tmp[:n]
-}
-
-// growProbe sizes the argsort and answer buffers for an n-element probe
-// vector; called by sortedProbe so direct multiplicityBatch callers need no
-// setup beyond a zero-value scratch.
+// grow sizes the per-job product vector and the plan's answer vectors for an
+// n-row chunk.
 //
 //statcheck:hot
-func (s *probeScratch) growProbe(n int) {
-	if cap(s.keys) < n {
-		// keys/keys2/sorted/f64/i64 at 8 B and perm/perm2 at 4 B per element,
-		// net of the buffers being replaced.
-		s.grant.Force(48 * int64(n-cap(s.keys)))
-		s.keys = make([]uint64, n)
-		s.keys2 = make([]uint64, n)
-		s.perm = make([]int32, n)
+func (s *probeScratch) grow(n int, p *scanPlan) {
+	if len(s.ans) != len(p.probes) || len(s.tsort) != len(p.sorts) {
+		s.ans = make([][]float64, len(p.probes))
+		s.tsort = make([]sortedCol, len(p.sorts))
+		s.m = nil
+	}
+	if cap(s.m) < n {
+		// m plus one float64 vector per probe, net of the buffers replaced.
+		s.grant.Force(8 * int64(1+len(s.ans)) * int64(n-cap(s.m)))
+		s.m = make([]float64, n)
+		for i := range s.ans {
+			s.ans[i] = make([]float64, n)
+		}
+	}
+}
+
+// growSort sizes the argsort partners and answer buffers for an n-element
+// vector; called by argsort so direct multiplicityBatch callers need no setup
+// beyond a zero-value scratch.
+//
+//statcheck:hot
+func (s *probeScratch) growSort(n int) {
+	if cap(s.keys2) < n {
+		// keys2/f64/i64 at 8 B and perm2 at 4 B per element, net of the
+		// buffers being replaced.
+		s.grant.Force(28 * int64(n-cap(s.keys2)))
+		s.keys2 = make([]int64, n)
 		s.perm2 = make([]int32, n)
-		s.sorted = make([]int64, n)
 		s.f64 = make([]float64, n)
 		s.i64 = make([]int64, n)
 	}
-	s.keys = s.keys[:n]
-	s.keys2 = s.keys2[:n]
-	s.perm = s.perm[:n]
-	s.perm2 = s.perm2[:n]
-	s.sorted = s.sorted[:n]
-	s.f64 = s.f64[:n]
-	s.i64 = s.i64[:n]
 }
 
 // feedChunk streams one chunk into the given per-job consumers (dst[i]
-// absorbs jobs[i]'s stream). Per tuple and job, the multiplicity is the
-// product of the per-predicate oracle answers; the job's target value is
-// streamed with that multiplicity.
+// absorbs the plan's i-th job's stream). Per tuple and job, the multiplicity
+// is the product of the per-predicate oracle answers; the job's target value
+// is streamed with that multiplicity.
 //
-// Predicates whose oracle implements batchOracle are probed once per chunk
-// over the whole column sub-slice instead of once per row; 2-D oracles fall
-// back to the per-row path. The per-consumer stream is unchanged: values
-// arrive in ascending row order with multiplicities that are bit-identical
-// to the row-at-a-time computation (the product is accumulated in the same
-// predicate order, 1*x == x, and rows whose running product hits zero are
-// skipped in both forms).
+// Every distinct batched probe is answered once per chunk over the whole
+// column sub-slice and every distinct sorted target is argsorted once; jobs
+// then differ only in which answers they multiply and which consumer folds
+// the result. 2-D oracles fall back to the per-row path. The per-consumer
+// stream is unchanged: values arrive in ascending row order with
+// multiplicities that are bit-identical to the row-at-a-time computation
+// (the product is accumulated in the same predicate order, 1*x == x, and rows
+// whose running product hits zero are skipped in both forms).
 //
 //statcheck:hot
-func feedChunk(ch data.Chunk, jobs []*scanJob, dst []consumer, s *probeScratch) {
+func feedChunk(ch data.Chunk, p *scanPlan, dst []consumer, s *probeScratch) {
 	n := ch.Len()
-	s.grow(n)
+	s.grow(n, p)
+	for i, pr := range p.probes {
+		pr.bo.multiplicityBatch(ch.Cols[pr.col], s.ans[i][:n], s)
+	}
+	for i, col := range p.sorts {
+		s.argsort(ch.Cols[col], &s.tsort[i])
+	}
 	var vbuf [4]int64
-	for ji, j := range jobs {
-		m := s.m
-		// Single batchable predicate: probe straight into m.
-		if len(j.preds) == 1 && j.preds[0].bo != nil {
-			j.preds[0].bo.multiplicityBatch(ch.Cols[j.preds[0].cols[0]], m, s)
+	for ji, j := range p.jobs {
+		var m []float64
+		if len(j.preds) == 1 && j.preds[0].probe >= 0 {
+			// Single batchable predicate: its answers are the stream.
+			m = s.ans[j.preds[0].probe][:n]
 		} else {
+			m = s.m[:n]
 			for r := range m {
 				m[r] = 1
 			}
 			for pi := range j.preds {
-				p := &j.preds[pi]
-				if p.bo != nil {
-					p.bo.multiplicityBatch(ch.Cols[p.cols[0]], s.tmp, s)
-					for r := range m {
-						m[r] *= s.tmp[r]
+				jp := &j.preds[pi]
+				if jp.probe >= 0 {
+					for r, a := range s.ans[jp.probe][:n] {
+						m[r] *= a
 					}
 					continue
 				}
@@ -184,20 +227,18 @@ func feedChunk(ch data.Chunk, jobs []*scanJob, dst []consumer, s *probeScratch) 
 						continue
 					}
 					vals := vbuf[:0]
-					for _, c := range p.cols {
+					for _, c := range jp.cols {
 						vals = append(vals, ch.Cols[c][r])
 					}
-					m[r] *= p.o.multiplicity(vals)
+					m[r] *= jp.o.multiplicity(vals)
 				}
 			}
 		}
-		target := ch.Cols[j.targetCol]
-		cons := dst[ji]
-		for r := 0; r < n; r++ {
-			if mv := m[r]; mv > 0 {
-				cons.add(target[r], mv)
-			}
+		var ts *sortedCol
+		if j.sort >= 0 {
+			ts = &s.tsort[j.sort]
 		}
+		dst[ji].addChunk(ch.Cols[j.targetCol], m, ts)
 	}
 }
 
@@ -223,8 +264,8 @@ func runSharedScanGov(t *data.Table, jobs []*scanJob, parallelism int, gov *mem.
 	if len(jobs) == 0 {
 		return nil
 	}
-	cols := resolveColumns(jobs)
-	for _, c := range cols {
+	plan := planScan(jobs)
+	for _, c := range plan.cols {
 		if !t.HasColumn(c) {
 			return fmt.Errorf("sit: table %q has no column %q", t.Name(), c)
 		}
@@ -240,171 +281,80 @@ func runSharedScanGov(t *data.Table, jobs []*scanJob, parallelism int, gov *mem.
 		workers = nchunks
 	}
 	if workers <= 1 {
-		return scanSerial(t, cols, nchunks, jobs, grant)
+		return scanSerial(t, plan, grant)
 	}
-	return scanParallel(t, cols, nchunks, jobs, workers, grant)
+	return scanParallel(t, plan, nchunks, workers, grant)
 }
 
-// shardReuser is implemented by shard consumers that can be cleared and fed
-// again, letting the serial scan reuse one scratch shard per job instead of
-// allocating one per chunk.
-type shardReuser interface {
-	resetShard()
-}
-
-// scanSerial feeds every chunk in order from the calling goroutine. Sampled
-// consumers receive the rows directly — exactly the original single-threaded
-// behavior — while exact consumers still aggregate per chunk and merge in
-// chunk order, so the serial result matches the parallel one bit for bit.
-func scanSerial(t *data.Table, cols []string, nchunks int, jobs []*scanJob, grant *mem.Grant) error {
-	rd, err := t.OpenChunksSpec(scanChunkRows, data.ScanSpec{Grant: grant}, cols...)
+// scanWindow streams the chunks [lo, hi) of the table's grid (hi <= 0: to the
+// end) through a private reader and scratch into dst.
+func scanWindow(t *data.Table, plan *scanPlan, dst []consumer, grant *mem.Grant, lo, hi int) error {
+	rd, err := t.OpenChunksSpec(scanChunkRows, data.ScanSpec{Grant: grant, Lo: lo, Hi: hi}, plan.cols...)
 	if err != nil {
 		return err
 	}
 	defer rd.Close() //statcheck:ignore droppederr read-only reader; scan errors surface from Next
-	dst := make([]consumer, len(jobs))
-	chunked := false
-	for i, j := range jobs {
-		dst[i] = j.cons
-		if j.cons.perChunk() {
-			chunked = true
-		}
-	}
 	scratch := probeScratch{grant: grant}
-	// With a single chunk the chunk-order fold degenerates: merging one
-	// partial into an empty root adds 0 + x per value, which is bit-identical
-	// to accumulating in the root directly, so skip the scratch shards.
-	if !chunked || nchunks == 1 {
-		for {
-			ch, ok, err := rd.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			feedChunk(ch, jobs, dst, &scratch)
-		}
-	}
-	first := true
 	for {
 		ch, ok, err := rd.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		for i, j := range jobs {
-			if !j.cons.perChunk() {
-				continue
-			}
-			if !first {
-				if r, ok := dst[i].(shardReuser); ok {
-					r.resetShard()
-					continue
-				}
-			}
-			shard, err := j.cons.fork(ch.Seq)
-			if err != nil {
-				return err
-			}
-			dst[i] = shard
-		}
-		first = false
-		feedChunk(ch, jobs, dst, &scratch)
-		for i, j := range jobs {
-			if !j.cons.perChunk() {
-				continue
-			}
-			if err := j.cons.merge(dst[i]); err != nil {
-				return err
-			}
-		}
+		feedChunk(ch, plan, dst, &scratch)
 	}
 }
 
-// scanParallel partitions the chunk grid into contiguous windows, one per
-// worker, streams each window through a private ChunkReader as a fork-join
-// morsel on the shared exec pool into private consumer shards, and merges
-// the shards back in partition order (chunk Seq order for per-chunk
-// consumers, worker order otherwise). Window boundaries depend only on
-// (nchunks, workers), so the merge order — and for exact consumers the
-// result itself — is independent of pool scheduling.
-func scanParallel(t *data.Table, cols []string, nchunks int, jobs []*scanJob, workers int, grant *mem.Grant) error {
-	chunkShards := make([][]consumer, len(jobs))
-	workerShards := make([][]consumer, len(jobs))
-	for ji, j := range jobs {
-		if j.cons.perChunk() {
-			chunkShards[ji] = make([]consumer, nchunks)
-		} else {
-			workerShards[ji] = make([]consumer, workers)
-		}
+// scanSerial feeds every chunk in order from the calling goroutine straight
+// into the root consumers: exactly the original single-threaded behavior for
+// sampled consumers, while exact consumers fold per chunk either way, so the
+// serial result matches the parallel one bit for bit.
+func scanSerial(t *data.Table, plan *scanPlan, grant *mem.Grant) error {
+	dst := make([]consumer, len(plan.jobs))
+	for i, j := range plan.jobs {
+		dst[i] = j.cons
 	}
+	return scanWindow(t, plan, dst, grant, 0, 0)
+}
+
+// scanParallel partitions the chunk grid into contiguous windows, one per
+// worker, streams each window as a fork-join morsel on the shared exec pool
+// into private consumer shards, and merges the shards back in worker order —
+// which is chunk order. Window boundaries depend only on (nchunks, workers),
+// so the merge order — and for exact consumers the result itself — is
+// independent of pool scheduling.
+func scanParallel(t *data.Table, plan *scanPlan, nchunks, workers int, grant *mem.Grant) error {
+	shards := make([][]consumer, workers)
 	errs := make([]error, workers)
 	exec.Default().ForkJoinWidth(workers, workers, func(w int) {
-		lo, hi := w*nchunks/workers, (w+1)*nchunks/workers
-		if lo == hi {
-			return
-		}
-		rd, err := t.OpenChunksSpec(scanChunkRows, data.ScanSpec{Grant: grant, Lo: lo, Hi: hi}, cols...)
-		if err != nil {
-			errs[w] = err
-			return
-		}
-		defer rd.Close() //statcheck:ignore droppederr read-only reader; scan errors surface from Next
-		dst := make([]consumer, len(jobs))
-		scratch := probeScratch{grant: grant}
-		for ji, j := range jobs {
-			if j.cons.perChunk() {
-				continue
-			}
-			shard, err := j.cons.fork(w)
-			if err != nil {
-				errs[w] = err
+		dst := make([]consumer, len(plan.jobs))
+		for ji, j := range plan.jobs {
+			if dst[ji], errs[w] = j.cons.fork(w); errs[w] != nil {
 				return
 			}
-			workerShards[ji][w] = shard
-			dst[ji] = shard
 		}
-		for {
-			ch, ok, err := rd.Next()
-			if err != nil {
-				errs[w] = err
+		shards[w] = dst
+		errs[w] = scanWindow(t, plan, dst, grant, w*nchunks/workers, (w+1)*nchunks/workers)
+	})
+	if err := firstError(errs); err != nil {
+		return err
+	}
+	// Jobs are independent of one another, so their merges run side by side;
+	// within a job the shards still arrive in worker order.
+	errs = make([]error, len(plan.jobs))
+	exec.Default().ForkJoinWidth(len(plan.jobs), workers, func(ji int) {
+		for _, dst := range shards {
+			if errs[ji] = plan.jobs[ji].cons.merge(dst[ji]); errs[ji] != nil {
 				return
 			}
-			if !ok {
-				return
-			}
-			for ji, j := range jobs {
-				if !j.cons.perChunk() {
-					continue
-				}
-				shard, err := j.cons.fork(ch.Seq)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				chunkShards[ji][ch.Seq] = shard
-				dst[ji] = shard
-			}
-			feedChunk(ch, jobs, dst, &scratch)
 		}
 	})
+	return firstError(errs)
+}
+
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
-		}
-	}
-	for ji, j := range jobs {
-		shards := workerShards[ji]
-		if j.cons.perChunk() {
-			shards = chunkShards[ji]
-		}
-		for _, s := range shards {
-			if err := j.cons.merge(s); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -195,18 +195,27 @@ func (c Config) validate() error {
 	return nil
 }
 
+// genCached is a per-table statistic together with the data generation
+// (data.Table.Generation) of the table it was computed from. A lookup whose
+// table has moved on is a miss and overwrites the entry, so an append
+// invalidates base statistics without anyone sweeping the caches.
+type genCached[T any] struct {
+	gen uint64
+	v   T
+}
+
 // Builder creates SITs over a catalog. It caches base-table histograms,
 // B+tree indexes, and intermediate SITs (per method), so repeated builds and
 // shared sub-expressions are computed once.
 type Builder struct {
 	cat  *data.Catalog
 	cfg  Config
-	base map[string]*histogram.Histogram // "T.a" -> base histogram
-	h2d  map[string]*histogram.Hist2D    // "T.a1.a2" -> 2-D histogram
-	idx  map[string]*btree.Tree          // "T.a" -> index
-	sits map[string]*SIT                 // method + canonical spec -> SIT
-	seed int64                           // per-reservoir seed sequence
-	gov  *mem.Governor                   // shared (cfg.Governor) or private (cfg.MemBudget > 0)
+	base map[string]genCached[*histogram.Histogram] // "T.a#nb" -> base histogram
+	h2d  map[string]genCached[*histogram.Hist2D]    // "T.a1.a2" -> 2-D histogram
+	idx  map[string]genCached[*btree.Tree]          // "T.a" -> index
+	sits map[string]*SIT                            // method + canonical spec -> SIT
+	seed int64                                      // per-reservoir seed sequence
+	gov  *mem.Governor                              // shared (cfg.Governor) or private (cfg.MemBudget > 0)
 	// ownsGov marks a builder-private governor: Close tears it down. A
 	// governor injected through cfg.Governor is shared across builders and
 	// outlives each of them.
@@ -224,9 +233,9 @@ func NewBuilder(cat *data.Catalog, cfg Config) (*Builder, error) {
 	b := &Builder{
 		cat:  cat,
 		cfg:  cfg,
-		base: map[string]*histogram.Histogram{},
-		h2d:  map[string]*histogram.Hist2D{},
-		idx:  map[string]*btree.Tree{},
+		base: map[string]genCached[*histogram.Histogram]{},
+		h2d:  map[string]genCached[*histogram.Hist2D]{},
+		idx:  map[string]genCached[*btree.Tree]{},
 		sits: map[string]*SIT{},
 		seed: cfg.Seed,
 	}
@@ -261,13 +270,13 @@ func (b *Builder) Close() error {
 // hist2D returns (building and caching on first use) the 2-D histogram over
 // the table's attribute pair.
 func (b *Builder) hist2D(table, attr1, attr2 string) (*histogram.Hist2D, error) {
-	key := table + "." + attr1 + "." + attr2
-	if h, ok := b.h2d[key]; ok {
-		return h, nil
-	}
 	t, err := b.cat.Table(table)
 	if err != nil {
 		return nil, err
+	}
+	key, gen := table+"."+attr1+"."+attr2, t.Generation()
+	if e, ok := b.h2d[key]; ok && e.gen == gen {
+		return e.v, nil
 	}
 	c1, err := t.Column(attr1)
 	if err != nil {
@@ -281,7 +290,7 @@ func (b *Builder) hist2D(table, attr1, attr2 string) (*histogram.Hist2D, error) 
 	if err != nil {
 		return nil, err
 	}
-	b.h2d[key] = h
+	b.h2d[key] = genCached[*histogram.Hist2D]{gen, h}
 	return h, nil
 }
 
@@ -306,13 +315,13 @@ func (b *Builder) BaseHistogram(table, attr string) (*histogram.Histogram, error
 // baseHistogramN builds a base histogram with an explicit bucket budget;
 // SweepExact uses an effectively unbounded budget for exactness.
 func (b *Builder) baseHistogramN(table, attr string, nb int) (*histogram.Histogram, error) {
-	key := fmt.Sprintf("%s.%s#%d", table, attr, nb)
-	if h, ok := b.base[key]; ok {
-		return h, nil
-	}
 	t, err := b.cat.Table(table)
 	if err != nil {
 		return nil, err
+	}
+	key, gen := fmt.Sprintf("%s.%s#%d", table, attr, nb), t.Generation()
+	if e, ok := b.base[key]; ok && e.gen == gen {
+		return e.v, nil
 	}
 	vals, err := t.Column(attr)
 	if err != nil {
@@ -322,27 +331,27 @@ func (b *Builder) baseHistogramN(table, attr string, nb int) (*histogram.Histogr
 	if err != nil {
 		return nil, err
 	}
-	b.base[key] = h
+	b.base[key] = genCached[*histogram.Histogram]{gen, h}
 	return h, nil
 }
 
 // Index returns (building and caching on first use) a B+tree over table.attr
 // for exact multiplicity lookups.
 func (b *Builder) Index(table, attr string) (*btree.Tree, error) {
-	key := table + "." + attr
-	if t, ok := b.idx[key]; ok {
-		return t, nil
-	}
 	tab, err := b.cat.Table(table)
 	if err != nil {
 		return nil, err
+	}
+	key, gen := table+"."+attr, tab.Generation()
+	if e, ok := b.idx[key]; ok && e.gen == gen {
+		return e.v, nil
 	}
 	vals, err := tab.Column(attr)
 	if err != nil {
 		return nil, err
 	}
 	tree := btree.Build(vals)
-	b.idx[key] = tree
+	b.idx[key] = genCached[*btree.Tree]{gen, tree}
 	return tree, nil
 }
 
@@ -353,7 +362,7 @@ func (b *Builder) Cached(spec query.SITSpec, m Method) (*SIT, bool) {
 }
 
 // InvalidateCache drops all cached SITs (but keeps base histograms and
-// indexes, which only depend on the immutable base data).
+// indexes, which depend only on the base data and track its generation).
 func (b *Builder) InvalidateCache() { b.sits = map[string]*SIT{} }
 
 func cacheKey(spec query.SITSpec, m Method) string {

@@ -3,7 +3,6 @@ package sit
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/sitstats/sits/internal/query"
 )
@@ -102,29 +101,11 @@ func (b *Builder) RefreshStale(sits []*SIT, threshold float64) ([]*SIT, []string
 		}
 		// Drop every cached SIT (including intermediates) that touches any of
 		// the stale SIT's tables, so the rebuild cannot silently reuse stale
-		// intermediate results; likewise the base histograms, 2-D histograms
-		// and indexes of those tables.
+		// intermediate results. Base histograms, 2-D histograms and indexes
+		// carry their table's generation and invalidate themselves.
 		for key, cached := range b.sits { //statcheck:ignore maprange per-key delete, order-independent
 			if sharesTable(cached.Spec, s.Spec) {
 				delete(b.sits, key)
-			}
-		}
-		for _, table := range s.Spec.Expr.Tables() {
-			prefix := table + "."
-			for key := range b.base { //statcheck:ignore maprange per-key delete, order-independent
-				if strings.HasPrefix(key, prefix) {
-					delete(b.base, key)
-				}
-			}
-			for key := range b.h2d { //statcheck:ignore maprange per-key delete, order-independent
-				if strings.HasPrefix(key, prefix) {
-					delete(b.h2d, key)
-				}
-			}
-			for key := range b.idx { //statcheck:ignore maprange per-key delete, order-independent
-				if strings.HasPrefix(key, prefix) {
-					delete(b.idx, key)
-				}
 			}
 		}
 		fresh, err := b.Build(s.Spec, s.Method)

@@ -3,10 +3,14 @@ package sit
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/sitstats/sits/internal/btree"
+	"github.com/sitstats/sits/internal/data"
 	"github.com/sitstats/sits/internal/datagen"
 	"github.com/sitstats/sits/internal/exec"
+	"github.com/sitstats/sits/internal/histogram"
 	"github.com/sitstats/sits/internal/query"
 )
 
@@ -156,5 +160,83 @@ func TestRefreshStaleInvalidatesSharedIntermediates(t *testing.T) {
 	if math.Abs(refreshed[0].EstimatedCard-float64(truth)) > 1e-6*float64(truth) {
 		t.Errorf("refreshed card %v != true %d (stale intermediate reused?)",
 			refreshed[0].EstimatedCard, truth)
+	}
+}
+
+// appendSkewed appends n rows to the table whose every column is far outside
+// the existing domain, so any statistic that misses them differs visibly.
+func appendSkewed(t *testing.T, tab *data.Table, n int) {
+	t.Helper()
+	cols := make([][]int64, tab.NumCols())
+	for c := range cols {
+		cols[c] = make([]int64, n)
+		for i := range cols[c] {
+			cols[c][i] = int64(1_000_000 + 7*i + c)
+		}
+	}
+	if err := tab.AppendColumns(cols...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBaseStatisticsFollowTableGeneration: base histograms, 2-D histograms
+// and indexes of a table no stale SIT covers must still notice an append —
+// the caches carry the table's data generation, so the next lookup is a miss
+// that overwrites the entry in place.
+func TestBaseStatisticsFollowTableGeneration(t *testing.T) {
+	cat := chainCatalog(t)
+	b := newBuilder(t, cat)
+	covered, err := b.Build(mustSpec(t, registrySpecs[0]), SweepExact) // T1 JOIN T2: nothing over T4
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func(b *Builder) (*histogram.Histogram, *histogram.Hist2D, *btree.Tree) {
+		t.Helper()
+		h, err := b.BaseHistogram("T4", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := b.hist2D("T4", "jprev", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := b.Index("T4", "jprev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, h2, idx
+	}
+	staleH, _, staleIdx := warm(b)
+	entries := len(b.base) + len(b.h2d) + len(b.idx)
+
+	t4 := cat.MustTable("T4")
+	appendSkewed(t, t4, t4.NumRows()/4)
+	// T4 grew, but the only SIT touches T1 and T2: the refresh rebuilds nothing.
+	if _, rebuilt, err := b.RefreshStale([]*SIT{covered}, 0.2); err != nil || len(rebuilt) != 0 {
+		t.Fatalf("refresh rebuilt %v, err %v; want nothing", rebuilt, err)
+	}
+
+	gotH, gotH2, gotIdx := warm(b)
+	wantH, wantH2, wantIdx := warm(newBuilder(t, cat))
+	if gotH == staleH || !reflect.DeepEqual(gotH, wantH) {
+		t.Errorf("base histogram of T4.a is stale after the append:\n got %v\nwant %v", gotH, wantH)
+	}
+	if !reflect.DeepEqual(gotH2, wantH2) {
+		t.Errorf("2-D histogram of T4 is stale after the append")
+	}
+	if gotIdx == staleIdx || gotIdx.Len() != wantIdx.Len() || gotIdx.DistinctKeys() != wantIdx.DistinctKeys() ||
+		gotIdx.Count(1_000_000) != wantIdx.Count(1_000_000) {
+		t.Errorf("index on T4.jprev is stale after the append: %d keys, want %d", gotIdx.Len(), wantIdx.Len())
+	}
+	if n := len(b.base) + len(b.h2d) + len(b.idx); n != entries {
+		t.Errorf("caches hold %d entries after the append, %d before: old generations leak", n, entries)
+	}
+	// Unchanged tables keep their cached statistics.
+	h1, err := b.BaseHistogram("T1", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := b.BaseHistogram("T1", "a"); again != h1 {
+		t.Error("base histogram of an unchanged table was rebuilt")
 	}
 }

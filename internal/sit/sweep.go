@@ -2,10 +2,10 @@ package sit
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/sitstats/sits/internal/btree"
 	"github.com/sitstats/sits/internal/histogram"
+	"github.com/sitstats/sits/internal/radix"
 	"github.com/sitstats/sits/internal/sample"
 )
 
@@ -32,65 +32,39 @@ type batchOracle interface {
 	multiplicityBatch(vals []int64, out []float64, s *probeScratch)
 }
 
-// sortedProbe argsorts the probe vector: perm is the index permutation and
-// sorted[i] = vals[perm[i]] ascending. It uses a stable LSD radix sort
-// (signed order via sign-bit flip) rather than a comparison sort — chunk
-// probe vectors are a few thousand elements, where comparator closures cost
-// more than the batched walk saves. One pre-scan builds all eight byte
-// histograms, and passes whose byte is constant across the vector are
-// skipped, so vectors from a narrow key domain need only one or two scatter
-// passes.
-//
-// The returned slices alias the scratch and are valid until its next use.
+// sortedCol is the stable ascending argsort of one chunk column:
+// vals[i] = column[perm[i]], and rows holding equal values keep their row
+// order in perm.
+type sortedCol struct {
+	perm []int32
+	vals []int64
+}
+
+// argsort sorts a chunk column into dst with the shared radix kernel rather
+// than a comparison sort — chunk vectors are a few thousand elements, where
+// comparator closures cost more than the batched walk saves. dst's buffers
+// are grown on demand and, after an odd number of scatter passes, traded with
+// the scratch's ping-pong partners instead of copied back.
 //
 //statcheck:hot
-func (s *probeScratch) sortedProbe(vals []int64) (perm []int32, sorted []int64) {
-	n := len(vals)
-	if n == 0 {
-		return nil, nil
+func (s *probeScratch) argsort(col []int64, dst *sortedCol) {
+	n := len(col)
+	s.growSort(n)
+	if cap(dst.vals) < n {
+		// vals at 8 B and perm at 4 B per element, net of the buffers replaced.
+		s.grant.Force(12 * int64(n-cap(dst.vals)))
+		dst.vals = make([]int64, n)
+		dst.perm = make([]int32, n)
 	}
-	s.growProbe(n)
-	keys := s.keys
-	perm = s.perm
-	for i, v := range vals {
-		keys[i] = uint64(v) ^ (1 << 63)
+	vals, perm := dst.vals[:n], dst.perm[:n]
+	copy(vals, col)
+	for i := range perm {
 		perm[i] = int32(i)
 	}
-	var counts [8][256]int32
-	for _, k := range keys {
-		for b := uint(0); b < 8; b++ {
-			counts[b][byte(k>>(8*b))]++
-		}
+	dst.vals, dst.perm = radix.Sort(vals, s.keys2, perm, s.perm2)
+	if n > 0 && &dst.vals[0] != &vals[0] {
+		s.keys2, s.perm2 = vals, perm
 	}
-	src, dst := keys, s.keys2
-	ps, pd := perm, s.perm2
-	for b := uint(0); b < 8; b++ {
-		c := &counts[b]
-		if c[byte(keys[0]>>(8*b))] == int32(n) {
-			continue // byte constant across the vector
-		}
-		var offs [256]int32
-		sum := int32(0)
-		for v := 0; v < 256; v++ {
-			offs[v] = sum
-			sum += c[v]
-		}
-		for i := 0; i < n; i++ {
-			k := src[i]
-			d := byte(k >> (8 * b))
-			o := offs[d]
-			offs[d] = o + 1
-			dst[o] = k
-			pd[o] = ps[i]
-		}
-		src, dst = dst, src
-		ps, pd = pd, ps
-	}
-	sorted = s.sorted
-	for i, k := range src {
-		sorted[i] = int64(k ^ (1 << 63))
-	}
-	return ps, sorted
 }
 
 // histOracle implements getMultiplicity of Section 3.1.1: the expected
@@ -107,10 +81,10 @@ func (o histOracle) multiplicity(vals []int64) float64 {
 
 //statcheck:hot
 func (o histOracle) multiplicityBatch(vals []int64, out []float64, s *probeScratch) {
-	perm, sorted := s.sortedProbe(vals)
-	ms := s.f64[:len(sorted)]
-	histogram.ContainmentMultiplicitySorted(o.child, o.parent, sorted, ms)
-	for i, p := range perm {
+	s.argsort(vals, &s.probe)
+	ms := s.f64[:len(vals)]
+	histogram.ContainmentMultiplicitySorted(o.child, o.parent, s.probe.vals, ms)
+	for i, p := range s.probe.perm {
 		out[p] = ms[i]
 	}
 }
@@ -127,10 +101,10 @@ func (o indexOracle) multiplicity(vals []int64) float64 {
 
 //statcheck:hot
 func (o indexOracle) multiplicityBatch(vals []int64, out []float64, s *probeScratch) {
-	perm, sorted := s.sortedProbe(vals)
-	counts := s.i64[:len(sorted)]
-	o.idx.CountsSorted(sorted, counts)
-	for i, p := range perm {
+	s.argsort(vals, &s.probe)
+	counts := s.i64[:len(vals)]
+	o.idx.CountsSorted(s.probe.vals, counts)
+	for i, p := range s.probe.perm {
 		out[p] = float64(counts[i])
 	}
 }
@@ -148,30 +122,32 @@ func (o oracle2D) multiplicity(vals []int64) float64 {
 }
 
 // consumer absorbs the streamed (value, multiplicity) pairs of Sweep's step 3
-// and produces the final histogram. Parallel scans never call add on a shared
-// consumer: each scan partition streams into a private shard obtained from
-// fork, and completed shards are folded back with merge.
+// and produces the final histogram. Parallel scans never feed a shared
+// consumer: each worker streams its window of the chunk grid into a private
+// shard obtained from fork, and completed shards are folded back with merge.
 type consumer interface {
-	add(v int64, m float64)
+	// addChunk absorbs one chunk's stream: target[r] with multiplicity m[r]
+	// for every row with m[r] > 0, in row order. m is shared between the
+	// scan's jobs and must not be modified. ts is the chunk's argsort of the
+	// target column when sortsTarget is true, nil otherwise.
+	addChunk(target []int64, m []float64, ts *sortedCol)
+	// sortsTarget reports whether addChunk consumes the target column's
+	// argsort; the scan computes it once per distinct target attribute.
+	sortsTarget() bool
 	// result returns the histogram (with nb buckets, built by method) and the
 	// total streamed mass (the estimated cardinality of the generating
 	// query's result).
 	result(nb int, method histogram.Method) (*histogram.Histogram, float64, error)
-	// fork returns a private shard consumer for scan partition i. Shard seeds
+	// fork returns a private shard consumer for scan worker i. Shard seeds
 	// are derived deterministically from the root consumer's seed and i, so a
 	// scan partitioned the same way always produces the same shards. fork only
 	// reads immutable state and is safe to call concurrently (for distinct i).
 	fork(i int) (consumer, error)
 	// merge folds a completed shard produced by fork back into the receiver.
-	// Callers must merge shards in partition order so merges that are
-	// sensitive to ordering (floating-point accumulation) stay deterministic.
+	// Callers must merge shards in worker order — chunk order, since workers
+	// own contiguous windows — so merges that are sensitive to ordering
+	// (floating-point accumulation) stay deterministic.
 	merge(shard consumer) error
-	// perChunk reports whether shards must be created per scan chunk and
-	// merged in chunk index order — which makes the result independent of the
-	// worker count, since chunk boundaries are fixed — rather than one shard
-	// per worker. Exact consumers are per-chunk; sampled consumers shard per
-	// worker (one reservoir per worker, deterministic for a fixed count).
-	perChunk() bool
 }
 
 // sampledConsumer is Sweep's default: stochastic-rounding reservoir sampling
@@ -193,13 +169,17 @@ func newSampledConsumer(k int, seed int64, est sample.DistinctEstimator) (*sampl
 	return &sampledConsumer{res: r, est: est, seed: seed}, nil
 }
 
-func (c *sampledConsumer) add(v int64, m float64) {
-	if m <= 0 {
-		return
+//statcheck:hot
+func (c *sampledConsumer) addChunk(target []int64, m []float64, _ *sortedCol) {
+	for r, mv := range m {
+		if mv > 0 {
+			c.mass += mv
+			c.res.AddWeighted(target[r], mv)
+		}
 	}
-	c.mass += m
-	c.res.AddWeighted(v, m)
 }
+
+func (c *sampledConsumer) sortsTarget() bool { return false }
 
 func (c *sampledConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
 	h, err := histogramFromSample(c.res.Sample(), c.mass, nb, method, c.est)
@@ -219,8 +199,6 @@ func (c *sampledConsumer) merge(shard consumer) error {
 	return c.res.Merge(s.res)
 }
 
-func (c *sampledConsumer) perChunk() bool { return false }
-
 // weightedConsumer is the weighted-reservoir variant (extension): fractional
 // multiplicities are consumed directly, avoiding rounding noise.
 type weightedConsumer struct {
@@ -237,7 +215,16 @@ func newWeightedConsumer(k int, seed int64, est sample.DistinctEstimator) (*weig
 	return &weightedConsumer{res: r, est: est, seed: seed}, nil
 }
 
-func (c *weightedConsumer) add(v int64, m float64) { c.res.Add(v, m) }
+//statcheck:hot
+func (c *weightedConsumer) addChunk(target []int64, m []float64, _ *sortedCol) {
+	for r, mv := range m {
+		if mv > 0 {
+			c.res.Add(target[r], mv)
+		}
+	}
+}
+
+func (c *weightedConsumer) sortsTarget() bool { return false }
 
 func (c *weightedConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
 	h, err := histogramFromSample(c.res.Sample(), c.res.Mass(), nb, method, c.est)
@@ -256,13 +243,13 @@ func (c *weightedConsumer) merge(shard consumer) error {
 	return c.res.Merge(s.res)
 }
 
-func (c *weightedConsumer) perChunk() bool { return false }
-
 // histogramFromSample builds a histogram over sample values, scales it to the
 // full stream mass, and replaces per-bucket distinct counts with estimates
 // (GEE by default) against the scaled bucket populations.
 func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Method, est sample.DistinctEstimator) (*histogram.Histogram, error) {
-	h, err := histogram.FromValues(vals, nb, method)
+	// One sorted copy of the sample serves both the tally and the bucket walk.
+	sorted := radix.SortedCopy(vals)
+	h, err := histogram.FromPairs(histogram.TallySorted(sorted), nb, method)
 	if err != nil {
 		return nil, err
 	}
@@ -270,12 +257,9 @@ func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Me
 		return &histogram.Histogram{}, nil
 	}
 	scaled := h.ScaleTo(mass)
-	// Buckets are sorted and disjoint, so one sorted copy of the sample and a
-	// single merge pass assign every value to its bucket; the estimators are
+	// Buckets are sorted and disjoint, so a single merge pass over the sorted
+	// sample assigns every value to its bucket; the estimators are
 	// frequency-based and insensitive to the order of their input.
-	sorted := make([]int64, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	next := 0
 	for i := range scaled.Buckets {
 		b := &scaled.Buckets[i]
@@ -302,58 +286,165 @@ func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Me
 	return scaled, nil
 }
 
-// fullConsumer aggregates the whole stream exactly as a value -> total weight
-// map (SweepFull and SweepExact: no sampling assumption). This mirrors the
+// foldBatch is the smallest backlog of pending partial entries a root
+// fullConsumer folds at once; above it the batch is the root's own size, so a
+// serial scan keeps O(distinct values) entries resident and each fold is paid
+// for by at least as many new entries as root entries it rewrites.
+const foldBatch = 64 << 10
+
+// fullConsumer aggregates the whole stream exactly (SweepFull and SweepExact:
+// no sampling assumption) as sorted (value, weight) runs. This mirrors the
 // paper's "materialize the temporary table" with the aggregation done on the
 // fly, which is equivalent for histogram construction.
+//
+// Every per-value sum is associated the same way at every parallelism level:
+// a chunk's rows fold in row order into one partial, and the root folds
+// partials left to right in chunk order with its own running sum as the
+// leftmost operand. Worker shards therefore only collect partials — folding
+// two of them ahead of the root would re-associate the sum.
 type fullConsumer struct {
-	weights map[int64]float64
-	mass    float64
+	// root holds the folded sums, strictly ascending by value; spare is the
+	// next fold's output buffer.
+	root, spare []histogram.ValueFreq
+	mass        float64
+	// Pending chunk partials, concatenated in chunk order: each partial is
+	// strictly ascending by value, and pm holds one streamed mass per partial.
+	pv []int64
+	pw []float64
+	pm []float64
+	// tv/tw are the radix ping-pong partners of a fold's batch.
+	tv []int64
+	tw []float64
+	// shard marks a worker shard, which never folds.
+	shard bool
 }
 
-func newFullConsumer() *fullConsumer {
-	return &fullConsumer{weights: map[int64]float64{}}
-}
+func newFullConsumer() *fullConsumer { return &fullConsumer{} }
 
-func (c *fullConsumer) add(v int64, m float64) {
-	if m <= 0 {
-		return
+// addChunk run-folds the chunk into one pending partial: walking the target
+// argsort visits equal values adjacently and — the sort being stable — in row
+// order, so each run's sum associates exactly as row-at-a-time accumulation
+// from zero does.
+//
+//statcheck:hot
+func (c *fullConsumer) addChunk(_ []int64, m []float64, ts *sortedCol) {
+	mass := 0.0
+	for _, mv := range m {
+		if mv > 0 {
+			mass += mv
+		}
 	}
-	c.weights[v] += m
-	c.mass += m
+	c.pm = append(c.pm, mass)
+	start := len(c.pv)
+	if cap(c.pv)-start < len(m) {
+		// Doubling keeps a shard's growth amortized; a root's backlog is
+		// bounded by foldBatch.
+		grown := max(2*cap(c.pv), start+len(m))
+		pv, pw := make([]int64, start, grown), make([]float64, start, grown)
+		copy(pv, c.pv)
+		copy(pw, c.pw)
+		c.pv, c.pw = pv, pw
+	}
+	pv, pw := c.pv[:start+len(m)], c.pw[:start+len(m)]
+	k := start
+	for i, r := range ts.perm {
+		mv := m[r]
+		if !(mv > 0) {
+			continue
+		}
+		if v := ts.vals[i]; k > start && pv[k-1] == v {
+			pw[k-1] += mv
+		} else {
+			pv[k], pw[k] = v, mv
+			k++
+		}
+	}
+	c.pv, c.pw = pv[:k], pw[:k]
+	if !c.shard && k >= max(len(c.root), foldBatch) {
+		c.absorb(c)
+	}
+}
+
+func (c *fullConsumer) sortsTarget() bool { return true }
+
+// absorb folds from's pending partials (from is the receiver itself or a
+// finished shard) into the root, a bounded batch at a time, and empties them.
+// Batches may split a partial: what matters is only that entries reach the
+// root in chunk order.
+//
+//statcheck:hot
+func (c *fullConsumer) absorb(from *fullConsumer) {
+	for _, cm := range from.pm {
+		c.mass += cm
+	}
+	for pv, pw := from.pv, from.pw; len(pv) > 0; {
+		n := min(len(pv), max(len(c.root), foldBatch))
+		c.fold(pv[:n], pw[:n])
+		pv, pw = pv[n:], pw[n:]
+	}
+	from.pv, from.pw, from.pm = from.pv[:0], from.pw[:0], from.pm[:0]
+}
+
+// fold adds a batch of pending entries (clobbered) onto the root. A stable
+// sort by value keeps each value's weights in chunk order; one 2-way merge
+// against the root then adds them left to right onto the root's sum (or onto
+// the first of them when the value is new: 0 + w == w exactly for the
+// positive weights streamed here).
+//
+//statcheck:hot
+func (c *fullConsumer) fold(pv []int64, pw []float64) {
+	n := len(pv)
+	if cap(c.tv) < n {
+		c.tv, c.tw = make([]int64, n), make([]float64, n)
+	}
+	sv, sw := radix.Sort(pv, c.tv[:n], pw, c.tw[:n])
+	root, out := c.root, c.spare[:0]
+	if cap(out) < len(root)+n {
+		out = make([]histogram.ValueFreq, 0, len(root)+n)
+	}
+	i := 0
+	for j := 0; j < n; {
+		v := sv[j]
+		for i < len(root) && root[i].Value < v {
+			out = append(out, root[i])
+			i++
+		}
+		var acc float64
+		if i < len(root) && root[i].Value == v {
+			acc = root[i].Freq
+			i++
+		} else {
+			acc = sw[j]
+			j++
+		}
+		for j < n && sv[j] == v {
+			acc += sw[j]
+			j++
+		}
+		out = append(out, histogram.ValueFreq{Value: v, Freq: acc})
+	}
+	out = append(out, root[i:]...)
+	c.root, c.spare = out, root
 }
 
 func (c *fullConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
-	h, err := histogram.FromPairs(histogram.TallyMap(c.weights), nb, method)
+	c.absorb(c)
+	h, err := histogram.FromPairs(c.root, nb, method)
 	return h, c.mass, err
 }
 
-func (c *fullConsumer) fork(int) (consumer, error) { return newFullConsumer(), nil }
+func (c *fullConsumer) fork(int) (consumer, error) { return &fullConsumer{shard: true}, nil }
 
+// merge folds the shard's partials in behind the receiver's own: shards
+// arrive in worker order, which is chunk order.
 func (c *fullConsumer) merge(shard consumer) error {
 	s, ok := shard.(*fullConsumer)
 	if !ok {
 		return fmt.Errorf("sit: cannot merge %T into full consumer", shard)
 	}
-	for v, w := range s.weights { //statcheck:ignore maprange keyed float transfer, each sum is per-key independent
-		c.weights[v] += w
-	}
-	c.mass += s.mass
+	c.absorb(c)
+	c.absorb(s)
 	return nil
-}
-
-// perChunk is true: exact consumers aggregate each fixed-size chunk into its
-// own partial weight map and merge the partials in chunk order, so the final
-// per-value sums group identically at every parallelism level (bit-identical
-// SweepFull/SweepExact output).
-func (c *fullConsumer) perChunk() bool { return true }
-
-// resetShard clears the consumer for reuse as the next chunk's scratch shard,
-// keeping the map's allocated buckets (serial scans merge after every chunk,
-// so one scratch per job suffices instead of one allocation per chunk).
-func (c *fullConsumer) resetShard() {
-	clear(c.weights)
-	c.mass = 0
 }
 
 // jobPred is one join edge of the scan: the scanned table's attribute(s)
@@ -362,12 +453,14 @@ func (c *fullConsumer) resetShard() {
 // once per scan by resolveColumns), so the per-tuple loop never touches a
 // name map. bo is the oracle's batched interface when the predicate can be
 // probed per chunk (single attribute and the oracle supports it); nil forces
-// the per-row fallback (2-D oracles).
+// the per-row fallback (2-D oracles). probe is the predicate's slot among the
+// scan's distinct batched probes (scanPlan.probes), -1 on the fallback.
 type jobPred struct {
 	attrs []string
 	o     oracle
 	bo    batchOracle
 	cols  []int
+	probe int
 }
 
 // newJobPred wires a predicate, enabling batched probing for single-attribute
@@ -385,10 +478,12 @@ func newJobPred(attrs []string, o oracle) jobPred {
 // attribute whose values are streamed, the per-predicate oracles whose
 // multiplicities are multiplied (acyclic multi-child case, Section 3.2), and
 // the consumer that absorbs the stream. targetCol is the target attribute's
-// resolved column offset.
+// resolved column offset; sort is the job's slot among the scan's distinct
+// target argsorts (scanPlan.sorts), -1 when its consumer takes rows.
 type scanJob struct {
 	targetAttr string
 	targetCol  int
+	sort       int
 	preds      []jobPred
 	cons       consumer
 }
