@@ -15,58 +15,59 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"github.com/sitstats/sits"
+	"github.com/sitstats/sits/internal/cliopt"
 )
 
+// options is the parsed command line.
+type options struct {
+	query    string
+	preds    string
+	builds   string
+	method   string
+	sitsFile string
+	saveFile string
+	truth    bool
+	eng      *cliopt.Engine
+}
+
 func main() {
-	var (
-		queryStr = flag.String("query", "", "join expression, e.g. \"T1 JOIN T2 ON T1.jnext = T2.jprev\" (required)")
-		predStr  = flag.String("pred", "", "range predicates \"T.a:lo:hi[,T.b:lo:hi...]\"")
-		builds   = flag.String("build", "", "semicolon-separated SIT specs to create and register first")
-		method   = flag.String("method", "sweep", "creation method for -build")
-		sitsFile = flag.String("sits", "", "load previously saved SITs from this JSON file")
-		saveFile = flag.String("save", "", "save all built/loaded SITs to this JSON file")
-		csvDir   = flag.String("csv", "", "directory of <table>.csv files; default: generated chain database")
-		segDir   = flag.String("segments", "", "directory of <table>.seg segment files; tables stream off disk block by block instead of loading into memory")
-		truth    = flag.Bool("truth", false, "also execute the query for the exact cardinality")
-		parallel = flag.Int("parallel", 0, "width of the shared exec worker pool for -build scans and query pipelines (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
-		batch    = flag.Int("batch", 0, "executor rows per batch (0 = adaptive from plan width)")
-		memFlag  = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins and sorts spill beyond it")
-		spillOn  = flag.Bool("spill-compress", true, "spill block-compressed SRN2 runs; =false spills raw SRN1 (same results, more spill bytes)")
-		seed     = flag.Int64("seed", 1, "random seed")
-	)
+	var o options
+	flag.StringVar(&o.query, "query", "", "join expression, e.g. \"T1 JOIN T2 ON T1.jnext = T2.jprev\" (required)")
+	flag.StringVar(&o.preds, "pred", "", "range predicates \"T.a:lo:hi[,T.b:lo:hi...]\"")
+	flag.StringVar(&o.builds, "build", "", "semicolon-separated SIT specs to create and register first")
+	flag.StringVar(&o.method, "method", "sweep", "creation method for -build")
+	flag.StringVar(&o.sitsFile, "sits", "", "load previously saved SITs from this JSON file")
+	flag.StringVar(&o.saveFile, "save", "", "save all built/loaded SITs to this JSON file")
+	flag.BoolVar(&o.truth, "truth", false, "also execute the query for the exact cardinality")
+	o.eng = cliopt.Register(flag.CommandLine, 1)
+	o.eng.RegisterData(flag.CommandLine)
 	flag.Parse()
-	if err := run(*queryStr, *predStr, *builds, *method, *sitsFile, *saveFile, *csvDir, *segDir, *truth, *parallel, *batch, *memFlag, *spillOn, *seed); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "estimate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(queryStr, predStr, builds, methodName, sitsFile, saveFile, csvDir, segDir string, truth bool, parallel, batch int, memFlag string, spillCompress bool, seed int64) error {
-	if queryStr == "" {
+func run(o options) error {
+	if o.query == "" {
 		return fmt.Errorf("missing -query")
 	}
-	expr, err := sits.ParseExpr(queryStr)
+	expr, err := sits.ParseExpr(o.query)
 	if err != nil {
 		return err
 	}
-	preds, err := parsePreds(predStr)
+	preds, err := sits.ParsePredicates(o.preds)
 	if err != nil {
 		return err
 	}
-	cat, err := loadCatalog(csvDir, segDir, expr)
+	cat, err := o.eng.Catalog(expr.Tables())
 	if err != nil {
 		return err
 	}
-	cfg := sits.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Parallelism = parallel
-	cfg.BatchSize = batch
-	cfg.SpillCompress = spillCompress
-	cfg.MemBudget, err = sits.ParseMemBudget(memFlag)
+	cfg, err := o.eng.Config()
 	if err != nil {
 		return err
 	}
@@ -84,8 +85,8 @@ func run(queryStr, predStr, builds, methodName, sitsFile, saveFile, csvDir, segD
 		return err
 	}
 	var registered []*sits.SIT
-	if sitsFile != "" {
-		f, err := os.Open(sitsFile)
+	if o.sitsFile != "" {
+		f, err := os.Open(o.sitsFile)
 		if err != nil {
 			return err
 		}
@@ -103,14 +104,14 @@ func run(queryStr, predStr, builds, methodName, sitsFile, saveFile, csvDir, segD
 			}
 		}
 		registered = append(registered, loaded...)
-		fmt.Printf("loaded %d SIT(s) from %s\n", len(loaded), sitsFile)
+		fmt.Printf("loaded %d SIT(s) from %s\n", len(loaded), o.sitsFile)
 	}
-	if builds != "" {
-		m, err := parseMethod(methodName)
+	if o.builds != "" {
+		m, err := sits.ParseMethod(o.method)
 		if err != nil {
 			return err
 		}
-		for _, specText := range strings.Split(builds, ";") {
+		for _, specText := range strings.Split(o.builds, ";") {
 			spec, err := sits.ParseSIT(strings.TrimSpace(specText))
 			if err != nil {
 				return err
@@ -135,15 +136,15 @@ func run(queryStr, predStr, builds, methodName, sitsFile, saveFile, csvDir, segD
 	for _, src := range res.Sources {
 		fmt.Printf("  %-30s selectivity %.4f from %s\n", src.Pred.String(), src.Selectivity, src.Stat)
 	}
-	if truth {
+	if o.truth {
 		card, err := exactCardinality(cat, expr, preds)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("true cardinality:      %d\n", card)
 	}
-	if saveFile != "" {
-		f, err := os.Create(saveFile)
+	if o.saveFile != "" {
+		f, err := os.Create(o.saveFile)
 		if err != nil {
 			return err
 		}
@@ -154,7 +155,7 @@ func run(queryStr, predStr, builds, methodName, sitsFile, saveFile, csvDir, segD
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("saved %d SIT(s) to %s\n", len(registered), saveFile)
+		fmt.Printf("saved %d SIT(s) to %s\n", len(registered), o.saveFile)
 	}
 	return nil
 }
@@ -175,59 +176,4 @@ func exactCardinality(cat *sits.Catalog, expr *sits.Expr, preds []sits.Predicate
 		return truth.Count(sits.RangeQuery{Lo: preds[0].Lo, Hi: preds[0].Hi}), nil
 	}
 	return 0, fmt.Errorf("-truth supports at most one predicate")
-}
-
-func parsePreds(s string) ([]sits.Predicate, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []sits.Predicate
-	for _, part := range strings.Split(s, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("bad predicate %q (want T.a:lo:hi)", part)
-		}
-		ta := strings.Split(fields[0], ".")
-		if len(ta) != 2 || ta[0] == "" || ta[1] == "" {
-			return nil, fmt.Errorf("bad predicate attribute %q", fields[0])
-		}
-		lo, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad predicate bound %q: %v", fields[1], err)
-		}
-		hi, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad predicate bound %q: %v", fields[2], err)
-		}
-		out = append(out, sits.Predicate{Table: ta[0], Attr: ta[1], Lo: lo, Hi: hi})
-	}
-	return out, nil
-}
-
-func parseMethod(name string) (sits.Method, error) {
-	switch strings.ToLower(name) {
-	case "histsit", "hist-sit":
-		return sits.HistSIT, nil
-	case "sweep":
-		return sits.Sweep, nil
-	case "sweepindex":
-		return sits.SweepIndex, nil
-	case "sweepfull":
-		return sits.SweepFull, nil
-	case "sweepexact":
-		return sits.SweepExact, nil
-	case "materialize":
-		return sits.Materialize, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", name)
-	}
-}
-
-// loadCatalog loads the query's tables through the shared -csv/-segments
-// path, or generates the synthetic chain database when neither is given.
-func loadCatalog(csvDir, segDir string, expr *sits.Expr) (*sits.Catalog, error) {
-	if csvDir == "" && segDir == "" {
-		return sits.GenerateChainDB(sits.DefaultChainConfig())
-	}
-	return sits.LoadCatalog(csvDir, segDir, expr.Tables())
 }

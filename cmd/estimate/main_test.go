@@ -4,32 +4,24 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/sitstats/sits/internal/cliopt"
 )
 
-func TestParsePreds(t *testing.T) {
-	preds, err := parsePreds("T2.a:1:100, T2.b:5:6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 2 || preds[0].Table != "T2" || preds[0].Attr != "a" || preds[0].Lo != 1 || preds[0].Hi != 100 {
-		t.Errorf("preds = %+v", preds)
-	}
-	if got, err := parsePreds("  "); err != nil || got != nil {
-		t.Errorf("empty preds = %v, %v", got, err)
-	}
-	for _, bad := range []string{"T2.a:1", "noattr:1:2", "T2.a:x:2", "T2.a:1:y", "T2.:1:2"} {
-		if _, err := parsePreds(bad); err == nil {
-			t.Errorf("parsePreds(%q): want error", bad)
-		}
-	}
+// opts is the command line "-query q -pred p -build b -method m -sits f
+// -save f [-truth]" with every engine flag at its default.
+func opts(query, preds, builds, method, sitsFile, saveFile string, truth bool) options {
+	return options{query: query, preds: preds, builds: builds, method: method,
+		sitsFile: sitsFile, saveFile: saveFile, truth: truth,
+		eng: &cliopt.Engine{MemBudget: "0", Seed: 1}}
 }
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	statsFile := filepath.Join(dir, "stats.json")
 	// Build + estimate + save.
-	err := run("T1 JOIN T2 ON T1.jnext = T2.jprev", "T2.a:1:100",
-		"T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "sweepfull", "", statsFile, "", "", true, 0, 0, "0", true, 1)
+	err := run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "T2.a:1:100",
+		"T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "sweepfull", "", statsFile, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,32 +29,32 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("stats file not written: %v", err)
 	}
 	// Load the saved SITs and estimate again.
-	err = run("T1 JOIN T2 ON T1.jnext = T2.jprev", "T2.a:1:100", "", "sweep", statsFile, "", "", "", false, 0, 0, "0", true, 1)
+	err = run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "T2.a:1:100", "", "sweep", statsFile, "", false))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", "", "sweep", "", "", "", "", false, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("", "", "", "sweep", "", "", false)); err == nil {
 		t.Error("missing query: want error")
 	}
-	if err := run("not a query ON", "", "", "sweep", "", "", "", "", false, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("not a query ON", "", "", "sweep", "", "", false)); err == nil {
 		t.Error("bad query: want error")
 	}
-	if err := run("T1 JOIN T2 ON T1.jnext = T2.jprev", "bad", "", "sweep", "", "", "", "", false, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "bad", "", "sweep", "", "", false)); err == nil {
 		t.Error("bad predicate: want error")
 	}
-	if err := run("T1 JOIN T2 ON T1.jnext = T2.jprev", "", "zz", "sweep", "", "", "", "", false, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "", "zz", "sweep", "", "", false)); err == nil {
 		t.Error("bad build spec: want error")
 	}
-	if err := run("T1 JOIN T2 ON T1.jnext = T2.jprev", "", "T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "bogus", "", "", "", "", false, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "", "T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "bogus", "", "", false)); err == nil {
 		t.Error("bad method: want error")
 	}
-	if err := run("T1 JOIN T2 ON T1.jnext = T2.jprev", "", "", "sweep", "/no/such/file.json", "", "", "", false, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "", "", "sweep", "/no/such/file.json", "", false)); err == nil {
 		t.Error("missing sits file: want error")
 	}
-	if err := run("T1 JOIN T2 ON T1.jnext = T2.jprev", "T2.a:1:2,T2.b:1:2", "", "sweep", "", "", "", "", true, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T1 JOIN T2 ON T1.jnext = T2.jprev", "T2.a:1:2,T2.b:1:2", "", "sweep", "", "", true)); err == nil {
 		t.Error("-truth with two predicates: want error")
 	}
 }

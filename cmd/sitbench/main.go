@@ -19,68 +19,75 @@ import (
 	"os"
 	"time"
 
+	"github.com/sitstats/sits/internal/cliopt"
 	"github.com/sitstats/sits/internal/experiments"
-	"github.com/sitstats/sits/internal/mem"
 )
 
+// options is the parsed command line.
+type options struct {
+	exp       string
+	queries   int
+	buckets   string
+	instances int
+	numSITs   int
+	lenSITs   int
+	tables    int
+	memory    float64
+	hybridMS  int
+	optCap    int
+	eng       *cliopt.Engine
+}
+
 func main() {
-	var (
-		exp       = flag.String("experiment", "all", "fig7 | uniform | fig8 | fig9 | fig10 | all")
-		queries   = flag.Int("queries", 1000, "random range queries per accuracy measurement (paper: 1000)")
-		buckets   = flag.String("buckets", "", "comma-separated histogram sizes for fig7 (default 20,50,100,200)")
-		instances = flag.Int("instances", 20, "random instances per scheduling point (paper: 100)")
-		numSITs   = flag.Int("numsits", 10, "default number of SITs per scheduling instance (paper: 10)")
-		lenSITs   = flag.Int("lensits", 5, "maximum dependency-sequence length (paper: 5)")
-		tables    = flag.Int("tables", 10, "number of tables in scheduling instances (paper: 10)")
-		memory    = flag.Float64("memory", 50000, "memory budget M (paper: 50000)")
-		hybridMS  = flag.Int("hybrid-ms", 1000, "Hybrid's A* budget in milliseconds (paper: 1000)")
-		optCap    = flag.Int("opt-cap", 2000000, "abort Opt after this many A* expansions (0 = unlimited); capped instances count as failures")
-		parallel  = flag.Int("parallel", 0, "width of the shared exec worker pool, used by experiment cells, shared scans, and query pipelines (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
-		batch     = flag.Int("batch", 0, "executor rows per batch (0 = adaptive from plan width)")
-		memBudget = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins and sorts spill beyond it")
-		spillOn   = flag.Bool("spill-compress", true, "spill block-compressed SRN2 runs; =false spills raw SRN1 (same results, more spill bytes)")
-		seed      = flag.Int64("seed", 11, "random seed")
-	)
+	var o options
+	flag.StringVar(&o.exp, "experiment", "all", "fig7 | uniform | fig8 | fig9 | fig10 | all")
+	flag.IntVar(&o.queries, "queries", 1000, "random range queries per accuracy measurement (paper: 1000)")
+	flag.StringVar(&o.buckets, "buckets", "", "comma-separated histogram sizes for fig7 (default 20,50,100,200)")
+	flag.IntVar(&o.instances, "instances", 20, "random instances per scheduling point (paper: 100)")
+	flag.IntVar(&o.numSITs, "numsits", 10, "default number of SITs per scheduling instance (paper: 10)")
+	flag.IntVar(&o.lenSITs, "lensits", 5, "maximum dependency-sequence length (paper: 5)")
+	flag.IntVar(&o.tables, "tables", 10, "number of tables in scheduling instances (paper: 10)")
+	flag.Float64Var(&o.memory, "memory", 50000, "memory budget M (paper: 50000)")
+	flag.IntVar(&o.hybridMS, "hybrid-ms", 1000, "Hybrid's A* budget in milliseconds (paper: 1000)")
+	flag.IntVar(&o.optCap, "opt-cap", 2000000, "abort Opt after this many A* expansions (0 = unlimited); capped instances count as failures")
+	o.eng = cliopt.Register(flag.CommandLine, 11)
 	flag.Parse()
-	budget, err := mem.ParseBytes(*memBudget)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sitbench:", err)
-		os.Exit(1)
-	}
-	if err := run(*exp, *queries, *buckets, *instances, *numSITs, *lenSITs, *tables, *memory, *hybridMS, *optCap, *parallel, *batch, budget, !*spillOn, *seed); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "sitbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, tables int,
-	memory float64, hybridMS, optCap, parallel, batch int, memBudget int64, spillRaw bool, seed int64) error {
+func run(o options) error {
+	eng, err := o.eng.Config()
+	if err != nil {
+		return err
+	}
 
 	schedCfg := experiments.DefaultSchedConfig()
-	schedCfg.Instances = instances
-	schedCfg.NumSITs = numSITs
-	schedCfg.LenSITs = lenSITs
-	schedCfg.NumTables = tables
-	schedCfg.Memory = memory
-	schedCfg.HybridBudget = time.Duration(hybridMS) * time.Millisecond
-	schedCfg.OptExpansionCap = optCap
-	schedCfg.Parallelism = parallel
-	schedCfg.Seed = seed
+	schedCfg.Instances = o.instances
+	schedCfg.NumSITs = o.numSITs
+	schedCfg.LenSITs = o.lenSITs
+	schedCfg.NumTables = o.tables
+	schedCfg.Memory = o.memory
+	schedCfg.HybridBudget = time.Duration(o.hybridMS) * time.Millisecond
+	schedCfg.OptExpansionCap = o.optCap
+	schedCfg.Parallelism = eng.Parallelism
+	schedCfg.Seed = eng.Seed
 
-	all := exp == "all"
+	all := o.exp == "all"
 	ran := false
-	if exp == "fig7" || all {
+	if o.exp == "fig7" || all {
 		ran = true
 		cfg := experiments.DefaultFig7Config()
-		cfg.Queries = queries
-		cfg.Seed = seed
-		cfg.Parallelism = parallel
-		cfg.BatchSize = batch
-		cfg.MemBudget = memBudget
-		cfg.SpillRaw = spillRaw
-		if buckets != "" {
+		cfg.Queries = o.queries
+		cfg.Seed = eng.Seed
+		cfg.Parallelism = eng.Parallelism
+		cfg.BatchSize = eng.BatchSize
+		cfg.MemBudget = eng.MemBudget
+		if o.buckets != "" {
 			var err error
-			cfg.Buckets, err = parseInts(buckets)
+			cfg.Buckets, err = parseInts(o.buckets)
 			if err != nil {
 				return err
 			}
@@ -98,15 +105,14 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		}
 		fmt.Println()
 	}
-	if exp == "uniform" || all {
+	if o.exp == "uniform" || all {
 		ran = true
 		cfg := experiments.UniformConfig()
-		cfg.Queries = queries
-		cfg.Seed = seed
-		cfg.Parallelism = parallel
-		cfg.BatchSize = batch
-		cfg.MemBudget = memBudget
-		cfg.SpillRaw = spillRaw
+		cfg.Queries = o.queries
+		cfg.Seed = eng.Seed
+		cfg.Parallelism = eng.Parallelism
+		cfg.BatchSize = eng.BatchSize
+		cfg.MemBudget = eng.MemBudget
 		fmt.Println("== Section 5.1 (prose): uniform, independent join attributes ==")
 		res, err := experiments.RunFigure7(cfg)
 		if err != nil {
@@ -117,7 +123,7 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		}
 		fmt.Println()
 	}
-	if exp == "fig8" || all {
+	if o.exp == "fig8" || all {
 		ran = true
 		fmt.Printf("== Figure 8: multi-SIT scheduling vs numSITs (%d instances/point) ==\n", schedCfg.Instances)
 		points, err := experiments.RunFigure8(schedCfg, []int{2, 5, 10, 15, 20})
@@ -129,7 +135,7 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		}
 		fmt.Println()
 	}
-	if exp == "fig9" || all {
+	if o.exp == "fig9" || all {
 		ran = true
 		fmt.Printf("== Figure 9: multi-SIT scheduling vs number of tables (%d instances/point) ==\n", schedCfg.Instances)
 		points, err := experiments.RunFigure9(schedCfg, []int{5, 10, 20, 30, 40})
@@ -141,7 +147,7 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		}
 		fmt.Println()
 	}
-	if exp == "fig10" || all {
+	if o.exp == "fig10" || all {
 		ran = true
 		fmt.Printf("== Figure 10: multi-SIT scheduling vs memory budget (%d instances/point) ==\n", schedCfg.Instances)
 		rng := rand.New(rand.NewSource(schedCfg.Seed))
@@ -160,16 +166,15 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		}
 		fmt.Println()
 	}
-	if exp == "ablation" || all {
+	if o.exp == "ablation" || all {
 		ran = true
 		fmt.Println("== Ablation: histogram construction algorithms (extension) ==")
 		cfg := experiments.DefaultAblationConfig()
-		cfg.Queries = queries
-		cfg.Seed = seed
-		cfg.Parallelism = parallel
-		cfg.BatchSize = batch
-		cfg.MemBudget = memBudget
-		cfg.SpillRaw = spillRaw
+		cfg.Queries = o.queries
+		cfg.Seed = eng.Seed
+		cfg.Parallelism = eng.Parallelism
+		cfg.BatchSize = eng.BatchSize
+		cfg.MemBudget = eng.MemBudget
 		cells, err := experiments.RunHistogramAblation(cfg)
 		if err != nil {
 			return err
@@ -179,16 +184,15 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		}
 		fmt.Println()
 	}
-	if exp == "acyclic" || all {
+	if o.exp == "acyclic" || all {
 		ran = true
 		fmt.Println("== Acyclic generating queries: snowflake SIT accuracy (extension) ==")
 		cfg := experiments.DefaultAcyclicConfig()
-		cfg.Queries = queries
-		cfg.Seed = seed
-		cfg.Parallelism = parallel
-		cfg.BatchSize = batch
-		cfg.MemBudget = memBudget
-		cfg.SpillRaw = spillRaw
+		cfg.Queries = o.queries
+		cfg.Seed = eng.Seed
+		cfg.Parallelism = eng.Parallelism
+		cfg.BatchSize = eng.BatchSize
+		cfg.MemBudget = eng.MemBudget
 		cells, err := experiments.RunAcyclic(cfg)
 		if err != nil {
 			return err
@@ -199,7 +203,7 @@ func run(exp string, queries int, buckets string, instances, numSITs, lenSITs, t
 		fmt.Println()
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want fig7, uniform, fig8, fig9, fig10, ablation, acyclic or all)", exp)
+		return fmt.Errorf("unknown experiment %q (want fig7, uniform, fig8, fig9, fig10, ablation, acyclic or all)", o.exp)
 	}
 	return nil
 }

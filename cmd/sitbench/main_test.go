@@ -1,6 +1,18 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/sitstats/sits/internal/cliopt"
+)
+
+// opts is the command line "-experiment e -queries 10 -buckets b -instances i
+// -numsits 4 -lensits 3 -tables n -memory m -hybrid-ms h -opt-cap 0 -seed s"
+// with the other engine flags at their defaults.
+func opts(exp, buckets string, instances, tables int, memory float64, hybridMS int, seed int64) options {
+	return options{exp: exp, queries: 10, buckets: buckets, instances: instances, numSITs: 4, lenSITs: 3,
+		tables: tables, memory: memory, hybridMS: hybridMS, eng: &cliopt.Engine{MemBudget: "0", Seed: seed}}
+}
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("20,50,100")
@@ -16,13 +28,13 @@ func TestParseInts(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", 10, "", 1, 4, 3, 5, 1e6, 10, 0, 0, 0, 0, false, 1); err == nil {
+	if err := run(opts("bogus", "", 1, 5, 1e6, 10, 1)); err == nil {
 		t.Error("unknown experiment: want error")
 	}
 }
 
 func TestRunBadBuckets(t *testing.T) {
-	if err := run("fig7", 10, "1,x", 1, 4, 3, 5, 1e6, 10, 0, 0, 0, 0, false, 1); err == nil {
+	if err := run(opts("fig7", "1,x", 1, 5, 1e6, 10, 1)); err == nil {
 		t.Error("bad buckets list: want error")
 	}
 }
@@ -33,7 +45,7 @@ func TestRunTinySweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full figure plumbing")
 	}
-	if err := run("fig9", 10, "", 2, 4, 3, 6, 100000, 50, 0, 0, 0, 0, false, 7); err != nil {
+	if err := run(opts("fig9", "", 2, 6, 100000, 50, 7)); err != nil {
 		t.Fatal(err)
 	}
 }

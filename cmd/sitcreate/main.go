@@ -17,62 +17,62 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/sitstats/sits"
+	"github.com/sitstats/sits/internal/cliopt"
 )
 
+// options is the parsed command line.
+type options struct {
+	sit     string
+	method  string
+	buckets int
+	rate    float64
+	verify  bool
+	queries int
+	eng     *cliopt.Engine
+}
+
 func main() {
-	var (
-		sitSpec  = flag.String("sit", "", "SIT spec, e.g. \"S.a | R JOIN S ON R.x = S.y\" (required)")
-		method   = flag.String("method", "sweep", "histsit | sweep | sweepindex | sweepfull | sweepexact | materialize")
-		buckets  = flag.Int("buckets", 100, "histogram buckets")
-		rate     = flag.Float64("rate", 0.10, "sampling rate for sweep/sweepindex")
-		csvDir   = flag.String("csv", "", "directory of <table>.csv files; default: generated chain database")
-		segDir   = flag.String("segments", "", "directory of <table>.seg segment files; tables stream off disk block by block instead of loading into memory")
-		verify   = flag.Bool("verify", false, "execute the generating query and score the SIT's accuracy")
-		queries  = flag.Int("queries", 1000, "range queries used by -verify")
-		parallel = flag.Int("parallel", 0, "width of the shared exec worker pool for scans and query pipelines (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
-		batch    = flag.Int("batch", 0, "executor rows per batch (0 = adaptive from plan width)")
-		memFlag  = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins and sorts spill beyond it")
-		spillOn  = flag.Bool("spill-compress", true, "spill block-compressed SRN2 runs; =false spills raw SRN1 (same results, more spill bytes)")
-		seed     = flag.Int64("seed", 1, "random seed")
-	)
+	var o options
+	flag.StringVar(&o.sit, "sit", "", "SIT spec, e.g. \"S.a | R JOIN S ON R.x = S.y\" (required)")
+	flag.StringVar(&o.method, "method", "sweep", "histsit | sweep | sweepindex | sweepfull | sweepexact | materialize")
+	flag.IntVar(&o.buckets, "buckets", 100, "histogram buckets")
+	flag.Float64Var(&o.rate, "rate", 0.10, "sampling rate for sweep/sweepindex")
+	flag.BoolVar(&o.verify, "verify", false, "execute the generating query and score the SIT's accuracy")
+	flag.IntVar(&o.queries, "queries", 1000, "range queries used by -verify")
+	o.eng = cliopt.Register(flag.CommandLine, 1)
+	o.eng.RegisterData(flag.CommandLine)
 	flag.Parse()
-	if err := run(*sitSpec, *method, *buckets, *rate, *csvDir, *segDir, *verify, *queries, *parallel, *batch, *memFlag, *spillOn, *seed); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "sitcreate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(sitSpec, methodName string, buckets int, rate float64, csvDir, segDir string, verify bool, queries, parallel, batch int, memFlag string, spillCompress bool, seed int64) error {
-	if sitSpec == "" {
+func run(o options) error {
+	if o.sit == "" {
 		return fmt.Errorf("missing -sit (e.g. -sit \"T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev\")")
 	}
-	spec, err := sits.ParseSIT(sitSpec)
+	spec, err := sits.ParseSIT(o.sit)
 	if err != nil {
 		return err
 	}
-	method, err := parseMethod(methodName)
+	method, err := sits.ParseMethod(o.method)
 	if err != nil {
 		return err
 	}
-	cat, err := loadCatalog(csvDir, segDir, spec)
+	cat, err := o.eng.Catalog(spec.Expr.Tables())
 	if err != nil {
 		return err
 	}
-	cfg := sits.DefaultConfig()
-	cfg.Buckets = buckets
-	cfg.SampleRate = rate
-	cfg.Seed = seed
-	cfg.Parallelism = parallel
-	cfg.BatchSize = batch
-	cfg.SpillCompress = spillCompress
-	cfg.MemBudget, err = sits.ParseMemBudget(memFlag)
+	cfg, err := o.eng.Config()
 	if err != nil {
 		return err
 	}
+	cfg.Buckets = o.buckets
+	cfg.SampleRate = o.rate
 	b, err := sits.NewBuilder(cat, cfg)
 	if err != nil {
 		return err
@@ -100,7 +100,7 @@ func run(sitSpec, methodName string, buckets int, rate float64, csvDir, segDir s
 	}
 	fmt.Printf("estimated result cardinality: %.0f\n", s.EstimatedCard)
 	fmt.Printf("histogram: %v\n", s.Hist)
-	if !verify {
+	if !o.verify {
 		return nil
 	}
 	truth, err := sits.GroundTruth(cat, spec.Expr, spec.Table, spec.Attr)
@@ -113,7 +113,7 @@ func run(sitSpec, methodName string, buckets int, rate float64, csvDir, segDir s
 		return nil
 	}
 	hi, _ := truth.Max()
-	qs, err := sits.RandomRangeQueries(seed, lo, hi, queries)
+	qs, err := sits.RandomRangeQueries(o.eng.Seed, lo, hi, o.queries)
 	if err != nil {
 		return err
 	}
@@ -125,33 +125,4 @@ func run(sitSpec, methodName string, buckets int, rate float64, csvDir, segDir s
 	fmt.Printf("accuracy over %d range queries: avg relative error %.2f%%, median %.2f%%, max %.2f%%\n",
 		acc.Queries, 100*acc.AvgRelError, 100*acc.MedianRelError, 100*acc.MaxRelError)
 	return nil
-}
-
-func parseMethod(name string) (sits.Method, error) {
-	switch strings.ToLower(name) {
-	case "histsit", "hist-sit":
-		return sits.HistSIT, nil
-	case "sweep":
-		return sits.Sweep, nil
-	case "sweepindex":
-		return sits.SweepIndex, nil
-	case "sweepfull":
-		return sits.SweepFull, nil
-	case "sweepexact":
-		return sits.SweepExact, nil
-	case "materialize":
-		return sits.Materialize, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", name)
-	}
-}
-
-// loadCatalog loads the referenced tables — streamed from segment files with
-// -segments, loaded from CSV files with -csv — or generates the synthetic
-// chain database when neither directory is given.
-func loadCatalog(csvDir, segDir string, spec sits.SITSpec) (*sits.Catalog, error) {
-	if csvDir == "" && segDir == "" {
-		return sits.GenerateChainDB(sits.DefaultChainConfig())
-	}
-	return sits.LoadCatalog(csvDir, segDir, spec.Expr.Tables())
 }

@@ -5,47 +5,34 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits"
+	"github.com/sitstats/sits/internal/cliopt"
 )
 
-func TestParseMethod(t *testing.T) {
-	cases := map[string]sits.Method{
-		"histsit":     sits.HistSIT,
-		"Hist-SIT":    sits.HistSIT,
-		"sweep":       sits.Sweep,
-		"SWEEPINDEX":  sits.SweepIndex,
-		"sweepfull":   sits.SweepFull,
-		"sweepexact":  sits.SweepExact,
-		"materialize": sits.Materialize,
-	}
-	for name, want := range cases {
-		got, err := parseMethod(name)
-		if err != nil || got != want {
-			t.Errorf("parseMethod(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseMethod("bogus"); err == nil {
-		t.Error("unknown method: want error")
-	}
+// opts is the command line "-sit spec -method m -buckets b [-csv dir]
+// [-verify] -queries q" with every engine flag at its default.
+func opts(spec, method string, buckets int, csvDir string, verify bool, queries int) options {
+	return options{sit: spec, method: method, buckets: buckets, rate: 0.1, verify: verify, queries: queries,
+		eng: &cliopt.Engine{MemBudget: "0", Seed: 1, CSV: csvDir}}
 }
 
 func TestRunOnGeneratedData(t *testing.T) {
-	err := run("T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "sweep", 50, 0.1, "", "", true, 100, 0, 0, "0", true, 1)
+	err := run(opts("T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "sweep", 50, "", true, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "sweep", 50, 0.1, "", "", false, 10, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("", "sweep", 50, "", false, 10)); err == nil {
 		t.Error("missing spec: want error")
 	}
-	if err := run("not a spec", "sweep", 50, 0.1, "", "", false, 10, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("not a spec", "sweep", 50, "", false, 10)); err == nil {
 		t.Error("bad spec: want error")
 	}
-	if err := run("T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "bogus", 50, 0.1, "", "", false, 10, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "bogus", 50, "", false, 10)); err == nil {
 		t.Error("bad method: want error")
 	}
-	if err := run("T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "sweep", 50, 0.1, "/nonexistent", "", false, 10, 0, 0, "0", true, 1); err == nil {
+	if err := run(opts("T2.a | T1 JOIN T2 ON T1.jnext = T2.jprev", "sweep", 50, "/nonexistent", false, 10)); err == nil {
 		t.Error("missing CSV dir: want error")
 	}
 }
@@ -70,7 +57,7 @@ func TestRunOnCSV(t *testing.T) {
 	if err := sits.WriteCSVFile(s, filepath.Join(dir, "S.csv")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("S.a | R JOIN S ON R.x = S.y", "sweepexact", 100, 0.1, dir, "", true, 100, 0, 0, "0", true, 1); err != nil {
+	if err := run(opts("S.a | R JOIN S ON R.x = S.y", "sweepexact", 100, dir, true, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -277,7 +277,6 @@ func one(client *http.Client, target string) sample {
 		return sample{err: err}
 	}
 	var body struct {
-		Cached     bool    `json:"cached"`
 		Tier       string  `json:"tier"`
 		EstimateUS float64 `json:"estimate_us"`
 		Error      string  `json:"error"`
@@ -292,16 +291,7 @@ func one(client *http.Client, target string) sample {
 	case decErr != nil:
 		return sample{ms: ms, err: fmt.Errorf("%s: decoding response: %v", target, decErr)}
 	}
-	// Pre-tier daemons only report the cached bool; fold it into the tiers.
-	tier := body.Tier
-	if tier == "" {
-		if body.Cached {
-			tier = "result-hit"
-		} else {
-			tier = "cold"
-		}
-	}
-	return sample{ms: ms, serverUS: body.EstimateUS, tier: tier}
+	return sample{ms: ms, serverUS: body.EstimateUS, tier: body.Tier}
 }
 
 func summarize(samples []sample, c int, elapsed time.Duration) result {

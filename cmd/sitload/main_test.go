@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -114,9 +113,9 @@ func TestRunAgainstStub(t *testing.T) {
 		mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		if cached {
-			_, _ = w.Write([]byte(`{"cardinality": 1, "cached": true, "estimate_us": 2}`))
+			_, _ = w.Write([]byte(`{"cardinality": 1, "tier": "result-hit", "estimate_us": 2}`))
 		} else {
-			_, _ = w.Write([]byte(`{"cardinality": 1, "cached": false, "estimate_us": 100}`))
+			_, _ = w.Write([]byte(`{"cardinality": 1, "tier": "cold", "estimate_us": 100}`))
 		}
 	})
 	srv := httptest.NewServer(mux)
@@ -158,8 +157,7 @@ func TestRunPlansWorkload(t *testing.T) {
 		mu.Unlock()
 		us := map[string]string{"cold": "100", "plan-hit": "10", "result-hit": "2"}[tier]
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"cardinality": 1, "tier": "` + tier + `", "cached": ` +
-			strconv.FormatBool(tier == "result-hit") + `, "estimate_us": ` + us + `}`))
+		_, _ = w.Write([]byte(`{"cardinality": 1, "tier": "` + tier + `", "estimate_us": ` + us + `}`))
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

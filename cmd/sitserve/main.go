@@ -36,49 +36,58 @@ import (
 	"time"
 
 	"github.com/sitstats/sits"
+	"github.com/sitstats/sits/internal/cliopt"
 )
 
+// options is the parsed command line.
+type options struct {
+	addr      string
+	tables    string
+	sitsFile  string
+	builds    string
+	method    string
+	cacheSize int
+	planSize  int
+	shedQueue int
+	refresh   time.Duration
+	threshold float64
+	eng       *cliopt.Engine
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8642", "HTTP listen address")
-		csvDir    = flag.String("csv", "", "directory of <table>.csv files; default: generated chain database")
-		segDir    = flag.String("segments", "", "directory of <table>.seg segment files; tables stream off disk block by block")
-		tables    = flag.String("tables", "", "comma-separated tables to load from -csv/-segments (default: every table file)")
-		sitsFile  = flag.String("sits", "", "preload SITs from this JSON file (written by estimate -save)")
-		builds    = flag.String("build", "", "semicolon-separated SIT specs to build at startup")
-		method    = flag.String("method", "sweepfull", "creation method for -build and staleness rebuilds")
-		memFlag   = flag.String("mem-budget", "0", "memory budget shared by every concurrent request, e.g. 512M (0 = unlimited)")
-		parallel  = flag.Int("parallel", 0, "exec pool width for builds (0 = all CPUs, 1 = serial)")
-		batch     = flag.Int("batch", 0, "executor rows per batch (0 = adaptive)")
-		spillOn   = flag.Bool("spill-compress", true, "spill block-compressed SRN2 runs beyond the budget")
-		cacheSize = flag.Int("cache", 0, "estimate result-cache entries (0 = default, negative = disabled)")
-		planSize  = flag.Int("plan-cache", 0, "prepared-plan cache entries (0 = default, negative = disabled)")
-		shedQueue = flag.Int("shed-queue", 64, "cold requests queued on the builder before /estimate sheds with 429 under budget pressure (0 = never shed)")
-		refresh   = flag.Duration("refresh", 0, "background staleness sweep interval (0 = disabled)")
-		threshold = flag.Float64("stale-threshold", 0.2, "relative base-table growth that triggers a SIT rebuild")
-		seed      = flag.Int64("seed", 1, "random seed for sampling builds")
-	)
+	var o options
+	flag.StringVar(&o.addr, "addr", ":8642", "HTTP listen address")
+	flag.StringVar(&o.tables, "tables", "", "comma-separated tables to load from -csv/-segments (default: every table file)")
+	flag.StringVar(&o.sitsFile, "sits", "", "preload SITs from this JSON file (written by estimate -save)")
+	flag.StringVar(&o.builds, "build", "", "semicolon-separated SIT specs to build at startup")
+	flag.StringVar(&o.method, "method", "sweepfull", "creation method for -build and staleness rebuilds")
+	flag.IntVar(&o.cacheSize, "cache", 0, "estimate result-cache entries (0 = default, negative = disabled)")
+	flag.IntVar(&o.planSize, "plan-cache", 0, "prepared-plan cache entries (0 = default, negative = disabled)")
+	flag.IntVar(&o.shedQueue, "shed-queue", 64, "cold requests queued on the builder before /estimate sheds with 429 under budget pressure (0 = never shed)")
+	flag.DurationVar(&o.refresh, "refresh", 0, "background staleness sweep interval (0 = disabled)")
+	flag.Float64Var(&o.threshold, "stale-threshold", 0.2, "relative base-table growth that triggers a SIT rebuild")
+	o.eng = cliopt.Register(flag.CommandLine, 1)
+	o.eng.RegisterData(flag.CommandLine)
 	flag.Parse()
-	if err := run(*addr, *csvDir, *segDir, *tables, *sitsFile, *builds, *method,
-		*memFlag, *parallel, *batch, *spillOn, *cacheSize, *planSize, *shedQueue, *refresh, *threshold, *seed); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "sitserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, csvDir, segDir, tables, sitsFile, builds, methodName,
-	memFlag string, parallel, batch int, spillOn bool, cacheSize, planSize, shedQueue int,
-	refresh time.Duration, threshold float64, seed int64) error {
-	cat, err := loadCatalog(csvDir, segDir, tables)
+func run(o options) error {
+	var tables []string
+	for _, t := range strings.Split(o.tables, ",") {
+		if t = strings.TrimSpace(t); t != "" {
+			tables = append(tables, t)
+		}
+	}
+	cat, err := o.eng.Catalog(tables)
 	if err != nil {
 		return err
 	}
-	cfg := sits.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Parallelism = parallel
-	cfg.BatchSize = batch
-	cfg.SpillCompress = spillOn
-	if cfg.MemBudget, err = sits.ParseMemBudget(memFlag); err != nil {
+	cfg, err := o.eng.Config()
+	if err != nil {
 		return err
 	}
 	reg, err := sits.NewRegistry(cat, cfg)
@@ -91,8 +100,8 @@ func run(addr, csvDir, segDir, tables, sitsFile, builds, methodName,
 		}
 	}()
 
-	if sitsFile != "" {
-		f, err := os.Open(sitsFile)
+	if o.sitsFile != "" {
+		f, err := os.Open(o.sitsFile)
 		if err != nil {
 			return err
 		}
@@ -104,14 +113,14 @@ func run(addr, csvDir, segDir, tables, sitsFile, builds, methodName,
 		if err := reg.Adopt(loaded); err != nil {
 			return err
 		}
-		fmt.Printf("adopted %d SIT(s) from %s\n", len(loaded), sitsFile)
+		fmt.Printf("adopted %d SIT(s) from %s\n", len(loaded), o.sitsFile)
 	}
-	if builds != "" {
-		m, err := parseMethod(methodName)
+	if o.builds != "" {
+		m, err := sits.ParseMethod(o.method)
 		if err != nil {
 			return err
 		}
-		for _, specText := range strings.Split(builds, ";") {
+		for _, specText := range strings.Split(o.builds, ";") {
 			spec, err := sits.ParseSIT(strings.TrimSpace(specText))
 			if err != nil {
 				return err
@@ -124,26 +133,26 @@ func run(addr, csvDir, segDir, tables, sitsFile, builds, methodName,
 	}
 
 	svc, err := sits.NewService(reg, sits.ServeConfig{
-		CacheEntries:     cacheSize,
-		PlanCacheEntries: planSize,
-		ShedQueue:        shedQueue,
+		CacheEntries:     o.cacheSize,
+		PlanCacheEntries: o.planSize,
+		ShedQueue:        o.shedQueue,
 	})
 	if err != nil {
 		return err
 	}
-	if refresh > 0 {
-		if err := reg.StartRefresh(refresh, threshold); err != nil {
+	if o.refresh > 0 {
+		if err := reg.StartRefresh(o.refresh, o.threshold); err != nil {
 			return err
 		}
-		fmt.Printf("background refresh every %v at staleness threshold %.2f\n", refresh, threshold)
+		fmt.Printf("background refresh every %v at staleness threshold %.2f\n", o.refresh, o.threshold)
 	}
 
-	srv := &http.Server{Addr: addr, Handler: newServer(svc, threshold)}
+	srv := &http.Server{Addr: o.addr, Handler: newServer(svc, o.threshold)}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("serving %d SIT(s) on %s\n", reg.Len(), addr)
+		fmt.Printf("serving %d SIT(s) on %s\n", reg.Len(), o.addr)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -161,38 +170,4 @@ func run(addr, csvDir, segDir, tables, sitsFile, builds, methodName,
 		return err
 	}
 	return nil
-}
-
-// loadCatalog loads tables through the shared -csv/-segments path, or
-// generates the synthetic chain database when neither directory is given.
-func loadCatalog(csvDir, segDir, tables string) (*sits.Catalog, error) {
-	if csvDir == "" && segDir == "" {
-		return sits.GenerateChainDB(sits.DefaultChainConfig())
-	}
-	var names []string
-	for _, t := range strings.Split(tables, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			names = append(names, t)
-		}
-	}
-	return sits.LoadCatalog(csvDir, segDir, names)
-}
-
-func parseMethod(name string) (sits.Method, error) {
-	switch strings.ToLower(name) {
-	case "histsit", "hist-sit":
-		return sits.HistSIT, nil
-	case "sweep":
-		return sits.Sweep, nil
-	case "sweepindex":
-		return sits.SweepIndex, nil
-	case "sweepfull":
-		return sits.SweepFull, nil
-	case "sweepexact":
-		return sits.SweepExact, nil
-	case "materialize":
-		return sits.Materialize, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", name)
-	}
 }

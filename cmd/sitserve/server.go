@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/sitstats/sits"
@@ -38,6 +36,11 @@ func newServer(svc *sits.Service, threshold float64) http.Handler {
 	return mux
 }
 
+// maxEstimateBody bounds a POST /estimate body: a request is one expression
+// and a handful of predicates, so 1 MiB is far above any honest client and
+// keeps a hostile one from streaming gigabytes into the decoder.
+const maxEstimateBody = 1 << 20
+
 // estimateRequest is the POST body form of an estimation request. The GET
 // form carries the same fields as ?query=...&pred=T.a:lo:hi[,...].
 type estimateRequest struct {
@@ -61,10 +64,8 @@ type estimateResponse struct {
 	Sources     []sourceResponse `json:"sources,omitempty"`
 	// Tier is the serving tier that answered: "result-hit" (estimate cache),
 	// "plan-hit" (cached plan re-probed with this request's constants), or
-	// "cold" (full preparation under the builder lock). Cached preserves the
-	// pre-tier client field: it is true exactly for result-hit.
-	Tier   string `json:"tier"`
-	Cached bool   `json:"cached"`
+	// "cold" (full preparation under the builder lock).
+	Tier string `json:"tier"`
 	// EstimateUS is the server-side time spent answering (microseconds):
 	// a cache probe for result hits, histogram probing for plan hits, the
 	// full estimation for cold requests.
@@ -83,7 +84,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		req.Query = r.URL.Query().Get("query")
-		preds, err := parsePreds(r.URL.Query().Get("pred"))
+		preds, err := sits.ParsePredicates(r.URL.Query().Get("pred"))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -92,8 +93,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			req.Preds = append(req.Preds, predBody{Table: p.Table, Attr: p.Attr, Lo: p.Lo, Hi: p.Hi})
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, fmt.Errorf("decoding request: %w", err))
 			return
 		}
 	default:
@@ -132,7 +138,6 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		JoinCard:    est.JoinCard,
 		JoinStat:    est.JoinStat,
 		Tier:        tier.String(),
-		Cached:      tier == sits.TierResult,
 		EstimateUS:  float64(now().Sub(t0)) / float64(time.Microsecond),
 	}
 	for _, src := range est.Sources {
@@ -191,33 +196,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// parsePreds parses the CLI/query-string predicate form
-// "T.a:lo:hi[,T.b:lo:hi...]".
-func parsePreds(s string) ([]sits.Predicate, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []sits.Predicate
-	for _, part := range strings.Split(s, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("bad predicate %q (want T.a:lo:hi)", part)
-		}
-		ta := strings.Split(fields[0], ".")
-		if len(ta) != 2 || ta[0] == "" || ta[1] == "" {
-			return nil, fmt.Errorf("bad predicate attribute %q", fields[0])
-		}
-		lo, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad predicate bound %q: %v", fields[1], err)
-		}
-		hi, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad predicate bound %q: %v", fields[2], err)
-		}
-		out = append(out, sits.Predicate{Table: ta[0], Attr: ta[1], Lo: lo, Hi: hi})
-	}
-	return out, nil
 }

@@ -79,16 +79,16 @@ func TestServerEstimate(t *testing.T) {
 	if first.Cardinality <= 0 {
 		t.Fatalf("cardinality %v, want > 0", first.Cardinality)
 	}
-	if first.Cached || first.Tier != "cold" {
-		t.Fatalf("cold request reported cached=%v tier=%q", first.Cached, first.Tier)
+	if first.Tier != "cold" {
+		t.Fatalf("cold request reported tier=%q", first.Tier)
 	}
 	if len(first.Sources) != 1 || !strings.Contains(first.Sources[0].Stat, "SIT") {
 		t.Fatalf("sources %+v, want one SIT-backed predicate", first.Sources)
 	}
 
 	getJSON(t, h, http.MethodGet, estimateURL("T2.a:0:900"), "", http.StatusOK, &second)
-	if !second.Cached || second.Tier != "result-hit" {
-		t.Fatalf("repeat request reported cached=%v tier=%q", second.Cached, second.Tier)
+	if second.Tier != "result-hit" {
+		t.Fatalf("repeat request reported tier=%q", second.Tier)
 	}
 	if second.Cardinality != first.Cardinality || second.JoinCard != first.JoinCard {
 		t.Fatalf("cached answer differs: %+v vs %+v", second, first)
@@ -97,14 +97,14 @@ func TestServerEstimate(t *testing.T) {
 	// New constants over the same shape re-probe the cached plan.
 	var planned estimateResponse
 	getJSON(t, h, http.MethodGet, estimateURL("T2.a:10:910"), "", http.StatusOK, &planned)
-	if planned.Cached || planned.Tier != "plan-hit" {
-		t.Fatalf("shifted constants reported cached=%v tier=%q, want plan-hit", planned.Cached, planned.Tier)
+	if planned.Tier != "plan-hit" {
+		t.Fatalf("shifted constants reported tier=%q, want plan-hit", planned.Tier)
 	}
 
 	// The POST body form answers identically and shares the cache entry.
 	body := `{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev", "preds": [{"table":"T2","attr":"a","lo":0,"hi":900}]}`
 	getJSON(t, h, http.MethodPost, "/estimate", body, http.StatusOK, &posted)
-	if !posted.Cached || posted.Cardinality != first.Cardinality {
+	if posted.Tier != "result-hit" || posted.Cardinality != first.Cardinality {
 		t.Fatalf("POST form diverges from GET: %+v vs %+v", posted, first)
 	}
 }
@@ -118,6 +118,14 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodDelete, "/estimate", "", http.StatusMethodNotAllowed, nil)
 	getJSON(t, h, http.MethodPost, "/stats", "", http.StatusMethodNotAllowed, nil)
 	getJSON(t, h, http.MethodGet, "/refresh", "", http.StatusMethodNotAllowed, nil)
+
+	// A POST body past the 1 MiB bound is refused, not buffered, and the
+	// server answers the next request as usual.
+	huge := `{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev", "preds": [` +
+		strings.Repeat(`{"table":"T2","attr":"a","lo":0,"hi":900},`, maxEstimateBody/40) +
+		`{"table":"T2","attr":"a","lo":0,"hi":900}]}`
+	getJSON(t, h, http.MethodPost, "/estimate", huge, http.StatusRequestEntityTooLarge, nil)
+	getJSON(t, h, http.MethodGet, estimateURL("T2.a:0:900"), "", http.StatusOK, nil)
 }
 
 func TestServerStatsAndRefresh(t *testing.T) {
@@ -157,7 +165,7 @@ func TestServerStatsAndRefresh(t *testing.T) {
 
 	// The rebuilt SIT strands the old cache entry: next request recomputes.
 	getJSON(t, h, http.MethodGet, estimateURL("T2.a:0:500"), "", http.StatusOK, &est)
-	if est.Cached {
+	if est.Tier == "result-hit" {
 		t.Fatal("post-refresh request served the stale cache entry")
 	}
 

@@ -15,40 +15,28 @@ func benchTable(b *testing.B, rows int) *Table {
 	return t
 }
 
-// BenchmarkScan measures the sequential-scan throughput Sweep depends on.
-func BenchmarkScan(b *testing.B) {
+// BenchmarkOpenChunks measures the sequential-scan throughput Sweep depends
+// on, through the chunked scan API the parallel engine uses: columns are read
+// directly from chunk sub-slices.
+func BenchmarkOpenChunks(b *testing.B) {
 	t := benchTable(b, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := t.Scan("x", "a")
+		rd, err := t.OpenChunks(4096, "x", "a")
 		if err != nil {
 			b.Fatal(err)
 		}
 		var sum int64
-		for sc.Next() {
-			sum += sc.Row()[0]
-		}
-		_ = sum
-	}
-	b.SetBytes(int64(t.NumRows() * 16))
-}
-
-// BenchmarkScanChunks measures the same traversal through the chunked scan
-// API the parallel engine uses: columns are read directly from chunk
-// sub-slices instead of being copied into a per-row buffer.
-func BenchmarkScanChunks(b *testing.B) {
-	t := benchTable(b, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunks, err := t.ScanChunks(4096, "x", "a")
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum int64
-		for _, ch := range chunks {
-			xs := ch.Cols[0]
-			for r := range xs {
-				sum += xs[r]
+		for {
+			ch, ok, err := rd.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for _, x := range ch.Cols[0] {
+				sum += x
 			}
 		}
 		_ = sum

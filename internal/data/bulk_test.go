@@ -47,9 +47,6 @@ func TestAppendColumnsErrors(t *testing.T) {
 	if tab.NumRows() != 0 {
 		t.Errorf("failed append mutated the table: %d rows", tab.NumRows())
 	}
-	if err := tab.AppendBatch([][]int64{{1}}); err == nil {
-		t.Error("AppendBatch wrong column count: want error")
-	}
 }
 
 func TestGrow(t *testing.T) {
@@ -94,7 +91,7 @@ func TestAppendBatchMatchesRowsQuick(t *testing.T) {
 				batch[1][j] = rows[i+j][1]
 			}
 			got.Grow(n)
-			if err := got.AppendBatch(batch); err != nil {
+			if err := got.AppendColumns(batch...); err != nil {
 				return false
 			}
 			i += n

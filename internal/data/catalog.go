@@ -16,7 +16,7 @@ func NewCatalog() *Catalog {
 }
 
 // Add registers a table. Adding a table whose name is already registered is
-// an error; use Replace to overwrite.
+// an error.
 func (c *Catalog) Add(t *Table) error {
 	if t == nil {
 		return fmt.Errorf("data: cannot add nil table")
@@ -33,11 +33,6 @@ func (c *Catalog) MustAdd(t *Table) {
 	if err := c.Add(t); err != nil {
 		panic(err)
 	}
-}
-
-// Replace registers a table, overwriting any table with the same name.
-func (c *Catalog) Replace(t *Table) {
-	c.tables[t.Name()] = t
 }
 
 // Table looks up a table by name.
@@ -76,16 +71,6 @@ func (c *Catalog) Names() []string {
 
 // Len returns the number of registered tables.
 func (c *Catalog) Len() int { return len(c.tables) }
-
-// TotalRows returns the sum of row counts over all tables; the paper's
-// scheduling experiments fix this to one million (Section 5.2).
-func (c *Catalog) TotalRows() int {
-	total := 0
-	for _, t := range c.tables {
-		total += t.NumRows()
-	}
-	return total
-}
 
 // Validate checks every table in the catalog.
 func (c *Catalog) Validate() error {

@@ -59,11 +59,13 @@ func (t *Table) OpenChunks(chunkSize int, columns ...string) (ChunkReader, error
 }
 
 // OpenChunksSpec opens a streaming chunk reader over the named columns.
-// Chunk boundaries and Seq numbering are identical to ScanChunks on the same
-// table, so chunked consumers that merge per-chunk partials in Seq order get
-// the same result whether the table is in-memory or segment-backed, at any
-// parallelism. Unlike ScanChunks, a segment-backed table is never
-// materialized: blocks decode on demand into reader-owned buffers.
+// Chunk Seq covers rows [Seq*chunkSize, min((Seq+1)*chunkSize, NumRows)): the
+// grid depends only on the table size and chunkSize — not on the backing
+// store or on who consumes the chunks — so chunked consumers that merge
+// per-chunk partials in Seq order get the same result whether the table is
+// in-memory or segment-backed, at any parallelism. An empty table yields no
+// chunks. A segment-backed table is never materialized: blocks decode on
+// demand into reader-owned buffers.
 func (t *Table) OpenChunksSpec(chunkSize int, spec ScanSpec, columns ...string) (ChunkReader, error) {
 	if chunkSize <= 0 {
 		return nil, fmt.Errorf("data: table %q: chunk size %d must be positive", t.name, chunkSize)

@@ -15,7 +15,7 @@ import (
 // one table: rows are split into fixed-size row groups (DefaultBlockRows
 // rows), and each group stores one block per column, encoded independently
 // with the cheapest colblk encoding picked by trial sizing. Blocks are
-// CRC32-checked like SRN1 spill runs, and the footer carries per-block
+// CRC32-checked like spill runs, and the footer carries per-block
 // min/max so scans can skip blocks that cannot match a range filter —
 // streaming chunks straight off disk without ever materializing the table:
 //

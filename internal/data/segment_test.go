@@ -23,7 +23,7 @@ func buildTestTable(t *testing.T, rows int) *Table {
 		cols[1][i] = int64(i/1000) % 7
 		cols[2][i] = int64(rng.Uint64())
 	}
-	if err := tab.AppendBatch(cols); err != nil {
+	if err := tab.AppendColumns(cols...); err != nil {
 		t.Fatal(err)
 	}
 	return tab
@@ -117,8 +117,8 @@ func TestSegmentTableSemantics(t *testing.T) {
 	if err := st.AppendRow(1, 2, 3); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("AppendRow on segment table: %v", err)
 	}
-	if err := st.AppendBatch([][]int64{{1}, {2}, {3}}); err == nil {
-		t.Fatal("AppendBatch on segment table succeeded")
+	if err := st.AppendColumns([]int64{1}, []int64{2}, []int64{3}); err == nil {
+		t.Fatal("AppendColumns on segment table succeeded")
 	}
 	if err := st.SetColumn("id", nil); err == nil {
 		t.Fatal("SetColumn on segment table succeeded")
@@ -132,17 +132,17 @@ func TestSegmentTableSemantics(t *testing.T) {
 	if !reflect.DeepEqual(got, tab.MustColumn("noise")) {
 		t.Fatal("materialized column differs from source")
 	}
-	// The eager ScanChunks path also works (materializing on demand).
-	chunks, err := st.ScanChunks(1024, "id", "dim")
+	// OpenChunks keeps working once a column has materialized.
+	segRd, err := st.OpenChunks(1024, "id", "dim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tab.ScanChunks(1024, "id", "dim")
+	memRd, err := tab.OpenChunks(1024, "id", "dim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(chunks, want) {
-		t.Fatal("eager ScanChunks differs between segment-backed and in-memory table")
+	if !reflect.DeepEqual(readChunks(t, segRd), readChunks(t, memRd)) {
+		t.Fatal("OpenChunks differs between segment-backed and in-memory table")
 	}
 }
 
@@ -158,10 +158,11 @@ func TestSegmentChunkIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tab.ScanChunks(chunkSize, cols...)
+		memRd, err := tab.OpenChunks(chunkSize, cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := readChunks(t, memRd)
 		if n := st.NumChunks(chunkSize); n != len(want) {
 			t.Fatalf("chunkSize %d: NumChunks = %d, want %d", chunkSize, n, len(want))
 		}
@@ -169,24 +170,18 @@ func TestSegmentChunkIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := readChunks(t, rd)
+		if len(got) != len(want) {
+			t.Fatalf("chunkSize %d: %d chunks, want %d", chunkSize, len(got), len(want))
+		}
 		for i := range want {
-			ch, ok, err := rd.Next()
-			if err != nil || !ok {
-				t.Fatalf("chunkSize %d: Next #%d = %v, %v", chunkSize, i, ok, err)
-			}
-			if ch.Start != want[i].Start || ch.Seq != want[i].Seq {
+			if got[i].Start != want[i].Start || got[i].Seq != want[i].Seq {
 				t.Fatalf("chunkSize %d chunk %d: Start/Seq (%d,%d), want (%d,%d)",
-					chunkSize, i, ch.Start, ch.Seq, want[i].Start, want[i].Seq)
+					chunkSize, i, got[i].Start, got[i].Seq, want[i].Start, want[i].Seq)
 			}
-			if !reflect.DeepEqual(ch.Cols, want[i].Cols) {
+			if !reflect.DeepEqual(got[i].Cols, want[i].Cols) {
 				t.Fatalf("chunkSize %d chunk %d: values differ", chunkSize, i)
 			}
-		}
-		if _, ok, err := rd.Next(); ok || err != nil {
-			t.Fatalf("chunkSize %d: reader not exhausted (%v, %v)", chunkSize, ok, err)
-		}
-		if err := rd.Close(); err != nil {
-			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func (t *Table) Name() string { return t.name }
 
 // Generation returns the table's mutation counter. It starts at zero and is
 // bumped by every operation that changes or may relocate the table's data
-// (AppendRow, Grow, AppendColumns, AppendBatch, SetColumn). Any cache keyed
+// (AppendRow, Grow, AppendColumns, SetColumn). Any cache keyed
 // on a table must capture the generation at build time and compare it on
 // lookup; a mismatch means the cached state is stale.
 func (t *Table) Generation() uint64 { return t.gen.Load() }
@@ -256,13 +256,6 @@ func (t *Table) AppendColumns(vals ...[]int64) error {
 	return nil
 }
 
-// AppendBatch appends a column-major batch: cols[i] is appended to column i.
-// It is AppendColumns with a slice-of-slices signature, matching the batch
-// layout the vectorized executor produces.
-func (t *Table) AppendBatch(cols [][]int64) error {
-	return t.AppendColumns(cols...)
-}
-
 // SetColumn replaces the contents of the named column. All columns of a table
 // must have equal length once the table is used, which is validated by
 // Validate; SetColumn itself only checks the column exists.
@@ -297,7 +290,7 @@ func (t *Table) Validate() error {
 }
 
 // Row materializes row i as a fresh slice in column declaration order.
-// It is intended for tests and small result sets; scans should use Scanner.
+// It is intended for tests and small result sets; scans should use OpenChunks.
 func (t *Table) Row(i int) ([]int64, error) {
 	if i < 0 || i >= t.NumRows() {
 		return nil, fmt.Errorf("data: table %q: row %d out of range [0,%d)", t.name, i, t.NumRows())
@@ -307,35 +300,6 @@ func (t *Table) Row(i int) ([]int64, error) {
 		row[c] = t.cols[c].Vals[i]
 	}
 	return row, nil
-}
-
-// Scanner is a sequential scan over a subset of a table's columns. It is the
-// access path Sweep uses (Section 3.1 step 1 of the paper).
-type Scanner struct {
-	cols [][]int64
-	n    int
-	pos  int
-	row  []int64
-}
-
-// Scan returns a Scanner over the named columns in the given order.
-func (t *Table) Scan(columns ...string) (*Scanner, error) {
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("data: table %q: scan needs at least one column", t.name)
-	}
-	s := &Scanner{
-		cols: make([][]int64, len(columns)),
-		n:    t.NumRows(),
-		row:  make([]int64, len(columns)),
-	}
-	for i, c := range columns {
-		vals, err := t.Column(c)
-		if err != nil {
-			return nil, err
-		}
-		s.cols[i] = vals
-	}
-	return s, nil
 }
 
 // Chunk is one contiguous row range of a table, exposed as column sub-slices.
@@ -362,63 +326,6 @@ func (c Chunk) Len() int {
 	return len(c.Cols[0])
 }
 
-// ScanChunks splits the table's rows into contiguous chunks of at most
-// chunkSize rows over the named columns. Chunk boundaries depend only on the
-// table size and chunkSize — not on who consumes the chunks — so chunked
-// results that merge per-chunk partials in chunk order are independent of the
-// consumer's parallelism. An empty table yields no chunks.
-func (t *Table) ScanChunks(chunkSize int, columns ...string) ([]Chunk, error) {
-	if chunkSize <= 0 {
-		return nil, fmt.Errorf("data: table %q: chunk size %d must be positive", t.name, chunkSize)
-	}
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("data: table %q: scan needs at least one column", t.name)
-	}
-	cols := make([][]int64, len(columns))
-	for i, c := range columns {
-		vals, err := t.Column(c)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = vals
-	}
-	n := t.NumRows()
-	chunks := make([]Chunk, 0, (n+chunkSize-1)/chunkSize)
-	for start := 0; start < n; start += chunkSize {
-		end := start + chunkSize
-		if end > n {
-			end = n
-		}
-		sub := make([][]int64, len(cols))
-		for i := range cols {
-			sub[i] = cols[i][start:end]
-		}
-		chunks = append(chunks, Chunk{Start: start, Seq: len(chunks), Cols: sub})
-	}
-	return chunks, nil
-}
-
-// Next advances the scanner and reports whether a row is available.
-func (s *Scanner) Next() bool {
-	if s.pos >= s.n {
-		return false
-	}
-	for i := range s.cols {
-		s.row[i] = s.cols[i][s.pos]
-	}
-	s.pos++
-	return true
-}
-
-// Row returns the current row. The slice is reused across Next calls.
-func (s *Scanner) Row() []int64 { return s.row }
-
-// Reset rewinds the scanner to the first row.
-func (s *Scanner) Reset() { s.pos = 0 }
-
-// Remaining returns the number of rows not yet consumed.
-func (s *Scanner) Remaining() int { return s.n - s.pos }
-
 // MinMax returns the minimum and maximum values of the named column.
 // ok is false when the table is empty. On a segment-backed table the
 // extrema aggregate from the footer's per-block statistics, touching no
@@ -444,19 +351,6 @@ func (t *Table) MinMax(column string) (minV, maxV int64, ok bool, err error) {
 		}
 	}
 	return minV, maxV, true, nil
-}
-
-// DistinctCount returns the number of distinct values of the named column.
-func (t *Table) DistinctCount(column string) (int, error) {
-	vals, err := t.Column(column)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[int64]struct{}, len(vals))
-	for _, v := range vals {
-		seen[v] = struct{}{}
-	}
-	return len(seen), nil
 }
 
 // SortedCopy returns a sorted copy of the named column; used by histogram

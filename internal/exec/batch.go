@@ -1,16 +1,26 @@
+// Package exec is the vectorized query executor over the column store. The
+// paper's Sweep needs only a sequential scan and an m-Oracle; an executor is
+// needed twice around it: to evaluate the generating query of a SIT so the
+// "actual" attribute distribution is known (the evaluation metric of Section
+// 5.1 compares estimated against actual cardinalities of 1,000 range
+// queries, and SweepExact must agree with it), and for the Materialize
+// baseline.
+//
+// There is one operator family. Operators exchange fixed-size column-vector
+// batches: a Batch holds one int64 slice per output column plus an optional
+// selection vector, so scans serve table columns as sub-slices with no
+// per-row copying, filters narrow selection vectors instead of moving data,
+// and joins emit their results column-wise. PlanBatch assembles BatchScan →
+// VecHashJoin (grace-partitioned under a memory budget) → BatchFilter chains
+// for arbitrary connected equi-join expressions, run as a morsel-driven
+// Pipeline on the shared Pool; output columns carry qualified names ("T.a").
 package exec
 
 import (
+	"fmt"
+
 	"github.com/sitstats/sits/internal/data"
 )
-
-// This file defines the vectorized half of the executor. Operators exchange
-// fixed-size column-vector batches instead of single rows: a Batch holds one
-// int64 slice per output column plus an optional selection vector, so scans
-// serve table columns as sub-slices with no per-row copying, filters produce
-// selection vectors instead of moving data, and joins emit their results
-// column-wise. The pull-based row Operator interface remains available through
-// the Rows adapter for callers (and tests) that want rows.
 
 // DefaultBatchSize is the number of rows per batch. 1024 rows keep a handful
 // of int64 columns resident in L1/L2 while amortizing per-batch dispatch.
@@ -71,8 +81,7 @@ func (b *Batch) NumRows() int {
 	return len(b.Cols[0])
 }
 
-// BatchOperator is a pull-based batch iterator: the vectorized counterpart of
-// Operator.
+// BatchOperator is a pull-based batch iterator.
 type BatchOperator interface {
 	// Columns returns the qualified output column names.
 	Columns() []string
@@ -84,11 +93,18 @@ type BatchOperator interface {
 	Reset()
 }
 
+func columnIndex(cols []string, name string) (int, error) {
+	for i, c := range cols {
+		if c == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("exec: no column %q in %v", name, cols)
+}
+
 // BatchScan serves batches directly from a table's column storage: each batch
 // column is a sub-slice of the table column (no copying at all).
 type BatchScan struct {
-	table *data.Table
-	gen   uint64 // table generation when the column slices were bound
 	cols  []string
 	store [][]int64
 	lo    int // first row served; non-zero only for morsel range scans
@@ -110,8 +126,6 @@ func NewBatchScanSize(t *data.Table, batchSize int) *BatchScan {
 	}
 	names := t.ColumnNames()
 	s := &BatchScan{
-		table: t,
-		gen:   t.Generation(),
 		cols:  make([]string, len(names)),
 		store: make([][]int64, len(names)),
 		n:     t.NumRows(),
@@ -168,12 +182,6 @@ func NewBatchScanRange(t *data.Table, lo, hi, batchSize int) *BatchScan {
 	return s
 }
 
-// wholeTable reports whether the scan covers the table's full row range —
-// the precondition for the sorted-run cache in BatchSort.
-func (s *BatchScan) wholeTable() bool {
-	return s.lo == 0 && s.table != nil && s.n == s.table.NumRows()
-}
-
 // BatchFilter evaluates a row predicate over each input batch and narrows the
 // selection vector; column data is never moved.
 type BatchFilter struct {
@@ -186,18 +194,6 @@ type BatchFilter struct {
 // NewBatchFilter wraps in with a predicate over the batch's physical row r.
 func NewBatchFilter(in BatchOperator, pred func(cols [][]int64, r int) bool) *BatchFilter {
 	return &BatchFilter{in: in, pred: pred}
-}
-
-// NewBatchRangeFilter filters rows to lo <= col <= hi.
-func NewBatchRangeFilter(in BatchOperator, col string, lo, hi int64) (*BatchFilter, error) {
-	idx, err := columnIndex(in.Columns(), col)
-	if err != nil {
-		return nil, err
-	}
-	return NewBatchFilter(in, func(cols [][]int64, r int) bool {
-		v := cols[idx][r]
-		return v >= lo && v <= hi
-	}), nil
 }
 
 // Columns implements BatchOperator.
@@ -238,171 +234,3 @@ func (f *BatchFilter) NextBatch() (*Batch, bool) {
 
 // Reset implements BatchOperator.
 func (f *BatchFilter) Reset() { f.in.Reset() }
-
-// BatchProject narrows the output to a subset of columns by reordering the
-// column slice headers; no values are copied.
-type BatchProject struct {
-	in   BatchOperator
-	idx  []int
-	cols []string
-	out  Batch
-}
-
-// NewBatchProject projects in onto the named columns.
-func NewBatchProject(in BatchOperator, cols ...string) (*BatchProject, error) {
-	p := &BatchProject{in: in, cols: append([]string(nil), cols...)}
-	for _, c := range cols {
-		i, err := columnIndex(in.Columns(), c)
-		if err != nil {
-			return nil, err
-		}
-		p.idx = append(p.idx, i)
-	}
-	p.out.Cols = make([][]int64, len(cols))
-	return p, nil
-}
-
-// Columns implements BatchOperator.
-func (p *BatchProject) Columns() []string { return p.cols }
-
-// NextBatch implements BatchOperator.
-func (p *BatchProject) NextBatch() (*Batch, bool) {
-	b, ok := p.in.NextBatch()
-	if !ok {
-		return nil, false
-	}
-	for i, j := range p.idx {
-		p.out.Cols[i] = b.Cols[j]
-	}
-	p.out.Sel = b.Sel
-	return &p.out, true
-}
-
-// Reset implements BatchOperator.
-func (p *BatchProject) Reset() { p.in.Reset() }
-
-// batchSource is implemented by row operators that are really thin views over
-// a batch pipeline; batchify unwraps them instead of re-buffering rows.
-type batchSource interface {
-	batchSource() BatchOperator
-}
-
-// batchify converts a row operator into a batch operator without a buffering
-// round-trip whenever possible: Rows views (including the Sort/MergeJoin row
-// wrappers) unwrap to their underlying batch pipeline and table scans become
-// zero-copy batch scans; only genuinely row-native operators pay for the
-// Batches buffering adapter.
-func batchify(op Operator) BatchOperator {
-	switch o := op.(type) {
-	case batchSource:
-		return o.batchSource()
-	case *TableScan:
-		return NewBatchScan(o.table)
-	default:
-		return NewBatches(op)
-	}
-}
-
-// Rows adapts a BatchOperator to the row Operator interface, preserving the
-// batch pipeline's row order. It is the thin compatibility layer for callers
-// that still want rows.
-type Rows struct {
-	in  BatchOperator
-	cur *Batch
-	pos int
-	row []int64
-}
-
-// NewRows wraps a batch operator as a row operator.
-func NewRows(in BatchOperator) *Rows {
-	return &Rows{in: in, row: make([]int64, len(in.Columns()))}
-}
-
-// Columns implements Operator.
-func (a *Rows) Columns() []string { return a.in.Columns() }
-
-// batchSource exposes the underlying batch pipeline to batchify.
-func (a *Rows) batchSource() BatchOperator { return a.in }
-
-// Next implements Operator.
-func (a *Rows) Next() ([]int64, bool) {
-	for a.cur == nil || a.pos >= a.cur.NumRows() {
-		b, ok := a.in.NextBatch()
-		if !ok {
-			return nil, false
-		}
-		a.cur, a.pos = b, 0
-	}
-	r := a.pos
-	if a.cur.Sel != nil {
-		r = int(a.cur.Sel[a.pos])
-	}
-	for i, c := range a.cur.Cols {
-		a.row[i] = c[r]
-	}
-	a.pos++
-	return a.row, true
-}
-
-// Reset implements Operator.
-func (a *Rows) Reset() {
-	a.in.Reset()
-	a.cur, a.pos = nil, 0
-}
-
-// Batches adapts a row Operator to the batch interface by buffering rows
-// column-wise, so row-only operators can feed a vectorized pipeline.
-type Batches struct {
-	in   Operator
-	size int
-	bufs [][]int64
-	out  Batch
-}
-
-// NewBatches wraps a row operator as a batch operator with the default batch
-// size.
-func NewBatches(in Operator) *Batches { return NewBatchesSize(in, DefaultBatchSize) }
-
-// NewBatchesSize is NewBatches with an explicit batch size.
-func NewBatchesSize(in Operator, batchSize int) *Batches {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	nc := len(in.Columns())
-	b := &Batches{in: in, size: batchSize, bufs: make([][]int64, nc)}
-	for i := range b.bufs {
-		b.bufs[i] = make([]int64, 0, batchSize)
-	}
-	b.out.Cols = make([][]int64, nc)
-	return b
-}
-
-// Columns implements BatchOperator.
-func (b *Batches) Columns() []string { return b.in.Columns() }
-
-// NextBatch implements BatchOperator.
-func (b *Batches) NextBatch() (*Batch, bool) {
-	for i := range b.bufs {
-		b.bufs[i] = b.bufs[i][:0]
-	}
-	n := 0
-	for n < b.size {
-		row, ok := b.in.Next()
-		if !ok {
-			break
-		}
-		for i, v := range row {
-			b.bufs[i] = append(b.bufs[i], v)
-		}
-		n++
-	}
-	if n == 0 {
-		return nil, false
-	}
-	copy(b.out.Cols, b.bufs)
-	b.out.Sel = nil
-	return &b.out, true
-}
-
-// Reset implements BatchOperator.
-func (b *Batches) Reset() { b.in.Reset() }

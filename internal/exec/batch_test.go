@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
+	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
 )
 
-func drainBatches(t *testing.T, op BatchOperator) [][]int64 {
+func drainBatches(t testing.TB, op BatchOperator) [][]int64 {
 	t.Helper()
 	var out [][]int64
 	for {
@@ -73,84 +74,66 @@ func TestBatchScan(t *testing.T) {
 	}
 }
 
+// rangePred is the batch predicate lo <= cols[idx][r] <= hi.
+func rangePred(idx int, lo, hi int64) func(cols [][]int64, r int) bool {
+	return func(cols [][]int64, r int) bool { return cols[idx][r] >= lo && cols[idx][r] <= hi }
+}
+
 func TestBatchFilterAndProject(t *testing.T) {
 	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}})
-	f, err := NewBatchRangeFilter(NewBatchScan(tab), "R.a", 15, 35)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewBatchFilter(NewBatchScan(tab), rangePred(1, 15, 35))
 	rows := drainBatches(t, f)
 	if !reflect.DeepEqual(rows, [][]int64{{2, 20}, {3, 30}}) {
 		t.Errorf("filtered = %v", rows)
 	}
-	if _, err := NewBatchRangeFilter(NewBatchScan(tab), "R.zz", 0, 1); err == nil {
-		t.Error("bad column: want error")
-	}
-
+	// A filter over a filter narrows the inner selection vector.
 	f.Reset()
-	p, err := NewBatchProject(f, "R.a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows = drainBatches(t, p)
-	if !reflect.DeepEqual(rows, [][]int64{{20}, {30}}) {
-		t.Errorf("projected through filter = %v", rows)
-	}
-	if _, err := NewBatchProject(NewBatchScan(tab), "bogus"); err == nil {
-		t.Error("bad project column: want error")
-	}
-}
-
-// TestRowsBatchesAdapters: wrapping row->batch->row preserves the stream.
-func TestRowsBatchesAdapters(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	direct := drain(t, NewTableScan(tab))
-	adapted := drain(t, NewRows(NewBatches(NewTableScan(tab))))
-	if !reflect.DeepEqual(direct, adapted) {
-		t.Errorf("adapted rows = %v, want %v", adapted, direct)
-	}
-	a := NewRows(NewBatchScan(tab))
-	if got := drain(t, a); !reflect.DeepEqual(got, direct) {
-		t.Errorf("batch-scan rows = %v, want %v", got, direct)
-	}
-	a.Reset()
-	if got := drain(t, a); len(got) != 3 {
-		t.Errorf("after Reset: %v", got)
+	rows = drainBatches(t, NewBatchFilter(f, rangePred(0, 3, 4)))
+	if !reflect.DeepEqual(rows, [][]int64{{3, 30}}) {
+		t.Errorf("filtered through filter = %v", rows)
 	}
 }
 
 // TestVecHashJoinBitIdentical: the vectorized join must produce exactly the
-// same output sequence (not just multiset) as the row HashJoin and the
-// NestedLoopJoin reference, at every parallelism level.
+// same output sequence (not just multiset) as the nested-loop reference, for
+// single- and multi-condition joins, at every parallelism level and under a
+// 1-byte budget that pushes the build side into grace partitioning.
 func TestVecHashJoinBitIdentical(t *testing.T) {
-	r, s := randomJoinInputs(3, 5000, 4000, 300)
-	want := drain(t, mustNestedLoop(t, NewTableScan(r), NewTableScan(s),
-		JoinCond{LeftCol: "R.x", RightCol: "S.y"}))
-	rowJoin, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, rowJoin); !reflect.DeepEqual(got, want) {
-		t.Fatalf("row HashJoin output differs from NestedLoopJoin (%d vs %d rows)", len(got), len(want))
-	}
-	for _, p := range []int{1, 2, 4, 0} {
-		vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-		if err != nil {
-			t.Fatal(err)
+	r1, s1 := randomJoinInputs(3, 5000, 4000, 300)
+	r2, s2, conds2 := randomMultiCondInputs(5)
+	for _, in := range []struct {
+		name  string
+		r, s  *data.Table
+		conds []JoinCond
+	}{
+		{"single", r1, s1, []JoinCond{{LeftCol: "R.x", RightCol: "S.y"}}},
+		{"multi", r2, s2, conds2},
+	} {
+		want := nestedLoop(t, scanRel(t, in.r), scanRel(t, in.s), in.conds...).rows
+		if len(want) == 0 {
+			t.Fatalf("%s: reference join is empty; the test data is broken", in.name)
 		}
-		if got := drainBatches(t, vj); !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: VecHashJoin output differs from NestedLoopJoin (%d vs %d rows)", p, len(got), len(want))
+		for _, tc := range []struct {
+			parallelism int
+			budget      int64
+		}{{1, 0}, {2, 0}, {4, 0}, {0, 0}, {1, 1}, {4, 1}} {
+			gov := mem.NewGovernor(tc.budget)
+			vj, err := NewVecHashJoinMem(NewBatchScan(in.r), NewBatchScan(in.s), tc.parallelism, 0, gov, in.conds...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drainBatches(t, vj); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s parallelism %d budget %d: VecHashJoin order differs from the nested-loop reference (%d vs %d rows)",
+					in.name, tc.parallelism, tc.budget, len(got), len(want))
+			}
+			if (tc.budget > 0) != (vj.grace != nil) {
+				t.Fatalf("%s budget %d: grace mode = %v", in.name, tc.budget, vj.grace != nil)
+			}
+			if err := gov.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-}
-
-func mustNestedLoop(t *testing.T, l, r Operator, conds ...JoinCond) *NestedLoopJoin {
-	t.Helper()
-	j, err := NewNestedLoopJoin(l, r, conds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
 }
 
 // TestVecHashJoinLongChain exercises a match chain longer than a batch, which
@@ -163,7 +146,7 @@ func TestVecHashJoinLongChain(t *testing.T) {
 		}
 	}
 	s := makeTable(t, "S", []string{"y"}, [][]int64{{7}, {8}, {7}})
-	vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), 1, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+	vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,24 +169,24 @@ func TestVecHashJoinLongChain(t *testing.T) {
 func TestVecHashJoinEmptyInputs(t *testing.T) {
 	empty := data.MustNewTable("E", "x")
 	full := makeTable(t, "F", []string{"y"}, [][]int64{{1}, {2}})
-	j1, err := NewVecHashJoin(NewBatchScan(empty), NewBatchScan(full), 1, JoinCond{LeftCol: "E.x", RightCol: "F.y"})
+	j1, err := NewVecHashJoinSize(NewBatchScan(empty), NewBatchScan(full), 1, 0, JoinCond{LeftCol: "E.x", RightCol: "F.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows := drainBatches(t, j1); len(rows) != 0 {
 		t.Errorf("empty build side: %d rows", len(rows))
 	}
-	j2, err := NewVecHashJoin(NewBatchScan(full), NewBatchScan(empty), 1, JoinCond{LeftCol: "F.y", RightCol: "E.x"})
+	j2, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 1, 0, JoinCond{LeftCol: "F.y", RightCol: "E.x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows := drainBatches(t, j2); len(rows) != 0 {
 		t.Errorf("empty probe side: %d rows", len(rows))
 	}
-	if _, err := NewVecHashJoin(NewBatchScan(full), NewBatchScan(empty), 1); err == nil {
+	if _, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 1, 0); err == nil {
 		t.Error("no conditions: want error")
 	}
-	if _, err := NewVecHashJoin(NewBatchScan(full), NewBatchScan(empty), 1, JoinCond{LeftCol: "F.q", RightCol: "E.x"}); err == nil {
+	if _, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 1, 0, JoinCond{LeftCol: "F.q", RightCol: "E.x"}); err == nil {
 		t.Error("bad column: want error")
 	}
 }
@@ -236,69 +219,32 @@ func randomMultiCondInputs(seed int64) (*data.Table, *data.Table, []JoinCond) {
 	return r, s, conds
 }
 
-// TestJoinPropertyMultiCond is the property test over the three join
+// TestJoinPropertyMultiCond is the property test over the join
 // implementations: on randomized multi-condition inputs (duplicates on both
-// sides, negative keys, empty inputs) HashJoin, VecHashJoin, NestedLoopJoin,
-// and MergeJoin (on the first condition, remaining conditions as a filter)
-// must produce identical sorted outputs.
+// sides, negative keys, empty inputs) VecHashJoin and the nested-loop
+// reference must produce identical sorted outputs.
 func TestJoinPropertyMultiCond(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r, s, conds := randomMultiCondInputs(seed)
-
-		nj := mustNestedLoop(t, NewTableScan(r), NewTableScan(s), conds...)
-		want := drain(t, nj)
+		want := nestedLoop(t, scanRel(t, r), scanRel(t, s), conds...).rows
 		sortRows(want)
-
-		hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), conds...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, hj)
-		sortRows(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: HashJoin != NestedLoopJoin (%d vs %d rows)", seed, len(got), len(want))
-		}
-
 		for _, p := range []int{1, 3} {
-			vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, conds...)
+			vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), p, 0, conds...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			vg := drainBatches(t, vj)
 			sortRows(vg)
 			if !reflect.DeepEqual(vg, want) {
-				t.Fatalf("seed %d parallelism %d: VecHashJoin != NestedLoopJoin (%d vs %d rows)", seed, p, len(vg), len(want))
+				t.Fatalf("seed %d parallelism %d: VecHashJoin != nested loop (%d vs %d rows)", seed, p, len(vg), len(want))
 			}
-		}
-
-		// MergeJoin handles the first condition; the second is applied as an
-		// equality filter on top — together an equivalent multi-condition join.
-		ls, err := NewSort(NewTableScan(r), "R.w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewSort(NewTableScan(s), "S.x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj, err := NewMergeJoin(ls, rs, "R.w", "S.x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		iy, _ := columnIndex(mj.Columns(), "R.y")
-		iz, _ := columnIndex(mj.Columns(), "S.z")
-		mg := drain(t, NewFilter(mj, func(row []int64) bool { return row[iy] == row[iz] }))
-		sortRows(mg)
-		if !reflect.DeepEqual(mg, want) {
-			t.Fatalf("seed %d: MergeJoin+filter != NestedLoopJoin (%d vs %d rows)", seed, len(mg), len(want))
 		}
 	}
 }
 
-// TestPlanBatchMatchesRowReference: the full batch pipeline (Plan + the Rows
-// adapter) must be row-for-row identical to a reference plan assembled from
-// NestedLoopJoin in the same join order, and identical at every parallelism
-// level — the executor-rewrite acceptance check.
+// TestPlanBatchMatchesRowReference: the full batch pipeline must be
+// row-for-row identical to a reference plan assembled from nested-loop joins
+// in the same join order, and identical at every parallelism level.
 func TestPlanBatchMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cat := data.NewCatalog()
@@ -323,10 +269,9 @@ func TestPlanBatchMatchesRowReference(t *testing.T) {
 	}
 
 	// Reference: the same connectivity-preserving join order with nested
-	// loops (build side left, probe side right), row at a time.
-	j1 := mustNestedLoop(t, NewTableScan(s), NewTableScan(r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
-	j2 := mustNestedLoop(t, NewTableScan(u), j1, JoinCond{LeftCol: "T.w", RightCol: "S.z"})
-	want := drain(t, j2)
+	// loops (build side left, probe side right).
+	j1 := nestedLoop(t, scanRel(t, s), scanRel(t, r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
+	want := nestedLoop(t, scanRel(t, u), j1, JoinCond{LeftCol: "T.w", RightCol: "S.z"}).rows
 
 	for _, p := range []int{1, 2, 0} {
 		op, err := PlanBatch(cat, e, Options{Parallelism: p})
@@ -340,50 +285,6 @@ func TestPlanBatchMatchesRowReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallelism %d: batch plan output differs from nested-loop reference", p)
 		}
-	}
-
-	// Materialize through the batch pipeline must agree with a row-at-a-time
-	// materialization of the reference.
-	op, err := Plan(cat, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := Materialize(op, "RST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Reset()
-	// NestedLoopJoin.Reset only rewinds the probe side; rebuild to be safe.
-	j1b := mustNestedLoop(t, NewTableScan(s), NewTableScan(r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
-	j2b := mustNestedLoop(t, NewTableScan(u), j1b, JoinCond{LeftCol: "T.w", RightCol: "S.z"})
-	ref := drain(t, j2b)
-	if tab.NumRows() != len(ref) {
-		t.Fatalf("materialized %d rows, want %d", tab.NumRows(), len(ref))
-	}
-	for c, name := range tab.ColumnNames() {
-		col := tab.MustColumn(name)
-		for i := range ref {
-			if col[i] != ref[i][c] {
-				t.Fatalf("materialized [%d][%s] = %d, want %d", i, name, col[i], ref[i][c])
-			}
-		}
-	}
-}
-
-// TestMaterializeRowOperator: Materialize still accepts arbitrary row
-// operators (not produced by Plan).
-func TestMaterializeRowOperator(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	f, err := NewRangeFilter(NewTableScan(tab), "R.a", 15, 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Materialize(f, "F")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 2 || !out.HasColumn("R_a") {
-		t.Errorf("materialized: %d rows, cols %v", out.NumRows(), out.ColumnNames())
 	}
 }
 

@@ -28,128 +28,12 @@ func benchJoinInputs(nl, nr, domain int) (*data.Table, *data.Table) {
 	return r, s
 }
 
-// seedHashJoin is the string-keyed map join this PR replaced, preserved
-// verbatim as the benchmark baseline.
-type seedHashJoin struct {
-	left, right Operator
-	lIdx, rIdx  []int
-	ncols       int
-
-	built   bool
-	ht      map[string][][]int64
-	pending [][]int64
-	current []int64
-	row     []int64
-}
-
-func newSeedHashJoin(left, right Operator, conds ...JoinCond) (*seedHashJoin, error) {
-	j := &seedHashJoin{left: left, right: right}
-	for _, c := range conds {
-		li, err := columnIndex(left.Columns(), c.LeftCol)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := columnIndex(right.Columns(), c.RightCol)
-		if err != nil {
-			return nil, err
-		}
-		j.lIdx = append(j.lIdx, li)
-		j.rIdx = append(j.rIdx, ri)
-	}
-	j.ncols = len(left.Columns()) + len(right.Columns())
-	j.row = make([]int64, j.ncols)
-	return j, nil
-}
-
-func seedJoinKey(row []int64, idx []int) string {
-	buf := make([]byte, 0, len(idx)*8)
-	for _, i := range idx {
-		v := uint64(row[i])
-		buf = append(buf,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return string(buf)
-}
-
-func (j *seedHashJoin) Next() ([]int64, bool) {
-	if !j.built {
-		j.ht = make(map[string][][]int64)
-		for {
-			row, ok := j.left.Next()
-			if !ok {
-				break
-			}
-			cp := make([]int64, len(row))
-			copy(cp, row)
-			j.ht[seedJoinKey(cp, j.lIdx)] = append(j.ht[seedJoinKey(cp, j.lIdx)], cp)
-		}
-		j.built = true
-	}
-	for {
-		if len(j.pending) > 0 {
-			l := j.pending[0]
-			j.pending = j.pending[1:]
-			copy(j.row, l)
-			copy(j.row[len(l):], j.current)
-			return j.row, true
-		}
-		r, ok := j.right.Next()
-		if !ok {
-			return nil, false
-		}
-		matches := j.ht[seedJoinKey(r, j.rIdx)]
-		if len(matches) == 0 {
-			continue
-		}
-		if j.current == nil {
-			j.current = make([]int64, len(r))
-		}
-		copy(j.current, r)
-		j.pending = matches
-	}
-}
-
-// BenchmarkHashJoin measures a single equi-join producing ~1M output rows:
-// the seed string-keyed map join, the rewritten row HashJoin, and the
-// vectorized join at parallelism 1 and GOMAXPROCS. The acceptance bar for
-// this PR is new/seed >= 2x at parallelism 1.
+// BenchmarkHashJoin measures a single equi-join producing ~1M output rows at
+// parallelism 1 and GOMAXPROCS.
 func BenchmarkHashJoin(b *testing.B) {
 	r, s := benchJoinInputs(100_000, 100_000, 10_000)
 	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
 
-	b.Run("seed-stringmap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j, err := newSeedHashJoin(NewTableScan(r), NewTableScan(s), cond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rows int64
-			for {
-				if _, ok := j.Next(); !ok {
-					break
-				}
-				rows++
-			}
-			b.ReportMetric(float64(rows), "outrows")
-		}
-	})
-	b.Run("row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j, err := NewHashJoin(NewTableScan(r), NewTableScan(s), cond)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rows int64
-			for {
-				if _, ok := j.Next(); !ok {
-					break
-				}
-				rows++
-			}
-			b.ReportMetric(float64(rows), "outrows")
-		}
-	})
 	for _, p := range []int{1, 0} {
 		name := "vec-parallel1"
 		if p == 0 {
@@ -157,7 +41,7 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				j, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, cond)
+				j, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), p, 0, cond)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,49 +91,6 @@ func chainCatalog(rows int, domain int64) (*data.Catalog, *query.Expr) {
 
 func benchPlanCatalog() (*data.Catalog, *query.Expr) {
 	return chainCatalog(20_000, 2_000)
-}
-
-// BenchmarkMaterialize measures the full batch pipeline — plan, join, and
-// bulk-append into a data.Table — for a 3-way chain join.
-func BenchmarkMaterialize(b *testing.B) {
-	cat, e := benchPlanCatalog()
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			op, err := PlanBatch(cat, e, Options{Parallelism: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tab, err := MaterializeBatch(op, "out")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(tab.NumRows()), "outrows")
-		}
-	})
-	b.Run("rowloop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			op, err := PlanBatch(cat, e, Options{Parallelism: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows := NewRows(op)
-			names := make([]string, len(rows.Columns()))
-			for c := range names {
-				names[c] = fmt.Sprintf("c%d", c)
-			}
-			tab := data.MustNewTable("out", names...)
-			for {
-				row, ok := rows.Next()
-				if !ok {
-					break
-				}
-				if err := tab.AppendRow(row...); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(tab.NumRows()), "outrows")
-		}
-	})
 }
 
 // BenchmarkPipeline measures the morsel-driven pipeline end to end — plan,

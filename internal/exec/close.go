@@ -111,16 +111,6 @@ func (pl *Pipeline) ClosePlan() {
 	ClosePlan(pl.serial)
 }
 
-// The remaining operators hold no governed state of their own; they only
-// forward the close to their children.
-
-func (f *BatchFilter) ClosePlan()  { ClosePlan(f.in) }
-func (p *BatchProject) ClosePlan() { ClosePlan(p.in) }
-func (r *Rows) ClosePlan()         { ClosePlan(r.in) }
-func (b *Batches) ClosePlan()      { ClosePlan(b.in) }
-func (f *Filter) ClosePlan()       { ClosePlan(f.in) }
-func (p *Project) ClosePlan()      { ClosePlan(p.in) }
-func (j *BatchMergeJoin) ClosePlan() {
-	ClosePlan(j.left)
-	ClosePlan(j.right)
-}
+// BatchFilter holds no governed state of its own; it only forwards the close
+// to its input.
+func (f *BatchFilter) ClosePlan() { ClosePlan(f.in) }

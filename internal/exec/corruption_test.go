@@ -13,9 +13,8 @@ import (
 // Spilled state lives outside the process, so the engine must never trust it
 // blindly: every run frame carries a checksum, and these tests prove that a
 // disk that flips a bit or drops a tail turns into a loud spill panic on the
-// re-read path — for the external sort and the grace join, in both the
-// compressed (SRN2) and raw (SRN1) run formats — never into silently wrong
-// rows.
+// re-read path — for the external sort and the grace join — never into
+// silently wrong rows.
 
 // expectSpillPanic runs fn and asserts it panics with a message mentioning
 // substr.
@@ -98,19 +97,16 @@ func chopTail(t *testing.T) func(path string, size int64) {
 func TestExternalSortCorruptRunDetected(t *testing.T) {
 	tab, _ := spillJoinTables(t, 4000, 1)
 	for _, tc := range []struct {
-		name     string
-		compress bool
-		damage   func(t *testing.T) func(string, int64)
-		want     string
+		name   string
+		damage func(t *testing.T) func(string, int64)
+		want   string
 	}{
-		{"srn2-bitflip", true, flipByte, "checksum"},
-		{"srn2-truncated", true, chopTail, "truncated"},
-		{"srn1-bitflip", false, flipByte, "checksum"},
+		{"srn2-bitflip", flipByte, "checksum"},
+		{"srn2-truncated", chopTail, "truncated"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gov := mem.NewGovernor(1)
-			gov.SetSpillCompression(tc.compress)
-			s, err := NewBatchSortMem(NewBatchScan(tab), "L.k", 0, gov, nil)
+			s, err := NewBatchSortMem(NewBatchScan(tab), "L.k", 0, gov)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,20 +22,6 @@ func makeTable(t *testing.T, name string, cols []string, rows [][]int64) *data.T
 	return tab
 }
 
-func drain(t *testing.T, op Operator) [][]int64 {
-	t.Helper()
-	var out [][]int64
-	for {
-		row, ok := op.Next()
-		if !ok {
-			return out
-		}
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		out = append(out, cp)
-	}
-}
-
 func sortRows(rows [][]int64) {
 	sort.Slice(rows, func(i, j int) bool {
 		for k := range rows[i] {
@@ -47,63 +33,83 @@ func sortRows(rows [][]int64) {
 	})
 }
 
-func TestTableScan(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}})
-	s := NewTableScan(tab)
-	if !reflect.DeepEqual(s.Columns(), []string{"R.x", "R.a"}) {
-		t.Errorf("columns = %v", s.Columns())
+// rel is a fully drained operator: the input and output of the reference
+// join, so references nest the way plans do.
+type rel struct {
+	cols []string
+	rows [][]int64
+}
+
+// scanRel drains a whole-table scan.
+func scanRel(t testing.TB, tab *data.Table) rel {
+	t.Helper()
+	op := NewBatchScan(tab)
+	return rel{cols: op.Columns(), rows: drainBatches(t, op)}
+}
+
+// nestedLoop is the brute-force reference join every join test compares
+// against. It is right-major: for each right row in input order it emits
+// left-row ++ right-row for every matching left row in input order — the
+// emission order VecHashJoin (build left, probe right) must reproduce.
+func nestedLoop(t testing.TB, left, right rel, conds ...JoinCond) rel {
+	t.Helper()
+	if len(conds) == 0 {
+		t.Fatal("nested loop join needs at least one condition")
 	}
-	rows := drain(t, s)
-	if !reflect.DeepEqual(rows, [][]int64{{1, 10}, {2, 20}}) {
-		t.Errorf("rows = %v", rows)
+	lIdx, rIdx := make([]int, len(conds)), make([]int, len(conds))
+	for i, c := range conds {
+		var err error
+		if lIdx[i], err = columnIndex(left.cols, c.LeftCol); err != nil {
+			t.Fatal(err)
+		}
+		if rIdx[i], err = columnIndex(right.cols, c.RightCol); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.Reset()
-	if got := drain(t, s); len(got) != 2 {
-		t.Errorf("after Reset: %v", got)
+	out := rel{cols: append(append([]string(nil), left.cols...), right.cols...)}
+	for _, r := range right.rows {
+	nextLeft:
+		for _, l := range left.rows {
+			for c := range conds {
+				if l[lIdx[c]] != r[rIdx[c]] {
+					continue nextLeft
+				}
+			}
+			out.rows = append(out.rows, append(append([]int64(nil), l...), r...))
+		}
 	}
+	return out
 }
 
 func TestFilterAndProject(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	f, err := NewRangeFilter(NewTableScan(tab), "R.a", 15, 25)
+	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {20, 20}, {3, 30}})
+	f, err := equalityFilter(NewBatchScan(tab), "R.x", "R.a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := drain(t, f)
-	if !reflect.DeepEqual(rows, [][]int64{{2, 20}}) {
+	if !reflect.DeepEqual(f.Columns(), []string{"R.x", "R.a"}) {
+		t.Errorf("filter columns = %v", f.Columns())
+	}
+	rows := drainBatches(t, f)
+	if !reflect.DeepEqual(rows, [][]int64{{20, 20}}) {
 		t.Errorf("filtered = %v", rows)
 	}
-	if _, err := NewRangeFilter(NewTableScan(tab), "R.zz", 0, 1); err == nil {
+	if _, err := equalityFilter(NewBatchScan(tab), "R.zz", "R.a"); err == nil {
 		t.Error("bad column: want error")
-	}
-
-	p, err := NewProject(NewTableScan(tab), "R.a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Columns(), []string{"R.a"}) {
-		t.Errorf("project columns = %v", p.Columns())
-	}
-	rows = drain(t, p)
-	if !reflect.DeepEqual(rows, [][]int64{{10}, {20}, {30}}) {
-		t.Errorf("projected = %v", rows)
-	}
-	if _, err := NewProject(NewTableScan(tab), "bogus"); err == nil {
-		t.Error("bad project column: want error")
 	}
 }
 
 func TestHashJoinSmall(t *testing.T) {
 	r := makeTable(t, "R", []string{"x"}, [][]int64{{1}, {2}, {2}, {5}})
 	s := makeTable(t, "S", []string{"y", "a"}, [][]int64{{2, 100}, {3, 200}, {2, 300}, {1, 400}})
-	j, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+	j, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(j.Columns(), []string{"R.x", "S.y", "S.a"}) {
 		t.Errorf("columns = %v", j.Columns())
 	}
-	rows := drain(t, j)
+	rows := drainBatches(t, j)
 	sortRows(rows)
 	want := [][]int64{
 		{1, 1, 400},
@@ -115,14 +121,8 @@ func TestHashJoinSmall(t *testing.T) {
 	}
 	// Reset re-probes with the retained build side.
 	j.Reset()
-	if got := drain(t, j); len(got) != 5 {
+	if got := drainBatches(t, j); len(got) != 5 {
 		t.Errorf("after Reset: %d rows", len(got))
-	}
-	if _, err := NewHashJoin(NewTableScan(r), NewTableScan(s)); err == nil {
-		t.Error("no conditions: want error")
-	}
-	if _, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.q", RightCol: "S.y"}); err == nil {
-		t.Error("bad column: want error")
 	}
 }
 
@@ -140,46 +140,29 @@ func randomJoinInputs(seed int64, n1, n2, domain int) (*data.Table, *data.Table)
 	return r, s
 }
 
-// TestJoinEquivalence: hash join, merge join (over sorts) and nested loop
-// join must produce identical result multisets.
+// TestJoinEquivalence: the hash join and the nested-loop reference must
+// produce identical result multisets.
 func TestJoinEquivalence(t *testing.T) {
+	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
 	for seed := int64(0); seed < 5; seed++ {
 		r, s := randomJoinInputs(seed, 200, 150, 20)
-		hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+		hj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nj, err := NewNestedLoopJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls, err := NewSort(NewTableScan(r), "R.x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewSort(NewTableScan(s), "S.y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj, err := NewMergeJoin(ls, rs, "R.x", "S.y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, n, m := drain(t, hj), drain(t, nj), drain(t, mj)
+		h := drainBatches(t, hj)
+		n := nestedLoop(t, scanRel(t, r), scanRel(t, s), cond).rows
 		sortRows(h)
 		sortRows(n)
-		sortRows(m)
 		if !reflect.DeepEqual(h, n) {
 			t.Fatalf("seed %d: hash join != nested loop (%d vs %d rows)", seed, len(h), len(n))
-		}
-		if !reflect.DeepEqual(h, m) {
-			t.Fatalf("seed %d: hash join != merge join (%d vs %d rows)", seed, len(h), len(m))
 		}
 	}
 }
 
-// Property: all three joins agree on arbitrary small inputs.
+// Property: the two joins agree on arbitrary small inputs.
 func TestJoinEquivalenceQuick(t *testing.T) {
+	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
 	f := func(xs, ys []uint8) bool {
 		r := data.MustNewTable("R", "x")
 		for _, v := range xs {
@@ -189,50 +172,18 @@ func TestJoinEquivalenceQuick(t *testing.T) {
 		for _, v := range ys {
 			s.AppendRow(int64(v % 8))
 		}
-		hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+		hj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, cond)
 		if err != nil {
 			return false
 		}
-		nj, err := NewNestedLoopJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-		if err != nil {
-			return false
-		}
-		h := drainQuiet(hj)
-		n := drainQuiet(nj)
+		h := drainBatches(t, hj)
+		n := nestedLoop(t, scanRel(t, r), scanRel(t, s), cond).rows
 		sortRows(h)
 		sortRows(n)
 		return reflect.DeepEqual(h, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func drainQuiet(op Operator) [][]int64 {
-	var out [][]int64
-	for {
-		row, ok := op.Next()
-		if !ok {
-			return out
-		}
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		out = append(out, cp)
-	}
-}
-
-func TestMergeJoinDuplicatesBothSides(t *testing.T) {
-	r := makeTable(t, "R", []string{"x"}, [][]int64{{1}, {1}, {2}})
-	s := makeTable(t, "S", []string{"y"}, [][]int64{{1}, {1}, {1}, {2}})
-	ls, _ := NewSort(NewTableScan(r), "R.x")
-	rs, _ := NewSort(NewTableScan(s), "S.y")
-	mj, err := NewMergeJoin(ls, rs, "R.x", "S.y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drain(t, mj)
-	if len(rows) != 2*3+1 {
-		t.Errorf("merge join rows = %d, want 7", len(rows))
 	}
 }
 
@@ -268,19 +219,15 @@ func TestPlanAndMaterializeChain(t *testing.T) {
 	if n != 3 {
 		t.Errorf("range cardinality = %d, want 3", n)
 	}
-	op, err := Plan(cat, e)
+	op, err := PlanBatch(cat, e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Materialize(op, "RST")
-	if err != nil {
-		t.Fatal(err)
+	if rows := drainBatches(t, op); len(rows) != 5 {
+		t.Errorf("plan rows = %d", len(rows))
 	}
-	if tab.NumRows() != 5 {
-		t.Errorf("materialized rows = %d", tab.NumRows())
-	}
-	if !tab.HasColumn("S_a") {
-		t.Errorf("materialized columns = %v", tab.ColumnNames())
+	if _, err := columnIndex(op.Columns(), "S.a"); err != nil {
+		t.Errorf("plan columns = %v", op.Columns())
 	}
 }
 
@@ -325,10 +272,30 @@ func TestPlanErrors(t *testing.T) {
 	cat := data.NewCatalog()
 	cat.MustAdd(makeTable(t, "R", []string{"x"}, nil))
 	e := query.MustNewExpr(query.JoinPred{LeftTable: "R", LeftAttr: "x", RightTable: "S", RightAttr: "y"})
-	if _, err := Plan(cat, e); err == nil {
+	if _, err := PlanBatch(cat, e, Options{}); err == nil {
 		t.Error("missing table S: want error")
 	}
 	if _, err := AttrValues(cat, e, "S", "a"); err == nil {
 		t.Error("AttrValues with missing table: want error")
+	}
+}
+
+func TestOperatorResets(t *testing.T) {
+	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
+	f := NewBatchFilter(NewBatchScan(tab), rangePred(1, 15, 35))
+	first := drainBatches(t, f)
+	f.Reset()
+	second := drainBatches(t, f)
+	if len(first) != 2 || !reflect.DeepEqual(first, second) {
+		t.Errorf("filter reset: %v vs %v", first, second)
+	}
+	s, err := NewBatchSort(NewBatchScan(tab), "R.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainBatches(t, s)
+	s.Reset()
+	if got := drainBatches(t, s); len(got) != 3 {
+		t.Errorf("sort reset: %v", got)
 	}
 }

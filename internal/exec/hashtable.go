@@ -1,6 +1,6 @@
 package exec
 
-// joinTable is the shared hash-join core behind HashJoin and VecHashJoin.
+// joinTable is the hash-join core behind VecHashJoin.
 //
 // Build rows live in a flat row-major arena ([]int64 with a fixed stride =
 // number of build columns), so the build phase performs zero per-row slice
@@ -11,8 +11,8 @@ package exec
 // multi-condition joins (verified against the arena on probe) — plus the head
 // and tail of the chain of build rows sharing that slot key. Chains thread
 // through a per-row next array in insertion order, so probes emit matches in
-// build-input order: the executor's output is byte-identical to the row-at-a-
-// time executor it replaces, at every parallelism level.
+// build-input order: the executor's output is byte-identical at every
+// parallelism level.
 //
 // The build side is partitioned by high hash bits across workers: every
 // partition owns a private slot array, so insertion needs no locks, and a
@@ -87,12 +87,6 @@ func (t *joinTable) grow(n int) []int64 {
 	}
 	t.arena = t.arena[:need]
 	return t.arena[need-n:]
-}
-
-// appendRow copies one build row into the arena.
-func (t *joinTable) appendRow(row []int64) {
-	copy(t.grow(t.stride), row)
-	t.rows++
 }
 
 // appendBatch transposes a column batch into the arena (row-major), applying

@@ -76,14 +76,13 @@ func TestJoinTableAdversarialCollisions(t *testing.T) {
 		addPair(-i, i<<33, i)
 	}
 	conds := []JoinCond{{LeftCol: "R.w", RightCol: "S.x"}, {LeftCol: "R.y", RightCol: "S.z"}}
-	nj := mustNestedLoop(t, NewTableScan(r), NewTableScan(s), conds...)
-	want := drain(t, nj)
+	want := nestedLoop(t, scanRel(t, r), scanRel(t, s), conds...).rows
 	sortRows(want)
 	if len(want) == 0 {
 		t.Fatal("degenerate adversarial input: no true matches")
 	}
 	for _, p := range []int{1, 4} {
-		vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, conds...)
+		vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), p, 0, conds...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,15 +91,6 @@ func TestJoinTableAdversarialCollisions(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallelism %d: %d rows, want %d — slot-key collisions broke verification", p, len(got), len(want))
 		}
-	}
-	hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), conds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, hj)
-	sortRows(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("row HashJoin: %d rows, want %d", len(got), len(want))
 	}
 }
 
@@ -133,38 +123,16 @@ func FuzzJoinTableMultiCond(f *testing.F) {
 			}
 		}
 		conds := []JoinCond{{LeftCol: "R.w", RightCol: "S.x"}, {LeftCol: "R.y", RightCol: "S.z"}}
-		nj, err := NewNestedLoopJoin(NewTableScan(r), NewTableScan(s), conds...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drainQuiet(nj)
+		want := nestedLoop(t, scanRel(t, r), scanRel(t, s), conds...).rows
 		sortRows(want)
-		vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), 2, conds...)
+		vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 2, 0, conds...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got [][]int64
-		for {
-			b, ok := vj.NextBatch()
-			if !ok {
-				break
-			}
-			n := b.NumRows()
-			for i := 0; i < n; i++ {
-				row := make([]int64, len(b.Cols))
-				phys := i
-				if b.Sel != nil {
-					phys = int(b.Sel[i])
-				}
-				for c := range b.Cols {
-					row[c] = b.Cols[c][phys]
-				}
-				got = append(got, row)
-			}
-		}
+		got := drainBatches(t, vj)
 		sortRows(got)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("VecHashJoin multiset != NestedLoopJoin (%d vs %d rows)", len(got), len(want))
+			t.Fatalf("VecHashJoin multiset != nested loop (%d vs %d rows)", len(got), len(want))
 		}
 	})
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/sitstats/sits/internal/data"
 	"github.com/sitstats/sits/internal/mem"
@@ -29,62 +28,6 @@ type Options struct {
 	// Pool overrides the worker pool the plan forks onto; nil uses the
 	// process-wide Default pool.
 	Pool *Pool
-}
-
-// Materialize drains an operator into a table named name. Qualified column
-// names ("R.x") become "R_x" in the result. Rows are buffered column-wise and
-// flushed through the table's bulk-append API.
-func Materialize(op Operator, name string) (*data.Table, error) {
-	// batchify unwraps row views of batch pipelines (Rows, Sort, MergeJoin)
-	// so the drain stays column-wise end to end.
-	return MaterializeBatch(batchify(op), name)
-}
-
-// MaterializeBatch drains a batch operator into a table named name,
-// bulk-appending each batch (one copy per column per batch).
-func MaterializeBatch(op BatchOperator, name string) (*data.Table, error) {
-	cols := make([]string, len(op.Columns()))
-	for i, c := range op.Columns() {
-		cols[i] = strings.ReplaceAll(c, ".", "_")
-	}
-	t, err := data.NewTable(name, cols...)
-	if err != nil {
-		return nil, err
-	}
-	scratch := make([][]int64, len(cols))
-	for {
-		b, ok := op.NextBatch()
-		if !ok {
-			break
-		}
-		out := b.Cols
-		if b.Sel != nil {
-			// Compact selected rows into reusable scratch columns.
-			for i, c := range b.Cols {
-				s := scratch[i][:0]
-				for _, r := range b.Sel {
-					s = append(s, c[r])
-				}
-				scratch[i] = s
-			}
-			out = scratch
-		}
-		t.Grow(len(out[0]))
-		if err := t.AppendBatch(out); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// Plan builds an operator tree evaluating the generating expression and
-// returns its row view; see PlanBatch for the underlying vectorized pipeline.
-func Plan(cat *data.Catalog, e *query.Expr) (Operator, error) {
-	op, err := PlanBatch(cat, e, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return NewRows(op), nil
 }
 
 // PlanBatch builds a vectorized operator tree evaluating the generating

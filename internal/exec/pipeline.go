@@ -10,7 +10,7 @@ import (
 
 // Pipeline is the morsel-driven parallel executor: it splits a base table
 // scan into fixed-size morsels (a few batches each), runs the whole operator
-// chain — scan → filter → project → join-probe — over each morsel as one
+// chain — scan → filter → join-probe — over each morsel as one
 // pool task, and re-emits the per-morsel outputs in morsel order. Because
 // every stage in the chain is row-local (filters and probes map input rows
 // to output rows independently of neighbouring morsels) and morsel

@@ -27,18 +27,14 @@ func pipelineTable(t *testing.T, rows int) *data.Table {
 // poolWidths is the property matrix of the determinism suite.
 var poolWidths = []int{1, 2, 4, 8}
 
-// TestPipelineFilterProjectBitIdentical drives a scan → filter → project
-// chain through NewPipeline at every pool width and asserts the emitted row
-// stream equals the serial chain's bit for bit.
+// TestPipelineFilterProjectBitIdentical drives a scan → filter → filter chain
+// through NewPipeline at every pool width and asserts the emitted row stream
+// equals the serial chain's bit for bit.
 func TestPipelineFilterProjectBitIdentical(t *testing.T) {
 	tab := pipelineTable(t, 10_000)
 	const batch = 128
 	chain := func(src BatchOperator) (BatchOperator, error) {
-		f, err := NewBatchRangeFilter(src, "P.k", 100, 800)
-		if err != nil {
-			return nil, err
-		}
-		return NewBatchProject(f, "P.v", "P.k")
+		return NewBatchFilter(NewBatchFilter(src, rangePred(0, 100, 800)), rangePred(2, 10, 40)), nil
 	}
 	serial := func() BatchOperator {
 		op, err := chain(NewBatchScanSize(tab, batch))
@@ -151,7 +147,7 @@ func TestPipelineGraceFallback(t *testing.T) {
 func TestVecHashJoinWidthBudgetMatrix(t *testing.T) {
 	l, r := spillJoinTables(t, 3000, 4000)
 	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
-	refJ, err := NewVecHashJoin(NewBatchScan(l), NewBatchScan(r), 1, cond)
+	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 1, 0, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +186,7 @@ func TestBatchSortParallelGatherMatchesReference(t *testing.T) {
 		}
 	}
 	mk := func(gov *mem.Governor) *BatchSort {
-		s, err := NewBatchSortMem(NewBatchScan(tab), "G.k", 0, gov, nil)
+		s, err := NewBatchSortMem(NewBatchScan(tab), "G.k", 0, gov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,14 +223,8 @@ func TestBatchScanRange(t *testing.T) {
 	if rows[0][1] != 300 || rows[399][1] != 699 {
 		t.Fatalf("range scan bounds wrong: first v=%d last v=%d", rows[0][1], rows[399][1])
 	}
-	if s.wholeTable() {
-		t.Fatal("partial scan must not report wholeTable")
-	}
 	s.Reset()
 	if again := drainBatches(t, s); !reflect.DeepEqual(again, rows) {
 		t.Fatal("Reset did not rewind to the range start")
-	}
-	if !NewBatchScanRange(tab, 0, tab.NumRows(), 64).wholeTable() {
-		t.Fatal("full-range scan must report wholeTable")
 	}
 }

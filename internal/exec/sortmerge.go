@@ -8,17 +8,10 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
-// This file holds the batch-native sort and merge-join operators. Both used to
-// run row-at-a-time behind the Rows/Batches adapters, which cost a transpose
-// on entry and exit plus a row copy per advance; here Sort argsorts an index
-// permutation over materialized column vectors and gathers each column once,
-// and MergeJoin merges two sorted batch streams with run detection for
-// duplicate keys, emitting column batches directly. The row Sort/MergeJoin
-// types in operators.go are thin row views over these.
-
 // BatchSort materializes its input column-wise and sorts it by one column
-// ascending. The sort is stable: rows with equal keys keep their input order,
-// matching the row-at-a-time sort it replaces bit for bit.
+// ascending: it argsorts an index permutation over the materialized column
+// vectors and gathers each column once. The sort is stable: rows with equal
+// keys keep their input order.
 //
 // Under a memory governor BatchSort is an external merge sort: input buffers
 // grow only as far as the operator's grant allows; when a reservation is
@@ -29,10 +22,6 @@ import (
 // in-memory stable sort at any budget and any pool width. Without a governor (or when
 // everything fits the budget) the in-memory path is unchanged: argsort an
 // index permutation, gather every column once, serve zero-copy sub-slices.
-//
-// Sorts whose input is a whole-table scan consult the sorted-run cache (when
-// one is attached): a hit skips the drain and argsort entirely; a completed
-// in-memory sort populates it.
 type BatchSort struct {
 	in    BatchOperator
 	col   string
@@ -40,7 +29,6 @@ type BatchSort struct {
 	size  int
 	grant *mem.Grant
 	gov   *mem.Governor
-	cache *SortCache
 
 	sorted bool
 	// In-memory mode: fully sorted columns served as sub-slices.
@@ -101,12 +89,12 @@ func NewBatchSort(in BatchOperator, col string) (*BatchSort, error) {
 
 // NewBatchSortSize is NewBatchSort with an explicit batch size (0 = adaptive).
 func NewBatchSortSize(in BatchOperator, col string, batchSize int) (*BatchSort, error) {
-	return NewBatchSortMem(in, col, batchSize, nil, nil)
+	return NewBatchSortMem(in, col, batchSize, nil)
 }
 
 // NewBatchSortMem is NewBatchSortSize with a memory governor (nil =
-// unlimited, never spills) and a sorted-run cache (nil = no caching).
-func NewBatchSortMem(in BatchOperator, col string, batchSize int, gov *mem.Governor, cache *SortCache) (*BatchSort, error) {
+// unlimited, never spills).
+func NewBatchSortMem(in BatchOperator, col string, batchSize int, gov *mem.Governor) (*BatchSort, error) {
 	i, err := columnIndex(in.Columns(), col)
 	if err != nil {
 		return nil, err
@@ -114,7 +102,7 @@ func NewBatchSortMem(in BatchOperator, col string, batchSize int, gov *mem.Gover
 	if batchSize <= 0 {
 		batchSize = AdaptiveBatchSize(len(in.Columns()))
 	}
-	s := &BatchSort{in: in, col: col, idx: i, size: batchSize, gov: gov, cache: cache}
+	s := &BatchSort{in: in, col: col, idx: i, size: batchSize, gov: gov}
 	s.grant = gov.Grant("sort(" + col + ")")
 	s.out.Cols = make([][]int64, len(in.Columns()))
 	return s, nil
@@ -291,24 +279,11 @@ func (s *BatchSort) reserveDrain(b *Batch, nc int, force bool) bool {
 
 // sort drains the input under the memory grant, spilling sorted runs when
 // the budget denies growth, then either finishes in memory (argsort + gather
-// — with a presorted fast path and sorted-run caching) or sets up the
-// loser-tree merge over the spilled runs.
+// — with a presorted fast path) or sets up the loser-tree merge over the
+// spilled runs.
 func (s *BatchSort) sort() {
 	s.sorted = true
 	nc := len(s.out.Cols)
-	// Sorted-run cache: a whole-table scan sorted on the same column serves
-	// the cached columns, skipping the drain and argsort entirely.
-	scan, fromScan := s.in.(*BatchScan)
-	if s.cache != nil && fromScan && scan.pos == 0 && scan.wholeTable() {
-		if cols, ok := s.cache.lookup(scan.table, s.col, scan.gen); ok {
-			s.cols = cols
-			s.n = 0
-			if nc > 0 {
-				s.n = len(cols[0])
-			}
-			return
-		}
-	}
 	s.bufCols = make([][]int64, nc)
 	for {
 		b, ok := s.in.NextBatch()
@@ -345,7 +320,7 @@ func (s *BatchSort) sort() {
 	}
 
 	if len(s.runs) == 0 {
-		s.finishInMemory(scan, fromScan)
+		s.finishInMemory()
 		return
 	}
 	s.flushRunAsync()
@@ -354,12 +329,11 @@ func (s *BatchSort) sort() {
 	s.openMerge()
 }
 
-// finishInMemory completes the no-spill path: presorted detection, argsort +
-// gather, and sorted-run cache population for whole-table scans. The gather
-// needs a second copy of the working set; when even that reservation is
-// denied, the buffer is spilled as a single sorted run and served through
-// the (memory-light) merge path instead.
-func (s *BatchSort) finishInMemory(scan *BatchScan, fromScan bool) {
+// finishInMemory completes the no-spill path: presorted detection, then
+// argsort + gather. The gather needs a second copy of the working set; when
+// even that reservation is denied, the buffer is spilled as a single sorted
+// run and served through the (memory-light) merge path instead.
+func (s *BatchSort) finishInMemory() {
 	nc := len(s.out.Cols)
 	cols := s.bufCols
 	s.n = 0
@@ -399,9 +373,6 @@ func (s *BatchSort) finishInMemory(scan *BatchScan, fromScan bool) {
 		s.bufBytes = int64(s.n) * int64(nc) * 8
 	}
 	s.bufCols = nil
-	if s.cache != nil && fromScan && scan.wholeTable() {
-		s.cache.store(scan.table, s.col, scan.gen, s.cols)
-	}
 }
 
 // gatherBlockRows is the morsel granularity of the parallel gather: below
@@ -540,8 +511,8 @@ func (s *BatchSort) nextMerged() (*Batch, bool) {
 }
 
 // Reset implements BatchOperator: the sorted data is retained and only the
-// output cursor rewinds, matching the original row sort's contract. In spill
-// mode the runs are retained and the merge restarts over fresh cursors.
+// output cursor rewinds. In spill mode the runs are retained and the merge
+// restarts over fresh cursors.
 func (s *BatchSort) Reset() {
 	s.pos = 0
 	if s.lt != nil {
@@ -554,283 +525,4 @@ func (s *BatchSort) Reset() {
 		}
 		s.openMerge()
 	}
-}
-
-// BatchMergeJoin equi-joins two batch streams sorted ascending on their single
-// join columns. Duplicate-key runs on the left are detected per batch and
-// buffered column-wise (runs may span batch boundaries), so pairing a right
-// row with a run of k matches costs one memcopy per left column instead of k
-// row copies. Matches are emitted per right row in left-input order — the same
-// output sequence as the row-at-a-time merge join it replaces.
-type BatchMergeJoin struct {
-	left, right BatchOperator
-	lIdx, rIdx  int
-	cols        []string
-	nl, nr      int
-	size        int
-
-	started    bool
-	lb, rb     *Batch
-	lpos, rpos int // logical positions within lb/rb
-
-	runCols [][]int64 // buffered left run: rows sharing runKey
-	haveRun bool
-	runKey  int64
-	emit    int  // next run row to pair with the in-flight right row
-	rrow    int  // physical row of the in-flight right probe
-	pairing bool // currently emitting run x right-row pairs
-
-	bufs [][]int64
-	out  Batch
-}
-
-// NewBatchMergeJoin joins two batch inputs sorted ascending on leftCol and
-// rightCol respectively, with an adaptive batch size derived from the output
-// width.
-func NewBatchMergeJoin(left, right BatchOperator, leftCol, rightCol string) (*BatchMergeJoin, error) {
-	return NewBatchMergeJoinSize(left, right, leftCol, rightCol, 0)
-}
-
-// NewBatchMergeJoinSize is NewBatchMergeJoin with an explicit batch size
-// (0 = adaptive).
-func NewBatchMergeJoinSize(left, right BatchOperator, leftCol, rightCol string, batchSize int) (*BatchMergeJoin, error) {
-	li, err := columnIndex(left.Columns(), leftCol)
-	if err != nil {
-		return nil, err
-	}
-	ri, err := columnIndex(right.Columns(), rightCol)
-	if err != nil {
-		return nil, err
-	}
-	j := &BatchMergeJoin{left: left, right: right, lIdx: li, rIdx: ri}
-	j.cols = append(append([]string(nil), left.Columns()...), right.Columns()...)
-	j.nl, j.nr = len(left.Columns()), len(right.Columns())
-	if batchSize <= 0 {
-		batchSize = AdaptiveBatchSize(len(j.cols))
-	}
-	j.size = batchSize
-	j.runCols = make([][]int64, j.nl)
-	j.bufs = make([][]int64, len(j.cols))
-	for i := range j.bufs {
-		j.bufs[i] = make([]int64, 0, j.size)
-	}
-	j.out.Cols = make([][]int64, len(j.cols))
-	return j, nil
-}
-
-// Columns implements BatchOperator.
-func (j *BatchMergeJoin) Columns() []string { return j.cols }
-
-// pullLeft fetches the next non-empty left batch (nil when exhausted).
-func (j *BatchMergeJoin) pullLeft() {
-	for {
-		b, ok := j.left.NextBatch()
-		if !ok {
-			j.lb = nil
-			return
-		}
-		if b.NumRows() > 0 {
-			j.lb, j.lpos = b, 0
-			return
-		}
-	}
-}
-
-// pullRight fetches the next non-empty right batch (nil when exhausted).
-func (j *BatchMergeJoin) pullRight() {
-	for {
-		b, ok := j.right.NextBatch()
-		if !ok {
-			j.rb = nil
-			return
-		}
-		if b.NumRows() > 0 {
-			j.rb, j.rpos = b, 0
-			return
-		}
-	}
-}
-
-func (j *BatchMergeJoin) leftKey() int64 {
-	r := j.lpos
-	if j.lb.Sel != nil {
-		r = int(j.lb.Sel[j.lpos])
-	}
-	return j.lb.Cols[j.lIdx][r]
-}
-
-func (j *BatchMergeJoin) rightKey() int64 {
-	r := j.rpos
-	if j.rb.Sel != nil {
-		r = int(j.rb.Sel[j.rpos])
-	}
-	return j.rb.Cols[j.rIdx][r]
-}
-
-func (j *BatchMergeJoin) advanceLeft() {
-	j.lpos++
-	if j.lpos >= j.lb.NumRows() {
-		j.pullLeft()
-	}
-}
-
-func (j *BatchMergeJoin) advanceRight() {
-	j.rpos++
-	if j.rpos >= j.rb.NumRows() {
-		j.pullRight()
-	}
-}
-
-// beginPair starts pairing the current right row against the buffered run.
-func (j *BatchMergeJoin) beginPair() {
-	r := j.rpos
-	if j.rb.Sel != nil {
-		r = int(j.rb.Sel[j.rpos])
-	}
-	j.rrow = r
-	j.emit = 0
-	j.pairing = true
-}
-
-func (j *BatchMergeJoin) clearRun() {
-	for c := range j.runCols {
-		j.runCols[c] = j.runCols[c][:0]
-	}
-	j.haveRun = false
-	j.pairing = false
-}
-
-// collectRun buffers every remaining left row whose key equals key, advancing
-// the left cursor past the run. Within a batch the run extent is found by
-// scanning the key column once and each column is appended with one copy.
-//
-//statcheck:hot
-func (j *BatchMergeJoin) collectRun(key int64) {
-	for c := range j.runCols {
-		j.runCols[c] = j.runCols[c][:0]
-	}
-	j.runKey = key
-	j.haveRun = true
-	for j.lb != nil {
-		b := j.lb
-		kcol := b.Cols[j.lIdx]
-		if b.Sel == nil {
-			start := j.lpos
-			n := len(b.Cols[0])
-			end := start
-			for end < n && kcol[end] == key {
-				end++
-			}
-			if end > start {
-				for c := 0; c < j.nl; c++ {
-					j.runCols[c] = append(j.runCols[c], b.Cols[c][start:end]...)
-				}
-				j.lpos = end
-			}
-			if end < n {
-				return // run ended inside this batch
-			}
-		} else {
-			n := len(b.Sel)
-			for j.lpos < n {
-				r := int(b.Sel[j.lpos])
-				if kcol[r] != key {
-					return
-				}
-				for c := 0; c < j.nl; c++ {
-					j.runCols[c] = append(j.runCols[c], b.Cols[c][r])
-				}
-				j.lpos++
-			}
-		}
-		j.pullLeft()
-	}
-}
-
-// NextBatch implements BatchOperator. Returned batches hold up to the
-// configured batch size and are reused across calls; a duplicate-key cross
-// product larger than a batch pauses and resumes across calls.
-//
-//statcheck:hot
-func (j *BatchMergeJoin) NextBatch() (*Batch, bool) {
-	if !j.started {
-		j.pullLeft()
-		j.pullRight()
-		j.started = true
-	}
-	for i := range j.bufs {
-		j.bufs[i] = j.bufs[i][:0]
-	}
-	emitted := 0
-	for {
-		if j.pairing {
-			runLen := len(j.runCols[0])
-			take := runLen - j.emit
-			if space := j.size - emitted; take > space {
-				take = space
-			}
-			for c := 0; c < j.nl; c++ {
-				j.bufs[c] = append(j.bufs[c], j.runCols[c][j.emit:j.emit+take]...)
-			}
-			for c := 0; c < j.nr; c++ {
-				v := j.rb.Cols[c][j.rrow]
-				buf := j.bufs[j.nl+c]
-				for k := 0; k < take; k++ {
-					buf = append(buf, v)
-				}
-				j.bufs[j.nl+c] = buf
-			}
-			j.emit += take
-			emitted += take
-			if j.emit < runLen {
-				return j.flush(), true // output batch full mid-run
-			}
-			// Done pairing this right row: advance right and re-pair while the
-			// key still matches the buffered run.
-			j.pairing = false
-			j.advanceRight()
-			if j.rb != nil && j.rightKey() == j.runKey {
-				j.beginPair()
-			} else {
-				j.clearRun()
-			}
-			if emitted >= j.size {
-				return j.flush(), true
-			}
-			continue
-		}
-		if j.lb == nil || j.rb == nil {
-			if emitted > 0 {
-				return j.flush(), true
-			}
-			return nil, false
-		}
-		lk, rk := j.leftKey(), j.rightKey()
-		switch {
-		case lk < rk:
-			j.advanceLeft()
-		case lk > rk:
-			j.advanceRight()
-		default:
-			j.collectRun(lk)
-			j.beginPair()
-		}
-	}
-}
-
-func (j *BatchMergeJoin) flush() *Batch {
-	copy(j.out.Cols, j.bufs)
-	j.out.Sel = nil
-	return &j.out
-}
-
-// Reset implements BatchOperator: both inputs rewind and all merge state is
-// cleared.
-func (j *BatchMergeJoin) Reset() {
-	j.left.Reset()
-	j.right.Reset()
-	j.started = false
-	j.lb, j.rb = nil, nil
-	j.lpos, j.rpos = 0, 0
-	j.clearRun()
 }

@@ -1,147 +1,10 @@
 package exec
 
 import (
-	"sort"
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
 )
-
-// seedSort is the row-at-a-time Sort this PR replaced, preserved as the
-// benchmark baseline: it drains the input into per-row slices and
-// stable-sorts the row headers.
-type seedSort struct {
-	in     Operator
-	idx    int
-	sorted bool
-	rows   [][]int64
-	pos    int
-}
-
-func newSeedSort(in Operator, col string) (*seedSort, error) {
-	idx, err := columnIndex(in.Columns(), col)
-	if err != nil {
-		return nil, err
-	}
-	return &seedSort{in: in, idx: idx}, nil
-}
-
-func (s *seedSort) Next() ([]int64, bool) {
-	if !s.sorted {
-		for {
-			row, ok := s.in.Next()
-			if !ok {
-				break
-			}
-			cp := make([]int64, len(row))
-			copy(cp, row)
-			s.rows = append(s.rows, cp)
-		}
-		sort.SliceStable(s.rows, func(i, j int) bool { return s.rows[i][s.idx] < s.rows[j][s.idx] })
-		s.sorted = true
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false
-	}
-	s.pos++
-	return s.rows[s.pos-1], true
-}
-
-// seedMergeJoin is the row-at-a-time merge join this PR replaced, preserved
-// as the benchmark baseline: per-row lookahead copies, left runs buffered as
-// row slices, output assembled row by row.
-type seedMergeJoin struct {
-	left, right Operator
-	lIdx, rIdx  int
-	started     bool
-	lrow, rrow  []int64
-	run         [][]int64
-	runKey      int64
-	emit        int
-	pairing     bool
-	row         []int64
-}
-
-func newSeedMergeJoin(left, right Operator, leftCol, rightCol string) (*seedMergeJoin, error) {
-	li, err := columnIndex(left.Columns(), leftCol)
-	if err != nil {
-		return nil, err
-	}
-	ri, err := columnIndex(right.Columns(), rightCol)
-	if err != nil {
-		return nil, err
-	}
-	return &seedMergeJoin{
-		left: left, right: right, lIdx: li, rIdx: ri,
-		row: make([]int64, len(left.Columns())+len(right.Columns())),
-	}, nil
-}
-
-func (j *seedMergeJoin) pullLeft() {
-	if row, ok := j.left.Next(); ok {
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		j.lrow = cp
-	} else {
-		j.lrow = nil
-	}
-}
-
-func (j *seedMergeJoin) pullRight() {
-	if row, ok := j.right.Next(); ok {
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		j.rrow = cp
-	} else {
-		j.rrow = nil
-	}
-}
-
-func (j *seedMergeJoin) Next() ([]int64, bool) {
-	if !j.started {
-		j.pullLeft()
-		j.pullRight()
-		j.started = true
-	}
-	for {
-		if j.pairing {
-			if j.emit < len(j.run) {
-				l := j.run[j.emit]
-				j.emit++
-				copy(j.row, l)
-				copy(j.row[len(l):], j.rrow)
-				return j.row, true
-			}
-			j.pullRight()
-			if j.rrow != nil && j.rrow[j.rIdx] == j.runKey {
-				j.emit = 0
-				continue
-			}
-			j.pairing = false
-			j.run = j.run[:0]
-			continue
-		}
-		if j.lrow == nil || j.rrow == nil {
-			return nil, false
-		}
-		lk, rk := j.lrow[j.lIdx], j.rrow[j.rIdx]
-		if lk < rk {
-			j.pullLeft()
-			continue
-		}
-		if lk > rk {
-			j.pullRight()
-			continue
-		}
-		j.runKey = lk
-		for j.lrow != nil && j.lrow[j.lIdx] == lk {
-			j.run = append(j.run, j.lrow)
-			j.pullLeft()
-		}
-		j.emit = 0
-		j.pairing = true
-	}
-}
 
 // benchSortInput builds an unsorted 2-column table of n rows.
 func benchSortInput(n int) *data.Table {
@@ -149,52 +12,10 @@ func benchSortInput(n int) *data.Table {
 	return r
 }
 
-// benchSortedInputs builds two presorted join inputs; with the default sizing
-// (200k x 200k over a 20k domain) the merge join emits ~2M rows.
-func benchSortedInputs(nl, nr, domain int) (*data.Table, *data.Table) {
-	r, s := benchJoinInputs(nl, nr, domain)
-	sortTable := func(t *data.Table, name, key, pay string) *data.Table {
-		keys, _ := t.Column(key)
-		pays, _ := t.Column(pay)
-		perm := make([]int, len(keys))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(i, j int) bool { return keys[perm[i]] < keys[perm[j]] })
-		out := data.MustNewTable(name, key, pay)
-		out.Grow(len(perm))
-		for _, p := range perm {
-			out.AppendRow(keys[p], pays[p])
-		}
-		return out
-	}
-	return sortTable(r, "R", "x", "p"), sortTable(s, "S", "y", "q")
-}
-
-// BenchmarkSort measures sorting a 500k-row scan: the seed row sort
-// (per-row slice allocation + stable sort over row headers) against the
-// batch-native argsort + columnar gather.
+// BenchmarkSort measures sorting a 500k-row scan with the argsort + columnar
+// gather.
 func BenchmarkSort(b *testing.B) {
 	tab := benchSortInput(500_000)
-	b.Run("seed-rows", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := newSeedSort(NewTableScan(tab), "R.x")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rows, sum int64
-			for {
-				row, ok := s.Next()
-				if !ok {
-					break
-				}
-				rows++
-				sum += row[0]
-			}
-			b.ReportMetric(float64(rows), "outrows")
-			_ = sum
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := NewBatchSort(NewBatchScan(tab), "R.x")
@@ -212,46 +33,6 @@ func BenchmarkSort(b *testing.B) {
 			}
 			b.ReportMetric(float64(rows), "outrows")
 			_ = sum
-		}
-	})
-}
-
-// BenchmarkMergeJoin measures a presorted equi-join producing ~2M rows: the
-// seed row merge join against the batch-native run-pairing merge. The
-// acceptance bar for this PR is batch/seed-rows >= 1.5x.
-func BenchmarkMergeJoin(b *testing.B) {
-	r, s := benchSortedInputs(200_000, 200_000, 20_000)
-	b.Run("seed-rows", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j, err := newSeedMergeJoin(NewTableScan(r), NewTableScan(s), "R.x", "S.y")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rows int64
-			for {
-				if _, ok := j.Next(); !ok {
-					break
-				}
-				rows++
-			}
-			b.ReportMetric(float64(rows), "outrows")
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j, err := NewBatchMergeJoin(NewBatchScan(r), NewBatchScan(s), "R.x", "S.y")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rows int64
-			for {
-				batch, ok := j.NextBatch()
-				if !ok {
-					break
-				}
-				rows += int64(batch.NumRows())
-			}
-			b.ReportMetric(float64(rows), "outrows")
 		}
 	})
 }

@@ -5,47 +5,14 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"github.com/sitstats/sits/internal/data"
 )
 
-// refSortRows is the pre-refactor row Sort contract: buffer every input row
-// and stable-sort by the key column ascending.
+// refSortRows is the sort contract: buffer every input row and stable-sort by
+// the key column ascending.
 func refSortRows(rows [][]int64, idx int) [][]int64 {
 	out := make([][]int64, len(rows))
 	copy(out, rows)
 	sort.SliceStable(out, func(i, j int) bool { return out[i][idx] < out[j][idx] })
-	return out
-}
-
-// refMergeJoin is the pre-refactor row merge-join contract over two sorted
-// inputs: for each right row matching a run of equal left keys, the full left
-// run is emitted in input order (left varying fastest).
-func refMergeJoin(l, r [][]int64, lIdx, rIdx int) [][]int64 {
-	var out [][]int64
-	li, ri := 0, 0
-	for li < len(l) && ri < len(r) {
-		lk, rk := l[li][lIdx], r[ri][rIdx]
-		switch {
-		case lk < rk:
-			li++
-		case lk > rk:
-			ri++
-		default:
-			le := li
-			for le < len(l) && l[le][lIdx] == lk {
-				le++
-			}
-			for ri < len(r) && r[ri][rIdx] == lk {
-				for i := li; i < le; i++ {
-					row := append(append([]int64{}, l[i]...), r[ri]...)
-					out = append(out, row)
-				}
-				ri++
-			}
-			li = le
-		}
-	}
 	return out
 }
 
@@ -85,7 +52,7 @@ func TestBatchSortMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drain(t, NewRows(bs))
+			got := drainBatches(t, bs)
 			if got == nil {
 				got = [][]int64{}
 			}
@@ -93,7 +60,7 @@ func TestBatchSortMatchesReference(t *testing.T) {
 				t.Fatalf("%s size %d: sort = %v, want %v", name, size, got, want)
 			}
 			bs.Reset()
-			again := drain(t, NewRows(bs))
+			again := drainBatches(t, bs)
 			if again == nil {
 				again = [][]int64{}
 			}
@@ -113,15 +80,12 @@ func TestBatchSortSelInput(t *testing.T) {
 		rows = append(rows, []int64{rng.Int63n(100) - 50, int64(i)})
 	}
 	tab := makeTable(t, "R", []string{"k", "p"}, rows)
-	f, err := NewBatchRangeFilter(NewBatchScanSize(tab, 32), "R.k", -10, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewBatchFilter(NewBatchScanSize(tab, 32), rangePred(0, -10, 25))
 	bs, err := NewBatchSortSize(f, "R.k", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, NewRows(bs))
+	got := drainBatches(t, bs)
 	var kept [][]int64
 	for _, r := range rows {
 		if r[0] >= -10 && r[0] <= 25 {
@@ -138,141 +102,6 @@ func TestBatchSortBadColumn(t *testing.T) {
 	tab := makeTable(t, "R", []string{"k"}, nil)
 	if _, err := NewBatchSort(NewBatchScan(tab), "R.zz"); err == nil {
 		t.Error("bad sort column: want error")
-	}
-}
-
-// sortedJoinInput builds a table of (key, payload) rows with the keys sorted
-// ascending — duplicates and negative keys included.
-func sortedJoinInput(t *testing.T, name string, rng *rand.Rand, n, domain int) (*data.Table, [][]int64) {
-	t.Helper()
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63n(int64(domain)) - int64(domain)/2
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rows := make([][]int64, n)
-	for i, k := range keys {
-		rows[i] = []int64{k, int64(i)}
-	}
-	return makeTable(t, name, []string{"k", "p"}, rows), rows
-}
-
-func TestBatchMergeJoinMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	shapes := []struct{ nl, nr, domain int }{
-		{0, 10, 5}, {10, 0, 5}, {1, 1, 1}, {1, 200, 8},
-		{50, 50, 4}, {200, 150, 25}, {300, 300, 2}, {97, 251, 1000},
-	}
-	for _, sh := range shapes {
-		l, lrows := sortedJoinInput(t, "L", rng, sh.nl, sh.domain)
-		r, rrows := sortedJoinInput(t, "R", rng, sh.nr, sh.domain)
-		want := refMergeJoin(lrows, rrows, 0, 0)
-		for _, size := range []int{0, 1, 2, 7} {
-			// Small scan batches force left runs to span input batch boundaries.
-			for _, scanSize := range []int{3, DefaultBatchSize} {
-				mj, err := NewBatchMergeJoinSize(
-					NewBatchScanSize(l, scanSize), NewBatchScanSize(r, scanSize), "L.k", "R.k", size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := drain(t, NewRows(mj))
-				if !equalRows(got, want) {
-					t.Fatalf("shape %v size %d scan %d: merge join %d rows, want %d",
-						sh, size, scanSize, len(got), len(want))
-				}
-				mj.Reset()
-				if again := drain(t, NewRows(mj)); !equalRows(again, want) {
-					t.Fatalf("shape %v size %d: Reset replay diverged", sh, size)
-				}
-			}
-		}
-		// Multiset agreement with the nested-loop reference.
-		nj, err := NewNestedLoopJoin(NewTableScan(l), NewTableScan(r), JoinCond{LeftCol: "L.k", RightCol: "R.k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := drain(t, nj)
-		m := append([][]int64{}, want...)
-		sortRows(n)
-		sortRows(m)
-		if !equalRows(n, m) {
-			t.Fatalf("shape %v: merge join multiset != nested loop (%d vs %d rows)", sh, len(m), len(n))
-		}
-	}
-}
-
-func equalRows(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestBatchMergeJoinSelInput joins filtered inputs so both sides deliver
-// batches with selection vectors.
-func TestBatchMergeJoinSelInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	l, lrows := sortedJoinInput(t, "L", rng, 400, 30)
-	r, rrows := sortedJoinInput(t, "R", rng, 350, 30)
-	lf, err := NewBatchRangeFilter(NewBatchScanSize(l, 16), "L.k", -8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := NewBatchRangeFilter(NewBatchScanSize(r, 16), "R.k", -8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj, err := NewBatchMergeJoinSize(lf, rf, "L.k", "R.k", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, NewRows(mj))
-	filter := func(rows [][]int64) [][]int64 {
-		var out [][]int64
-		for _, row := range rows {
-			if row[0] >= -8 && row[0] <= 9 {
-				out = append(out, row)
-			}
-		}
-		return out
-	}
-	want := refMergeJoin(filter(lrows), filter(rrows), 0, 0)
-	if !equalRows(got, want) {
-		t.Fatalf("merge join over Sel batches = %d rows, want %d", len(got), len(want))
-	}
-}
-
-// TestRowSortMergeJoinViews: the row-level Sort/MergeJoin constructors are
-// thin views over the batch operators and must keep the seed contract.
-func TestRowSortMergeJoinViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var rows [][]int64
-	for i := 0; i < 120; i++ {
-		rows = append(rows, []int64{rng.Int63n(10), int64(i)})
-	}
-	tab := makeTable(t, "R", []string{"k", "p"}, rows)
-	s, err := NewSort(NewTableScan(tab), "R.k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s.Columns(), []string{"R.k", "R.p"}) {
-		t.Fatalf("sort columns = %v", s.Columns())
-	}
-	got := drain(t, s)
-	if !equalRows(got, refSortRows(rows, 0)) {
-		t.Fatalf("row Sort view diverged from reference")
-	}
-	s.Reset()
-	if again := drain(t, s); !equalRows(again, got) {
-		t.Fatalf("row Sort view Reset replay diverged")
-	}
-	if _, err := NewMergeJoin(NewTableScan(tab), NewTableScan(tab), "R.k", "R.zz"); err == nil {
-		t.Error("bad merge join column: want error")
 	}
 }
 

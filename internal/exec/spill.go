@@ -9,9 +9,9 @@ import (
 
 // This file holds the pieces shared by the spill-capable operators: streaming
 // cursors over run-store files and the loser-tree k-way merge that recombines
-// spilled runs. The executor's Volcano interfaces carry no error channel, so
-// spill I/O failures (disk full, torn file, checksum mismatch) surface as
-// panics wrapping the underlying error; they are unrecoverable mid-plan.
+// spilled runs. BatchOperator carries no error channel, so spill I/O failures
+// (disk full, torn file, checksum mismatch) surface as panics wrapping the
+// underlying error; they are unrecoverable mid-plan.
 
 // spillBatchRows is the row granularity of spilled batches: small enough
 // that per-run streaming read buffers stay a few KiB, large enough to

@@ -10,25 +10,21 @@ import (
 // unlimited budget (pure in-memory path) and once with a budget of 25% of
 // its working set, so three quarters of the state spills through the run
 // store. The gap between the two is the price of spilling; the outputs are
-// identical by construction (see spill_test.go). The spilling regime runs
-// twice — raw SRN1 runs vs compressed SRN2 runs — and reports the spilled
-// byte count and the raw/spilled compression ratio, so the wall-time cost
-// and byte savings of spill compression are visible side by side.
+// identical by construction (see spill_test.go). The spilling regime reports
+// the spilled byte count and the spilled/raw compression ratio.
 
-// spillRegime is one benchmark configuration: a budget plus a run format.
+// spillRegime is one benchmark configuration.
 type spillRegime struct {
-	name     string
-	budget   int64
-	compress bool
+	name   string
+	budget int64
 }
 
 // spillRegimes returns the benchmark regimes for a working set: unlimited,
-// and a quarter of the working set with raw and with compressed runs.
+// and a quarter of the working set.
 func spillRegimes(workingSet int64) []spillRegime {
 	return []spillRegime{
-		{"unlimited", 0, true},
-		{"quarter-srn1", workingSet / 4, false},
-		{"quarter-srn2", workingSet / 4, true},
+		{"unlimited", 0},
+		{"quarter", workingSet / 4},
 	}
 }
 
@@ -55,7 +51,6 @@ func BenchmarkGraceJoin(b *testing.B) {
 		b.Run(reg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				gov := mem.NewGovernor(reg.budget)
-				gov.SetSpillCompression(reg.compress)
 				j, err := NewVecHashJoinMem(NewBatchScan(r), NewBatchScan(s), 1, 0, gov,
 					JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 				if err != nil {
@@ -90,8 +85,7 @@ func BenchmarkExternalSort(b *testing.B) {
 		b.Run(reg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				gov := mem.NewGovernor(reg.budget)
-				gov.SetSpillCompression(reg.compress)
-				s, err := NewBatchSortMem(NewBatchScan(tab), "R.x", 0, gov, nil)
+				s, err := NewBatchSortMem(NewBatchScan(tab), "R.x", 0, gov)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -113,45 +107,4 @@ func BenchmarkExternalSort(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSortedRunCacheHit measures re-sorting an unchanged base table
-// with a shared SortCache (every iteration after the first is a generation
-// match serving the cached columns) against the cold path re-sorting from
-// scratch. The acceptance bar for this PR is warm/cold >= 5x.
-func BenchmarkSortedRunCacheHit(b *testing.B) {
-	tab := benchSortInput(500_000)
-	drainSort := func(b *testing.B, cache *SortCache) int64 {
-		s, err := NewBatchSortMem(NewBatchScan(tab), "R.x", 0, nil, cache)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rows int64
-		for {
-			batch, ok := s.NextBatch()
-			if !ok {
-				return rows
-			}
-			rows += int64(batch.NumRows())
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows := drainSort(b, nil)
-			b.ReportMetric(float64(rows), "outrows")
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := NewSortCache()
-		drainSort(b, cache) // populate
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rows := drainSort(b, cache)
-			b.ReportMetric(float64(rows), "outrows")
-		}
-		hits, _ := cache.Stats()
-		if hits < int64(b.N) {
-			b.Fatalf("cache served only %d hits over %d iterations", hits, b.N)
-		}
-	})
 }

@@ -49,7 +49,7 @@ func spillBudgets(workingSet int64) []int64 {
 func TestGraceJoinEquivalence(t *testing.T) {
 	l, r := spillJoinTables(t, 3000, 4000)
 	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
-	refJ, err := NewVecHashJoin(NewBatchScan(l), NewBatchScan(r), 1, cond)
+	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 1, 0, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestGraceJoinMultiCondEquivalence(t *testing.T) {
 		{LeftCol: "L.k", RightCol: "R.k"},
 		{LeftCol: "L.k2", RightCol: "R.k2"},
 	}
-	refJ, err := NewVecHashJoin(NewBatchScan(l), NewBatchScan(r), 1, conds...)
+	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 1, 0, conds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,30 +150,6 @@ func TestGraceJoinEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestHashJoinMemEquivalence(t *testing.T) {
-	l, r := spillJoinTables(t, 2000, 3000)
-	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
-	refJ, err := NewHashJoin(NewTableScan(l), NewTableScan(r), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := drain(t, refJ)
-	for _, budget := range spillBudgets(tableBytes(l)) {
-		gov := mem.NewGovernor(budget)
-		j, err := NewHashJoinMem(NewTableScan(l), NewTableScan(r), gov, cond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := drain(t, j); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("budget=%d: row hash join diverges from HashJoin (%d vs %d rows)",
-				budget, len(got), len(ref))
-		}
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestExternalSortEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := data.MustNewTable("S", "k", "a", "b")
@@ -191,7 +167,7 @@ func TestExternalSortEquivalence(t *testing.T) {
 	ref := drainBatches(t, refS)
 	for _, budget := range spillBudgets(tableBytes(tab)) {
 		gov := mem.NewGovernor(budget)
-		s, err := NewBatchSortMem(NewBatchScan(tab), "S.k", 0, gov, nil)
+		s, err := NewBatchSortMem(NewBatchScan(tab), "S.k", 0, gov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,53 +181,6 @@ func TestExternalSortEquivalence(t *testing.T) {
 		s.Reset()
 		if again := drainBatches(t, s); !reflect.DeepEqual(again, ref) {
 			t.Fatalf("budget=%d: Reset replay diverges", budget)
-		}
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestMergeJoinUnderBudgetEquivalence(t *testing.T) {
-	l, r := spillJoinTables(t, 1500, 2000)
-	mkRef := func() Operator {
-		ls, err := NewSort(NewTableScan(l), "L.k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewSort(NewTableScan(r), "R.k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj, err := NewMergeJoin(ls, rs, "L.k", "R.k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mj
-	}
-	ref := drain(t, mkRef())
-	if len(ref) == 0 {
-		t.Fatal("reference merge join is empty")
-	}
-	// The budget governs the merge join's input sorts: with external sorts
-	// underneath, the sorted streams — and hence the join — are identical.
-	for _, budget := range spillBudgets(tableBytes(l) + tableBytes(r)) {
-		gov := mem.NewGovernor(budget)
-		ls, err := NewSortMem(NewTableScan(l), "L.k", gov, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewSortMem(NewTableScan(r), "R.k", gov, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj, err := NewMergeJoin(ls, rs, "L.k", "R.k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := drain(t, mj); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("budget=%d: merge join over external sorts diverges (%d vs %d rows)",
-				budget, len(got), len(ref))
 		}
 		if err := gov.Close(); err != nil {
 			t.Fatal(err)
@@ -293,7 +222,7 @@ func TestGovernorPeakWithinBudget(t *testing.T) {
 	}
 
 	gov2 := mem.NewGovernor(budget)
-	s, err := NewBatchSortMem(NewBatchScanSize(l, 64), "L.k", 64, gov2, nil)
+	s, err := NewBatchSortMem(NewBatchScanSize(l, 64), "L.k", 64, gov2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,85 +233,6 @@ func TestGovernorPeakWithinBudget(t *testing.T) {
 		t.Fatalf("sort: accounted peak %d exceeds budget %d", peak, budget)
 	}
 	if err := gov2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSortedRunCacheHitAndMutationInvalidation(t *testing.T) {
-	tab := data.MustNewTable("C", "k", "v")
-	for i := int64(0); i < 2000; i++ {
-		if err := tab.AppendRow((i*7919)%100-50, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cache := NewSortCache()
-	sortOnce := func() [][]int64 {
-		s, err := NewBatchSortMem(NewBatchScan(tab), "C.k", 0, nil, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return drainBatches(t, s)
-	}
-	first := sortOnce()
-	if hits, misses := cache.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("after cold sort: hits=%d misses=%d, want 0/1", hits, misses)
-	}
-	second := sortOnce()
-	if !reflect.DeepEqual(second, first) {
-		t.Fatal("cache hit serves a different stream than the cold sort")
-	}
-	if hits, _ := cache.Stats(); hits != 1 {
-		t.Fatalf("identical re-sort must hit the cache, hits=%d", hits)
-	}
-
-	// Mutate the table between two identical plans: the generation bump must
-	// evict the stale entry and the new sort must see the new row.
-	if err := tab.AppendRow(-1000, 9999); err != nil {
-		t.Fatal(err)
-	}
-	third := sortOnce()
-	if len(third) != len(first)+1 {
-		t.Fatalf("post-mutation sort has %d rows, want %d", len(third), len(first)+1)
-	}
-	if third[0][0] != -1000 || third[0][1] != 9999 {
-		t.Fatalf("post-mutation sort misses the appended row: first row %v", third[0])
-	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("stale entry must count as a miss: hits=%d misses=%d", hits, misses)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("stale entry must be evicted, len=%d", cache.Len())
-	}
-	// And the fresh entry serves the post-mutation stream.
-	fourth := sortOnce()
-	if !reflect.DeepEqual(fourth, third) {
-		t.Fatal("fresh cache entry diverges from post-mutation sort")
-	}
-}
-
-// TestSpilledSortDoesNotPopulateCache: a sort that exceeded its budget by
-// definition does not fit in RAM; caching its merged result would hold the
-// working set behind the Governor's back.
-func TestSpilledSortDoesNotPopulateCache(t *testing.T) {
-	tab := data.MustNewTable("D", "k", "v")
-	for i := int64(0); i < 3000; i++ {
-		if err := tab.AppendRow((3000-i)%97, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cache := NewSortCache()
-	gov := mem.NewGovernor(1)
-	s, err := NewBatchSortMem(NewBatchScan(tab), "D.k", 0, gov, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drainBatches(t, s); len(got) != tab.NumRows() {
-		t.Fatalf("spilled sort returned %d rows, want %d", len(got), tab.NumRows())
-	}
-	if cache.Len() != 0 {
-		t.Fatalf("spilled sort must not populate the cache, len=%d", cache.Len())
-	}
-	if err := gov.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

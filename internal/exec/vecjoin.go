@@ -8,12 +8,17 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
+// JoinCond is one equality condition between a left and a right column.
+type JoinCond struct {
+	LeftCol, RightCol string
+}
+
 // VecHashJoin is the vectorized equi-join: it drains the left (build) input
 // batch-wise into a joinTable — flat arena, open-addressing slots, build
 // partitioned by hash across workers — and streams the right (probe) input,
 // emitting concatenated left-row ++ right-row matches as column batches.
 // Matches are emitted per probe row in build-input order, so the output row
-// sequence equals the row-at-a-time HashJoin's at every parallelism level.
+// sequence is the same at every parallelism level.
 type VecHashJoin struct {
 	left, right BatchOperator
 	conds       []JoinCond
@@ -46,16 +51,11 @@ type VecHashJoin struct {
 	bufs [][]int64
 }
 
-// NewVecHashJoin joins left and right on the conjunction of conds, building
-// the hash table with up to `parallelism` workers (0 = GOMAXPROCS, 1 =
-// serial). The join result is identical at every parallelism level. Output
-// batches are sized adaptively from the join's output width.
-func NewVecHashJoin(left, right BatchOperator, parallelism int, conds ...JoinCond) (*VecHashJoin, error) {
-	return NewVecHashJoinSize(left, right, parallelism, 0, conds...)
-}
-
-// NewVecHashJoinSize is NewVecHashJoin with an explicit output batch size
-// (0 = adaptive from the output column count).
+// NewVecHashJoinSize joins left and right on the conjunction of conds,
+// building the hash table with up to `parallelism` workers (0 = GOMAXPROCS,
+// 1 = serial). The join result is identical at every parallelism level.
+// batchSize is the output batch size (0 = adaptive from the output column
+// count).
 func NewVecHashJoinSize(left, right BatchOperator, parallelism, batchSize int, conds ...JoinCond) (*VecHashJoin, error) {
 	if len(conds) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs at least one condition")
@@ -247,8 +247,7 @@ func (j *VecHashJoin) flush() *Batch {
 }
 
 // Reset implements BatchOperator: the hash table (or, in grace mode, the
-// spilled output runs) is retained and only the probe stream rewinds,
-// matching HashJoin's contract.
+// spilled output runs) is retained and only the probe stream rewinds.
 func (j *VecHashJoin) Reset() {
 	if j.grace != nil {
 		j.grace.reset()

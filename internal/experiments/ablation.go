@@ -35,9 +35,6 @@ type AblationConfig struct {
 	// MemBudget caps each builder's and ground-truth plan's operator memory
 	// in bytes (0 = unlimited).
 	MemBudget int64
-	// SpillRaw spills raw SRN1 runs instead of block-compressed SRN2 ones.
-	// The zero value keeps the engine default (compressed).
-	SpillRaw bool
 }
 
 // DefaultAblationConfig returns a 3-way-chain ablation of SweepFull across
@@ -76,7 +73,6 @@ func RunHistogramAblation(cfg AblationConfig) ([]AblationCell, error) {
 		return nil, err
 	}
 	gov := mem.NewGovernor(cfg.MemBudget)
-	gov.SetSpillCompression(!cfg.SpillRaw)
 	truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr,
 		exec.Options{Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize, Gov: gov})
 	if cerr := gov.Close(); err == nil {
@@ -112,7 +108,6 @@ func RunHistogramAblation(cfg AblationConfig) ([]AblationCell, error) {
 		bcfg.Parallelism = cfg.Parallelism
 		bcfg.BatchSize = cfg.BatchSize
 		bcfg.MemBudget = cfg.MemBudget
-		bcfg.SpillCompress = !cfg.SpillRaw
 		builder, err := sit.NewBuilder(cat, bcfg)
 		if err != nil {
 			return err

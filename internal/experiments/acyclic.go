@@ -34,9 +34,6 @@ type AcyclicConfig struct {
 	// MemBudget caps each builder's and ground-truth plan's operator memory
 	// in bytes (0 = unlimited).
 	MemBudget int64
-	// SpillRaw spills raw SRN1 runs instead of block-compressed SRN2 ones.
-	// The zero value keeps the engine default (compressed).
-	SpillRaw bool
 }
 
 // DefaultAcyclicConfig returns the default snowflake experiment.
@@ -82,7 +79,6 @@ func RunAcyclic(cfg AcyclicConfig) ([]AcyclicCell, error) {
 		return nil, err
 	}
 	gov := mem.NewGovernor(cfg.MemBudget)
-	gov.SetSpillCompression(!cfg.SpillRaw)
 	truthVals, err := exec.AttrValuesOpts(cat, expr, "F", "a",
 		exec.Options{Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize, Gov: gov})
 	if cerr := gov.Close(); err == nil {
@@ -117,7 +113,6 @@ func RunAcyclic(cfg AcyclicConfig) ([]AcyclicCell, error) {
 		bcfg.Parallelism = cfg.Parallelism
 		bcfg.BatchSize = cfg.BatchSize
 		bcfg.MemBudget = cfg.MemBudget
-		bcfg.SpillCompress = !cfg.SpillRaw
 		builder, err := sit.NewBuilder(cat, bcfg)
 		if err != nil {
 			return err

@@ -50,9 +50,6 @@ type Fig7Config struct {
 	// in bytes (0 = unlimited); under a budget joins and sorts spill, with
 	// identical results.
 	MemBudget int64
-	// SpillRaw spills raw SRN1 runs instead of block-compressed SRN2 ones.
-	// The zero value keeps the engine default (compressed).
-	SpillRaw bool
 }
 
 // DefaultFig7Config returns the paper's setting, scaled to run in seconds.
@@ -148,8 +145,6 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 			return err
 		}
 		gov := mem.NewGovernor(cfg.MemBudget)
-		gov.SetSpillCompression(!cfg.SpillRaw)
-		gov.SetSpillCompression(!cfg.SpillRaw)
 		truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr,
 			exec.Options{Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize, Gov: gov})
 		if cerr := gov.Close(); err == nil {
@@ -201,7 +196,6 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 		bcfg.Parallelism = cfg.Parallelism
 		bcfg.BatchSize = cfg.BatchSize
 		bcfg.MemBudget = cfg.MemBudget
-		bcfg.SpillCompress = !cfg.SpillRaw
 		builder, err := sit.NewBuilder(cat, bcfg)
 		if err != nil {
 			return err

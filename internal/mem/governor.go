@@ -38,30 +38,10 @@ type Governor struct {
 	used   atomic.Int64
 	peak   atomic.Int64
 
-	// spillRaw disables SRN2 spill compression for the governor's run
-	// store; the zero value means compression on.
-	spillRaw atomic.Bool
-
 	mu        sync.Mutex // guards store/storeErr
 	store     *RunStore
 	storeErr  error
 	storeOnce sync.Once
-}
-
-// SetSpillCompression switches the governor's run store between SRN2
-// compressed spill runs (on, the default) and raw SRN1. Safe on a nil
-// governor and before or after the store's first use.
-func (g *Governor) SetSpillCompression(on bool) {
-	if g == nil {
-		return
-	}
-	g.spillRaw.Store(!on)
-	g.mu.Lock()
-	store := g.store
-	g.mu.Unlock()
-	if store != nil {
-		store.SetCompression(on)
-	}
 }
 
 // NewGovernor creates a Governor with the given byte budget (0 = unlimited).
@@ -156,9 +136,6 @@ func (g *Governor) Runs() (*RunStore, error) {
 	}
 	g.storeOnce.Do(func() {
 		store, err := NewRunStore("")
-		if store != nil {
-			store.SetCompression(!g.spillRaw.Load())
-		}
 		g.mu.Lock()
 		g.store, g.storeErr = store, err
 		g.mu.Unlock()

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -262,115 +261,31 @@ func TestRunStoreDeterministicNamesAndClose(t *testing.T) {
 	}
 }
 
-// TestRunFormatsAndStats writes the same batches compressed and raw and
-// checks both read back identically, that the compressed run is smaller on
-// sorted data, and that the store's stats reflect the encoded sizes.
+// TestRunFormatsAndStats writes sorted and constant columns, checks they read
+// back identically, that the run on disk is far smaller than the raw
+// 8-bytes-per-value size the store accounts for it, and that the store's
+// stats reflect the encoded sizes.
 func TestRunFormatsAndStats(t *testing.T) {
 	cols := [][]int64{make([]int64, 2048), make([]int64, 2048)}
 	for i := range cols[0] {
 		cols[0][i] = int64(i) * 3 // sorted: delta-friendly
 		cols[1][i] = 42           // constant
 	}
-	write := func(store *RunStore, tag string) *Run {
-		t.Helper()
-		w, err := store.Create(tag, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteColumns(cols); err != nil {
-			t.Fatal(err)
-		}
-		run, err := w.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run
-	}
-	readAll := func(run *Run) [][]int64 {
-		t.Helper()
-		rd, err := run.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if err := rd.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
-		out := [][]int64{nil, nil}
-		for {
-			batch, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := range batch {
-				out[c] = append(out[c], batch[c]...)
-			}
-		}
-		return out
-	}
-
 	store, err := NewRunStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !store.Compressed() {
-		t.Fatal("new store should default to SRN2 compression")
-	}
-	comp := write(store, "srn2")
-	store.SetCompression(false)
-	rawRun := write(store, "srn1")
-	gotComp, gotRaw := readAll(comp), readAll(rawRun)
-	if !reflect.DeepEqual(gotComp, gotRaw) || !reflect.DeepEqual(gotComp, cols) {
-		t.Fatal("compressed and raw runs decode differently")
-	}
-	ci, err := os.Stat(comp.Path())
+	w, err := store.Create("srn2", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := os.Stat(rawRun.Path())
+	if err := w.WriteColumns(cols); err != nil {
+		t.Fatal(err)
+	}
+	run, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ci.Size() >= ri.Size()/4 {
-		t.Fatalf("SRN2 run %d bytes vs SRN1 %d: expected >4x shrink on sorted+const data", ci.Size(), ri.Size())
-	}
-	st := store.Stats()
-	if st.RawBytes != 2*2*2048*8 {
-		t.Fatalf("RawBytes = %d, want %d", st.RawBytes, 2*2*2048*8)
-	}
-	wantSpilled := (ci.Size() - 8) + (ri.Size() - 8) // batch frames, minus file headers
-	if st.SpilledBytes != wantSpilled {
-		t.Fatalf("SpilledBytes = %d, want %d", st.SpilledBytes, wantSpilled)
-	}
-	if st.Ratio() >= 1 {
-		t.Fatalf("stats ratio = %v, want < 1", st.Ratio())
-	}
-}
-
-// TestRunSRN1BackCompat hand-writes an SRN1 file with the old raw layout and
-// reads it through the auto-detecting reader.
-func TestRunSRN1BackCompat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "000000-legacy.run")
-	vals := []int64{5, -9, 1 << 40}
-	var buf []byte
-	buf = append(buf, "SRN1"...)
-	buf = binary.LittleEndian.AppendUint32(buf, 1) // ncols
-	var frame []byte
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(vals)))
-	for _, v := range vals {
-		frame = binary.LittleEndian.AppendUint64(frame, uint64(v))
-	}
-	buf = append(buf, frame...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(frame))
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	run := &Run{path: path, ncols: 1, rows: int64(len(vals))}
 	rd, err := run.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -380,20 +295,44 @@ func TestRunSRN1BackCompat(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	cols, err := rd.Next()
+	got := [][]int64{nil, nil}
+	for {
+		batch, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range batch {
+			got[c] = append(got[c], batch[c]...)
+		}
+	}
+	if !reflect.DeepEqual(got, cols) {
+		t.Fatal("run decodes differently from what was written")
+	}
+	fi, err := os.Stat(run.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cols[0], vals) {
-		t.Fatalf("legacy SRN1 read = %v, want %v", cols[0], vals)
+	st := store.Stats()
+	if st.RawBytes != 2*2048*8 {
+		t.Fatalf("RawBytes = %d, want %d", st.RawBytes, 2*2048*8)
 	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("after last batch: %v, want EOF", err)
+	if fi.Size() >= st.RawBytes/4 {
+		t.Fatalf("SRN2 run %d bytes vs %d raw: expected >4x shrink on sorted+const data", fi.Size(), st.RawBytes)
+	}
+	if want := fi.Size() - 8; st.SpilledBytes != want { // batch frames, minus the file header
+		t.Fatalf("SpilledBytes = %d, want %d", st.SpilledBytes, want)
+	}
+	if st.Ratio() >= 0.25 {
+		t.Fatalf("stats ratio = %v, want < 0.25", st.Ratio())
 	}
 }
 
 // TestRunSRN2Corruption bit-flips and truncates an SRN2 run and expects
-// checksum / truncation errors, never silent wrong values.
+// checksum / truncation errors, never silent wrong values; a file in the
+// retired raw format is refused at Open by its magic.
 func TestRunSRN2Corruption(t *testing.T) {
 	store, err := NewRunStore(t.TempDir())
 	if err != nil {
@@ -465,29 +404,23 @@ func TestRunSRN2Corruption(t *testing.T) {
 			t.Fatalf("truncated SRN2 read = %v, want truncation error", err)
 		}
 	})
-}
-
-// TestGovernorSpillCompressionToggle checks the governor forwards the
-// setting to its lazily-created store, in either call order.
-func TestGovernorSpillCompressionToggle(t *testing.T) {
-	g := NewGovernor(1)
-	g.SetSpillCompression(false)
-	store, err := g.Runs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Compressed() {
-		t.Fatal("store compressed despite SetSpillCompression(false) before Runs")
-	}
-	g.SetSpillCompression(true)
-	if !store.Compressed() {
-		t.Fatal("store raw despite SetSpillCompression(true) after Runs")
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var nilGov *Governor
-	nilGov.SetSpillCompression(false) // must not panic
+	t.Run("bad-magic", func(t *testing.T) {
+		// The retired raw format's header: magic "SRN1" + column count.
+		path := filepath.Join(t.TempDir(), "000000-legacy.run")
+		hdr := binary.LittleEndian.AppendUint32([]byte("SRN1"), 1)
+		if err := os.WriteFile(path, hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run := &Run{path: path, ncols: 1}
+		rd, err := run.Open()
+		if err == nil {
+			_ = rd.Close()
+			t.Fatal("SRN1 run opened; want bad magic error")
+		}
+		if !strings.Contains(err.Error(), `bad magic "SRN1"`) {
+			t.Fatalf("SRN1 open = %v, want an error naming the magic", err)
+		}
+	})
 }
 
 // TestGovernorConcurrentGrants hammers one shared Governor from many

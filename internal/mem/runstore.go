@@ -14,17 +14,8 @@ import (
 	"github.com/sitstats/sits/internal/colblk"
 )
 
-// Run-store file formats. A run is a sequence of column-major batches of
-// int64 values, written little-endian and checksummed per batch. Two formats
-// share the store; readers pick by magic, so a store can read runs written
-// either way:
-//
-// SRN1 (raw):
-//
-//	header:  magic "SRN1" (4 bytes) | ncols uint32
-//	batch:   nrows uint32 | ncols x nrows x int64 (column 0 first) | crc32 uint32
-//
-// SRN2 (compressed, the default):
+// Run-store file format (SRN2). A run is a sequence of column-major batches
+// of int64 values, written little-endian and checksummed per batch:
 //
 //	header:  magic "SRN2" (4 bytes) | ncols uint32
 //	batch:   nrows uint32 | blen uint32 | body | crc32 uint32
@@ -40,10 +31,7 @@ import (
 // probe/output rows) are stored as single-column runs whose writer appends
 // whole rows, so batch boundaries always align with row boundaries.
 
-const (
-	runMagic  = "SRN1"
-	runMagic2 = "SRN2"
-)
+const runMagic = "SRN2"
 
 // encScratch pools per-batch encode/decode buffers across all writers and
 // readers of the process, so short-lived spill runs (one per grace-join
@@ -75,10 +63,6 @@ func (s RunStats) Ratio() float64 {
 type RunStore struct {
 	dir string
 
-	// rawOnly disables the SRN2 codec for new runs; the zero value means
-	// compression on. Readers always detect the format by magic.
-	rawOnly atomic.Bool
-
 	written atomic.Int64
 	raw     atomic.Int64
 
@@ -87,8 +71,7 @@ type RunStore struct {
 }
 
 // NewRunStore creates a run store rooted at dir; with dir == "" a fresh
-// temp directory is created under the system temp dir. New runs are
-// SRN2-compressed unless SetCompression(false).
+// temp directory is created under the system temp dir.
 func NewRunStore(dir string) (*RunStore, error) {
 	if dir == "" {
 		d, err := os.MkdirTemp("", "sits-spill-")
@@ -99,13 +82,6 @@ func NewRunStore(dir string) (*RunStore, error) {
 	}
 	return &RunStore{dir: dir}, nil
 }
-
-// SetCompression switches new runs between SRN2 (on, the default) and raw
-// SRN1 (off). Runs already created keep the format they were opened with.
-func (s *RunStore) SetCompression(on bool) { s.rawOnly.Store(!on) }
-
-// Compressed reports whether new runs use the SRN2 codec.
-func (s *RunStore) Compressed() bool { return !s.rawOnly.Load() }
 
 // Stats returns the store's cumulative spill volume across all runs.
 func (s *RunStore) Stats() RunStats {
@@ -133,8 +109,7 @@ func (s *RunStore) next(tag string) string {
 }
 
 // Create opens a writer for a new run of ncols columns. tag names the run's
-// role ("sortrun", "build-p3", ...) in its file name. The run's format (SRN2
-// or raw SRN1) is the store's compression setting at creation time.
+// role ("sortrun", "build-p3", ...) in its file name.
 func (s *RunStore) Create(tag string, ncols int) (*RunWriter, error) {
 	if ncols <= 0 {
 		return nil, fmt.Errorf("mem: run needs at least one column, got %d", ncols)
@@ -144,17 +119,9 @@ func (s *RunStore) Create(tag string, ncols int) (*RunWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mem: create run %s: %v", path, err)
 	}
-	w := &RunWriter{
-		run:      Run{store: s, path: path, ncols: ncols},
-		f:        f,
-		compress: s.Compressed(),
-	}
+	w := &RunWriter{run: Run{store: s, path: path, ncols: ncols}, f: f}
 	var hdr [8]byte
-	if w.compress {
-		copy(hdr[:4], runMagic2)
-	} else {
-		copy(hdr[:4], runMagic)
-	}
+	copy(hdr[:4], runMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(ncols))
 	if _, err := f.Write(hdr[:]); err != nil {
 		w.abort()
@@ -174,9 +141,6 @@ type Run struct {
 // Rows returns the number of rows written to the run.
 func (r *Run) Rows() int64 { return r.rows }
 
-// NCols returns the run's column count.
-func (r *Run) NCols() int { return r.ncols }
-
 // Path returns the run's file path.
 func (r *Run) Path() string { return r.path }
 
@@ -191,12 +155,11 @@ func (r *Run) Remove() error {
 
 // RunWriter streams column batches into a run file.
 type RunWriter struct {
-	run      Run
-	f        *os.File
-	bw       *bufio.Writer
-	compress bool
-	scratch  *[]byte // pooled frame buffer, returned on Finish/abort
-	err      error
+	run     Run
+	f       *os.File
+	bw      *bufio.Writer
+	scratch *[]byte // pooled frame buffer, returned on Finish/abort
+	err     error
 }
 
 // abort closes and removes a half-written run, keeping the first error.
@@ -235,9 +198,9 @@ func (w *RunWriter) writer(batchBytes int) *bufio.Writer {
 }
 
 // WriteColumns appends one batch: cols must have the run's declared column
-// count, all of equal length. The batch is encoded little-endian (SRN2
-// codec frames or raw SRN1, per the store setting at Create) and
-// checksummed; writers own their buffers, so cols may be reused immediately.
+// count, all of equal length. The batch is encoded as one SRN2 codec frame
+// and checksummed; writers own their buffers, so cols may be reused
+// immediately.
 func (w *RunWriter) WriteColumns(cols [][]int64) error {
 	if w.err != nil {
 		return w.err
@@ -257,12 +220,7 @@ func (w *RunWriter) WriteColumns(cols [][]int64) error {
 	if w.scratch == nil {
 		w.scratch = encScratch.Get().(*[]byte)
 	}
-	var buf []byte
-	if w.compress {
-		buf = w.encodeFrame((*w.scratch)[:0], cols, n)
-	} else {
-		buf = w.encodeRaw(*w.scratch, cols, n)
-	}
+	buf := w.encodeFrame((*w.scratch)[:0], cols, n)
 	*w.scratch = buf[:0]
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(buf))
@@ -299,25 +257,6 @@ func (w *RunWriter) encodeFrame(buf []byte, cols [][]int64, n int) []byte {
 	return buf
 }
 
-// encodeRaw builds a raw SRN1 batch (nrows head + 8-byte values) in scratch,
-// excluding the trailing CRC.
-func (w *RunWriter) encodeRaw(scratch []byte, cols [][]int64, n int) []byte {
-	need := 4 + 8*n*w.run.ncols
-	if cap(scratch) < need {
-		scratch = make([]byte, need)
-	}
-	buf := scratch[:need]
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	off := 4
-	for _, c := range cols {
-		for _, v := range c {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(v))
-			off += 8
-		}
-	}
-	return buf
-}
-
 // Finish flushes and closes the run file, returning the immutable run
 // handle.
 func (w *RunWriter) Finish() (*Run, error) {
@@ -345,9 +284,8 @@ func (w *RunWriter) Finish() (*Run, error) {
 	return &run, nil
 }
 
-// Open opens the run for sequential reading. The format is detected from the
-// file's magic, so SRN1 runs written before compression (or with it off)
-// read back through the same API as SRN2 runs.
+// Open opens the run for sequential reading; a file whose magic is not SRN2
+// is rejected.
 func (r *Run) Open() (*RunReader, error) {
 	f, err := os.Open(r.path)
 	if err != nil {
@@ -359,11 +297,7 @@ func (r *Run) Open() (*RunReader, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("mem: read run header %s: %v", r.path, err)
 	}
-	switch string(hdr[:4]) {
-	case runMagic:
-	case runMagic2:
-		rd.compressed = true
-	default:
+	if string(hdr[:4]) != runMagic {
 		_ = f.Close()
 		return nil, fmt.Errorf("mem: run %s: bad magic %q", r.path, hdr[:4])
 	}
@@ -380,60 +314,19 @@ func (r *Run) Open() (*RunReader, error) {
 
 // RunReader streams a run's batches back in write order.
 type RunReader struct {
-	f          *os.File
-	br         *bufio.Reader
-	path       string
-	ncols      int
-	compressed bool
-	cols       [][]int64
-	scratch    []byte
+	f       *os.File
+	br      *bufio.Reader
+	path    string
+	ncols   int
+	cols    [][]int64
+	scratch []byte
 }
 
 // Next returns the next batch's columns, or io.EOF after the last batch. The
-// returned slices are reused by the following Next call.
+// returned slices are reused by the following Next call. It reads one SRN2
+// frame: slurp the whole frame by its declared length, verify the CRC, then
+// decode the per-column codec blocks.
 func (r *RunReader) Next() ([][]int64, error) {
-	if r.compressed {
-		return r.nextCompressed()
-	}
-	var head [4]byte
-	if _, err := io.ReadFull(r.br, head[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("mem: read run %s: %v", r.path, err)
-	}
-	n := int(binary.LittleEndian.Uint32(head[:]))
-	need := 8*n*r.ncols + 4
-	if cap(r.scratch) < need {
-		r.scratch = make([]byte, need)
-	}
-	buf := r.scratch[:need]
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, fmt.Errorf("mem: run %s truncated: %v", r.path, err)
-	}
-	sum := crc32.ChecksumIEEE(head[:])
-	sum = crc32.Update(sum, crc32.IEEETable, buf[:need-4])
-	if got := binary.LittleEndian.Uint32(buf[need-4:]); got != sum {
-		return nil, fmt.Errorf("mem: run %s: batch checksum mismatch (file %08x, computed %08x)", r.path, got, sum)
-	}
-	off := 0
-	for c := 0; c < r.ncols; c++ {
-		if cap(r.cols[c]) < n {
-			r.cols[c] = make([]int64, n)
-		}
-		col := r.cols[c][:n]
-		for i := 0; i < n; i++ {
-			col[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		r.cols[c] = col
-	}
-	return r.cols, nil
-}
-
-// nextCompressed reads one SRN2 frame: slurp the whole frame by its declared
-// length, verify the CRC, then decode the per-column codec blocks.
-func (r *RunReader) nextCompressed() ([][]int64, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r.br, head[:]); err != nil {
 		if err == io.EOF {

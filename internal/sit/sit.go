@@ -147,26 +147,20 @@ type Config struct {
 	// the same Governor reserves against one process-wide byte budget, the
 	// steady-state regime a statistics server runs in. A shared governor is
 	// not owned by the builder — Close leaves it (and its spill store) alone —
-	// and it overrides MemBudget/SpillCompress, which configure only
-	// builder-private governors.
+	// and it overrides MemBudget, which configures only a builder-private
+	// governor.
 	Governor *mem.Governor
-	// SpillCompress encodes spill runs with the SRN2 block codec instead of
-	// raw SRN1 (DefaultConfig turns it on). Spilled operators read either
-	// format transparently; the flag only affects runs written by this
-	// builder. Results are bit-identical either way.
-	SpillCompress bool
 }
 
 // DefaultConfig returns the paper's experimental defaults.
 func DefaultConfig() Config {
 	return Config{
-		Buckets:       100,
-		HistMethod:    histogram.MaxDiffArea,
-		SampleRate:    0.10,
-		MinSample:     100,
-		Seed:          1,
-		Slices2D:      16,
-		SpillCompress: true,
+		Buckets:    100,
+		HistMethod: histogram.MaxDiffArea,
+		SampleRate: 0.10,
+		MinSample:  100,
+		Seed:       1,
+		Slices2D:   16,
 	}
 }
 
@@ -244,7 +238,6 @@ func NewBuilder(cat *data.Catalog, cfg Config) (*Builder, error) {
 		b.gov = cfg.Governor
 	case cfg.MemBudget > 0:
 		b.gov = mem.NewGovernor(cfg.MemBudget)
-		b.gov.SetSpillCompression(cfg.SpillCompress)
 		b.ownsGov = true
 	}
 	return b, nil

@@ -21,6 +21,9 @@
 package sits
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/sitstats/sits/internal/cardest"
@@ -193,6 +196,18 @@ const (
 // Methods lists the creation techniques in the paper's comparison order.
 func Methods() []Method { return sit.Methods() }
 
+// ParseMethod is the inverse of Method.String, ignoring case and the hyphen
+// in "Hist-SIT".
+func ParseMethod(name string) (Method, error) {
+	key := strings.ReplaceAll(strings.ToLower(name), "-", "")
+	for _, m := range append(Methods(), Materialize) {
+		if key == strings.ReplaceAll(strings.ToLower(m.String()), "-", "") {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q", name)
+}
+
 // DefaultConfig returns the paper's experimental defaults (100 buckets,
 // MaxDiff histograms, 10% sampling).
 func DefaultConfig() Config { return sit.DefaultConfig() }
@@ -218,6 +233,35 @@ type SPJQuery = cardest.SPJQuery
 
 // Predicate is one inclusive range predicate over an attribute.
 type Predicate = cardest.Predicate
+
+// ParsePredicates parses the CLI/query-string predicate form
+// "T.a:lo:hi[,T.b:lo:hi...]"; a blank string is no predicates.
+func ParsePredicates(s string) ([]Predicate, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []Predicate
+	for _, part := range strings.Split(s, ",") {
+		fields := strings.Split(strings.TrimSpace(part), ":")
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("bad predicate %q (want T.a:lo:hi)", part)
+		}
+		ta := strings.Split(fields[0], ".")
+		if len(ta) != 2 || ta[0] == "" || ta[1] == "" {
+			return nil, fmt.Errorf("bad predicate attribute %q", fields[0])
+		}
+		lo, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad predicate bound %q: %v", fields[1], err)
+		}
+		hi, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad predicate bound %q: %v", fields[2], err)
+		}
+		out = append(out, Predicate{Table: ta[0], Attr: ta[1], Lo: lo, Hi: hi})
+	}
+	return out, nil
+}
 
 // Estimate is a cardinality estimate with provenance.
 type Estimate = cardest.Estimate

@@ -12,6 +12,50 @@ import (
 	"github.com/sitstats/sits"
 )
 
+func TestParseMethod(t *testing.T) {
+	cases := map[string]sits.Method{
+		"histsit":     sits.HistSIT,
+		"Hist-SIT":    sits.HistSIT,
+		"sweep":       sits.Sweep,
+		"SWEEPINDEX":  sits.SweepIndex,
+		"sweepfull":   sits.SweepFull,
+		"sweepexact":  sits.SweepExact,
+		"materialize": sits.Materialize,
+	}
+	for name, want := range cases {
+		got, err := sits.ParseMethod(name)
+		if err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, m := range append(sits.Methods(), sits.Materialize) {
+		if got, err := sits.ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := sits.ParseMethod("bogus"); err == nil {
+		t.Error("unknown method: want error")
+	}
+}
+
+func TestParsePredicates(t *testing.T) {
+	preds, err := sits.ParsePredicates("T2.a:1:100, T2.b:5:6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(preds) != 2 || preds[0].Table != "T2" || preds[0].Attr != "a" || preds[0].Lo != 1 || preds[0].Hi != 100 {
+		t.Errorf("preds = %+v", preds)
+	}
+	if got, err := sits.ParsePredicates("  "); err != nil || got != nil {
+		t.Errorf("empty preds = %v, %v", got, err)
+	}
+	for _, bad := range []string{"T2.a:1", "noattr:1:2", "T2.a:x:2", "T2.a:1:y", "T2.:1:2"} {
+		if _, err := sits.ParsePredicates(bad); err == nil {
+			t.Errorf("ParsePredicates(%q): want error", bad)
+		}
+	}
+}
+
 func smallChain(t *testing.T) *sits.Catalog {
 	t.Helper()
 	cfg := sits.DefaultChainConfig()
