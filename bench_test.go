@@ -203,8 +203,8 @@ func BenchmarkAblationHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReservoir compares the stochastic-rounding reservoir with
-// the weighted reservoir on a multiplicity-weighted stream.
+// BenchmarkAblationReservoir drives the stochastic-rounding reservoir with a
+// multiplicity-weighted stream.
 func BenchmarkAblationReservoir(b *testing.B) {
 	const n = 100000
 	weights := make([]float64, n)
@@ -220,17 +220,6 @@ func BenchmarkAblationReservoir(b *testing.B) {
 			}
 			for j := 0; j < n; j++ {
 				r.AddWeighted(int64(j), weights[j])
-			}
-		}
-	})
-	b.Run("weighted-a-res", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r, err := sample.NewWeightedReservoir(10000, int64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < n; j++ {
-				r.Add(int64(j), weights[j])
 			}
 		}
 	})
@@ -310,24 +299,6 @@ func BenchmarkAblationVOptimal(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationDistinctEstimators compares GEE, Chao and Jackknife.
-func BenchmarkAblationDistinctEstimators(b *testing.B) {
-	rng := rand.New(rand.NewSource(50))
-	smp := make([]int64, 10000)
-	for i := range smp {
-		smp[i] = rng.Int63n(3000)
-	}
-	for _, e := range []sample.DistinctEstimator{sample.GEE, sample.Chao, sample.Jackknife} {
-		b.Run(e.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sample.EstimateDistinctWith(e, smp, 100000); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkBTreeVsSortedSlice measures the SweepIndex multiplicity lookup

@@ -3,57 +3,11 @@ package sits
 import (
 	"io"
 
-	"github.com/sitstats/sits/internal/histogram"
-	"github.com/sitstats/sits/internal/sample"
 	"github.com/sitstats/sits/internal/sit"
 )
 
-// BuildHistogramVOptimal builds a V-Optimal histogram (minimal within-bucket
-// frequency variance; the accuracy gold standard MaxDiff approximates).
-func BuildHistogramVOptimal(vals []int64, nb int) (*Histogram, error) {
-	return histogram.FromValuesVOptimal(vals, nb)
-}
-
-// MergeHistograms combines two histograms over disjoint tuple sets of the
-// same attribute into one with at most nb buckets.
-func MergeHistograms(a, b *Histogram, nb int, m HistogramMethod) (*Histogram, error) {
-	return histogram.Merge(a, b, nb, m)
-}
-
 // WriteHistogram serializes a histogram as JSON.
 func WriteHistogram(h *Histogram, w io.Writer) error { return h.Write(w) }
-
-// ReadHistogram deserializes a histogram written by WriteHistogram.
-func ReadHistogram(r io.Reader) (*Histogram, error) { return histogram.Read(r) }
-
-// Hist2D is a two-dimensional histogram over attribute pairs, used by the
-// multidimensional m-Oracle extension (Config.Use2DOracles).
-type Hist2D = histogram.Hist2D
-
-// Build2DHistogram constructs a PHASED equi-depth 2-D histogram.
-func Build2DHistogram(col1, col2 []int64, slices1, slices2 int) (*Hist2D, error) {
-	return histogram.Build2D(col1, col2, slices1, slices2)
-}
-
-// DistinctEstimator selects a distinct-value estimator (GEE, Chao,
-// Jackknife).
-type DistinctEstimator = sample.DistinctEstimator
-
-// The shipped distinct-value estimators.
-const (
-	// GEE is the Guaranteed-Error Estimator (the default).
-	GEE = sample.GEE
-	// Chao is Chao's lower-bound estimator.
-	Chao = sample.Chao
-	// Jackknife is the first-order jackknife.
-	Jackknife = sample.Jackknife
-)
-
-// EstimateDistinct estimates the number of distinct values in a population of
-// the given size from a uniform sample.
-func EstimateDistinct(e DistinctEstimator, sampleVals []int64, total int64) (float64, error) {
-	return sample.EstimateDistinctWith(e, sampleVals, total)
-}
 
 // SaveSITs serializes built SITs as JSON for reuse across runs.
 func SaveSITs(w io.Writer, sits []*SIT) error { return sit.SaveSITs(w, sits) }

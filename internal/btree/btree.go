@@ -5,7 +5,8 @@
 //
 // Duplicates are stored as counts rather than repeated entries, which is all
 // the multiplicity oracle needs and keeps the tree compact under the skewed
-// distributions used in the evaluation.
+// distributions used in the evaluation. A tree is bulk-loaded once (Build,
+// BulkLoad) and immutable afterwards.
 package btree
 
 import (
@@ -22,17 +23,11 @@ const DefaultDegree = 64
 type Tree struct {
 	degree int
 	root   node
-	size   int64 // total inserted keys, counting duplicates
-	keys   int   // distinct keys
+	size   int64 // total loaded keys, counting duplicates
 }
 
 type node interface {
-	// insert adds the key and returns a split result when the node overflows:
-	// the new right sibling and the key separating the two halves.
-	insert(key int64, count int64, degree int) (sep int64, right node, split bool)
 	count(key int64) int64
-	countRange(lo, hi int64) int64
-	firstLeaf() *leaf
 	depth() int
 	validate(degree int, isRoot bool, lo, hi *int64) error
 }
@@ -49,26 +44,9 @@ type inner struct {
 	children []node
 }
 
-// New creates an empty tree with the default degree.
-func New() *Tree { return NewWithDegree(DefaultDegree) }
-
-// NewWithDegree creates an empty tree whose nodes hold at most degree keys.
-// The degree must be at least 3.
-func NewWithDegree(degree int) *Tree {
-	if degree < 3 {
-		panic(fmt.Sprintf("btree: degree %d must be >= 3", degree))
-	}
-	return &Tree{degree: degree, root: &leaf{}}
-}
-
-// Build constructs a tree from a value slice; equivalent to inserting every
-// value but sorts once, pre-aggregates duplicates, and bulk-loads the tree
-// bottom-up instead of descending from the root per key.
+// Build constructs a tree from a value slice: it sorts once, pre-aggregates
+// duplicates, and bulk-loads the tree bottom-up.
 func Build(vals []int64) *Tree {
-	t := New()
-	if len(vals) == 0 {
-		return t
-	}
 	sorted := radix.SortedCopy(vals)
 	keys := make([]int64, 0, len(sorted))
 	counts := make([]int64, 0, len(sorted))
@@ -90,8 +68,7 @@ func Build(vals []int64) *Tree {
 }
 
 // BulkLoad builds a tree bottom-up from pre-sorted (key, count) pairs: keys
-// must be strictly increasing and counts positive. It produces the same
-// multiset as inserting every pair incrementally but runs in O(n) after
+// must be strictly increasing and counts positive. It runs in O(n) after
 // sorting, packing leaves left to right and stitching inner levels over them —
 // the standard bottom-up B+tree load used for index creation after an
 // external sort.
@@ -107,7 +84,7 @@ func BulkLoadWithDegree(keys, counts []int64, degree int) (*Tree, error) {
 	if len(keys) != len(counts) {
 		return nil, fmt.Errorf("btree: bulk load got %d keys but %d counts", len(keys), len(counts))
 	}
-	t := NewWithDegree(degree)
+	t := &Tree{degree: degree, root: &leaf{}}
 	if len(keys) == 0 {
 		return t, nil
 	}
@@ -195,27 +172,7 @@ func BulkLoadWithDegree(keys, counts []int64, degree int) (*Tree, error) {
 	}
 	t.root = level[0]
 	t.size = size
-	t.keys = len(keys)
 	return t, nil
-}
-
-// Insert adds one occurrence of key.
-func (t *Tree) Insert(key int64) { t.InsertCount(key, 1) }
-
-// InsertCount adds count occurrences of key; count must be positive.
-func (t *Tree) InsertCount(key int64, count int64) {
-	if count <= 0 {
-		return
-	}
-	before := t.root.countRange(key, key) > 0
-	sep, right, split := t.root.insert(key, count, t.degree)
-	if split {
-		t.root = &inner{keys: []int64{sep}, children: []node{t.root, right}}
-	}
-	t.size += count
-	if !before {
-		t.keys++
-	}
 }
 
 // Count returns the number of occurrences of key — the exact multiplicity
@@ -275,87 +232,8 @@ func (t *Tree) CountsSorted(keys []int64, out []int64) {
 	}
 }
 
-// CountRange returns the number of occurrences with lo <= key <= hi.
-func (t *Tree) CountRange(lo, hi int64) int64 {
-	if hi < lo {
-		return 0
-	}
-	return t.root.countRange(lo, hi)
-}
-
-// Len returns the total number of inserted occurrences.
+// Len returns the total number of loaded occurrences.
 func (t *Tree) Len() int64 { return t.size }
-
-// DistinctKeys returns the number of distinct keys.
-func (t *Tree) DistinctKeys() int { return t.keys }
-
-// Depth returns the tree height (1 for a lone leaf).
-func (t *Tree) Depth() int { return t.root.depth() }
-
-// Ascend calls fn for every (key, count) pair in ascending key order until fn
-// returns false.
-func (t *Tree) Ascend(fn func(key, count int64) bool) {
-	for l := t.root.firstLeaf(); l != nil; l = l.next {
-		for i, k := range l.keys {
-			if !fn(k, l.counts[i]) {
-				return
-			}
-		}
-	}
-}
-
-// AscendRange calls fn for every (key, count) pair with lo <= key <= hi in
-// ascending order until fn returns false.
-func (t *Tree) AscendRange(lo, hi int64, fn func(key, count int64) bool) {
-	if hi < lo {
-		return
-	}
-	var start *leaf
-	switch r := t.root.(type) {
-	case *leaf:
-		start = r
-	case *inner:
-		start = r.leafFor(lo)
-	}
-	for l := start; l != nil; l = l.next {
-		for i, k := range l.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return
-			}
-			if !fn(k, l.counts[i]) {
-				return
-			}
-		}
-	}
-}
-
-// Min returns the smallest key; ok is false for an empty tree.
-func (t *Tree) Min() (int64, bool) {
-	l := t.root.firstLeaf()
-	if len(l.keys) == 0 {
-		return 0, false
-	}
-	return l.keys[0], true
-}
-
-// Max returns the largest key; ok is false for an empty tree.
-func (t *Tree) Max() (int64, bool) {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *inner:
-			n = v.children[len(v.children)-1]
-		case *leaf:
-			if len(v.keys) == 0 {
-				return 0, false
-			}
-			return v.keys[len(v.keys)-1], true
-		}
-	}
-}
 
 // Validate checks the B+tree structural invariants: sorted keys, fanout
 // bounds, separator correctness, uniform depth, and positive counts.
@@ -365,33 +243,6 @@ func (t *Tree) Validate() error {
 
 // --- leaf ---
 
-func (l *leaf) insert(key int64, count int64, degree int) (int64, node, bool) {
-	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= key })
-	if i < len(l.keys) && l.keys[i] == key {
-		l.counts[i] += count
-		return 0, nil, false
-	}
-	l.keys = append(l.keys, 0)
-	copy(l.keys[i+1:], l.keys[i:])
-	l.keys[i] = key
-	l.counts = append(l.counts, 0)
-	copy(l.counts[i+1:], l.counts[i:])
-	l.counts[i] = count
-	if len(l.keys) <= degree {
-		return 0, nil, false
-	}
-	mid := len(l.keys) / 2
-	right := &leaf{
-		keys:   append([]int64(nil), l.keys[mid:]...),
-		counts: append([]int64(nil), l.counts[mid:]...),
-		next:   l.next,
-	}
-	l.keys = l.keys[:mid:mid]
-	l.counts = l.counts[:mid:mid]
-	l.next = right
-	return right.keys[0], right, true
-}
-
 func (l *leaf) count(key int64) int64 {
 	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= key })
 	if i < len(l.keys) && l.keys[i] == key {
@@ -400,20 +251,7 @@ func (l *leaf) count(key int64) int64 {
 	return 0
 }
 
-func (l *leaf) countRange(lo, hi int64) int64 {
-	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= lo })
-	var total int64
-	for ; i < len(l.keys) && l.keys[i] <= hi; i++ {
-		total += l.counts[i]
-	}
-	// countRange on a leaf only sees this leaf; inner nodes stitch leaves
-	// together via the child walk, and the tree-level call starts at the
-	// root, so cross-leaf ranges are handled by inner.countRange.
-	return total
-}
-
-func (l *leaf) firstLeaf() *leaf { return l }
-func (l *leaf) depth() int       { return 1 }
+func (l *leaf) depth() int { return 1 }
 
 func (l *leaf) validate(degree int, isRoot bool, lo, hi *int64) error {
 	if !isRoot && len(l.keys) < degree/2 {
@@ -448,51 +286,8 @@ func (in *inner) childFor(key int64) int {
 	return sort.Search(len(in.keys), func(i int) bool { return in.keys[i] > key })
 }
 
-func (in *inner) insert(key int64, count int64, degree int) (int64, node, bool) {
-	ci := in.childFor(key)
-	sep, right, split := in.children[ci].insert(key, count, degree)
-	if !split {
-		return 0, nil, false
-	}
-	in.keys = append(in.keys, 0)
-	copy(in.keys[ci+1:], in.keys[ci:])
-	in.keys[ci] = sep
-	in.children = append(in.children, nil)
-	copy(in.children[ci+2:], in.children[ci+1:])
-	in.children[ci+1] = right
-	if len(in.keys) <= degree {
-		return 0, nil, false
-	}
-	mid := len(in.keys) / 2
-	upKey := in.keys[mid]
-	newRight := &inner{
-		keys:     append([]int64(nil), in.keys[mid+1:]...),
-		children: append([]node(nil), in.children[mid+1:]...),
-	}
-	in.keys = in.keys[:mid:mid]
-	in.children = in.children[: mid+1 : mid+1]
-	return upKey, newRight, true
-}
-
 func (in *inner) count(key int64) int64 {
 	return in.children[in.childFor(key)].count(key)
-}
-
-func (in *inner) countRange(lo, hi int64) int64 {
-	// Walk the leaf chain from the first candidate leaf; this is the classic
-	// B+tree range scan.
-	l := in.leafFor(lo)
-	var total int64
-	for ; l != nil; l = l.next {
-		i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= lo })
-		for ; i < len(l.keys); i++ {
-			if l.keys[i] > hi {
-				return total
-			}
-			total += l.counts[i]
-		}
-	}
-	return total
 }
 
 func (in *inner) leafFor(key int64) *leaf {
@@ -506,8 +301,6 @@ func (in *inner) leafFor(key int64) *leaf {
 		}
 	}
 }
-
-func (in *inner) firstLeaf() *leaf { return in.children[0].firstLeaf() }
 
 func (in *inner) depth() int { return 1 + in.children[0].depth() }
 

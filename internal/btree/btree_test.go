@@ -2,119 +2,58 @@ package btree
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// refPairs flattens a reference count map into the strictly increasing
+// (key, count) form BulkLoad takes.
+func refPairs(ref map[int64]int64) (keys, counts []int64) {
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	counts = make([]int64, len(keys))
+	for i, k := range keys {
+		counts[i] = ref[k]
+	}
+	return keys, counts
+}
+
+// matchesRef reports whether the tree validates and agrees with the reference
+// count map on the total, on every present key (one at a time and through the
+// batched leaf-chain walk) and on the gaps next to them.
+func matchesRef(tr *Tree, ref map[int64]int64) bool {
+	if tr.Validate() != nil {
+		return false
+	}
+	keys, counts := refPairs(ref)
+	var total int64
+	for i, k := range keys {
+		total += counts[i]
+		if tr.Count(k) != counts[i] || tr.Count(k-1) != ref[k-1] || tr.Count(k+1) != ref[k+1] {
+			return false
+		}
+	}
+	out := make([]int64, len(keys))
+	tr.CountsSorted(keys, out)
+	return tr.Len() == total && slices.Equal(out, counts)
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := New()
-	if tr.Len() != 0 || tr.DistinctKeys() != 0 || tr.Depth() != 1 {
-		t.Errorf("empty tree: len=%d distinct=%d depth=%d", tr.Len(), tr.DistinctKeys(), tr.Depth())
+	tr, err := BulkLoadWithDegree(nil, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 0 {
+		t.Errorf("empty tree: len=%d", tr.Len())
 	}
 	if tr.Count(5) != 0 {
 		t.Error("Count on empty tree != 0")
 	}
-	if tr.CountRange(0, 100) != 0 {
-		t.Error("CountRange on empty tree != 0")
-	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNewWithDegreePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("degree 2: want panic")
-		}
-	}()
-	NewWithDegree(2)
-}
-
-func TestInsertAndCount(t *testing.T) {
-	tr := NewWithDegree(4)
-	vals := []int64{5, 3, 8, 3, 3, 9, 1, 5}
-	for _, v := range vals {
-		tr.Insert(v)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != int64(len(vals)) {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if tr.DistinctKeys() != 5 {
-		t.Errorf("DistinctKeys = %d, want 5", tr.DistinctKeys())
-	}
-	want := map[int64]int64{1: 1, 3: 3, 5: 2, 8: 1, 9: 1, 2: 0, 100: 0}
-	for k, c := range want {
-		if got := tr.Count(k); got != c {
-			t.Errorf("Count(%d) = %d, want %d", k, got, c)
-		}
-	}
-	if got := tr.CountRange(3, 8); got != 6 {
-		t.Errorf("CountRange(3,8) = %d, want 6", got)
-	}
-	if got := tr.CountRange(8, 3); got != 0 {
-		t.Errorf("inverted range = %d, want 0", got)
-	}
-	tr.InsertCount(7, 0)
-	tr.InsertCount(7, -2)
-	if tr.Count(7) != 0 {
-		t.Error("non-positive InsertCount must be a no-op")
-	}
-}
-
-func TestSplitsAndDepth(t *testing.T) {
-	tr := NewWithDegree(3)
-	for i := int64(0); i < 1000; i++ {
-		tr.Insert(i)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Depth() < 4 {
-		t.Errorf("depth = %d, expected a multi-level tree", tr.Depth())
-	}
-	for i := int64(0); i < 1000; i++ {
-		if tr.Count(i) != 1 {
-			t.Fatalf("Count(%d) != 1", i)
-		}
-	}
-	if tr.CountRange(100, 199) != 100 {
-		t.Errorf("CountRange(100,199) = %d", tr.CountRange(100, 199))
-	}
-}
-
-func TestAscend(t *testing.T) {
-	tr := Build([]int64{4, 2, 2, 9, -1})
-	var keys []int64
-	var counts []int64
-	tr.Ascend(func(k, c int64) bool {
-		keys = append(keys, k)
-		counts = append(counts, c)
-		return true
-	})
-	wantK := []int64{-1, 2, 4, 9}
-	wantC := []int64{1, 2, 1, 1}
-	if len(keys) != len(wantK) {
-		t.Fatalf("keys = %v", keys)
-	}
-	for i := range wantK {
-		if keys[i] != wantK[i] || counts[i] != wantC[i] {
-			t.Errorf("ascend[%d] = (%d,%d), want (%d,%d)", i, keys[i], counts[i], wantK[i], wantC[i])
-		}
-	}
-	// Early stop.
-	n := 0
-	tr.Ascend(func(k, c int64) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Errorf("early stop visited %d keys", n)
 	}
 }
 
@@ -127,202 +66,41 @@ func TestBuildEmpty(t *testing.T) {
 
 func TestAgainstReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	tr := NewWithDegree(5)
 	ref := map[int64]int64{}
-	var total int64
 	for i := 0; i < 20000; i++ {
-		k := rng.Int63n(500) - 250
-		c := rng.Int63n(3) + 1
-		tr.InsertCount(k, c)
-		ref[k] += c
-		total += c
+		ref[rng.Int63n(500)-250] += rng.Int63n(3) + 1
+	}
+	keys, counts := refPairs(ref)
+	tr, err := BulkLoadWithDegree(keys, counts, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != total {
-		t.Errorf("Len = %d, want %d", tr.Len(), total)
+	if !matchesRef(tr, ref) {
+		t.Error("bulk-loaded tree disagrees with the reference map")
 	}
-	if tr.DistinctKeys() != len(ref) {
-		t.Errorf("DistinctKeys = %d, want %d", tr.DistinctKeys(), len(ref))
-	}
-	for k, c := range ref {
-		if got := tr.Count(k); got != c {
-			t.Errorf("Count(%d) = %d, want %d", k, got, c)
-		}
-	}
-	// Random ranges vs reference.
-	keys := make([]int64, 0, len(ref))
-	for k := range ref {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for trial := 0; trial < 200; trial++ {
-		lo := rng.Int63n(600) - 300
-		hi := lo + rng.Int63n(200)
-		var want int64
-		for _, k := range keys {
-			if k >= lo && k <= hi {
-				want += ref[k]
-			}
-		}
-		if got := tr.CountRange(lo, hi); got != want {
-			t.Fatalf("CountRange(%d,%d) = %d, want %d", lo, hi, got, want)
+	for _, k := range []int64{-1000, -251, 250, 1000} {
+		if got := tr.Count(k); got != 0 {
+			t.Errorf("Count(%d) = %d, want 0", k, got)
 		}
 	}
 }
 
-// Property: for any insertion sequence and any degree, the tree validates and
-// agrees with a reference map on counts, totals and ascending order.
+// Property: for any key multiset and any degree, the bulk-loaded tree
+// validates and agrees with a reference map on counts and totals.
 func TestTreeQuick(t *testing.T) {
-	f := func(keys []int16, degSeed uint8) bool {
-		deg := int(degSeed%14) + 3
-		tr := NewWithDegree(deg)
+	f := func(raw []int16, degSeed uint8) bool {
 		ref := map[int64]int64{}
-		for _, k := range keys {
-			tr.Insert(int64(k))
+		for _, k := range raw {
 			ref[int64(k)]++
 		}
-		if tr.Validate() != nil {
-			return false
-		}
-		if tr.Len() != int64(len(keys)) || tr.DistinctKeys() != len(ref) {
-			return false
-		}
-		for k, c := range ref {
-			if tr.Count(k) != c {
-				return false
-			}
-		}
-		prev := int64(-1 << 62)
-		ok := true
-		var seen int64
-		tr.Ascend(func(k, c int64) bool {
-			if k <= prev || c != ref[k] {
-				ok = false
-				return false
-			}
-			prev = k
-			seen += c
-			return true
-		})
-		return ok && seen == tr.Len()
+		keys, counts := refPairs(ref)
+		tr, err := BulkLoadWithDegree(keys, counts, int(degSeed%14)+3)
+		return err == nil && tr.Len() == int64(len(raw)) && matchesRef(tr, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CountRange equals the sum of Counts over the range endpoints
-// drawn from the inserted keys.
-func TestCountRangeQuick(t *testing.T) {
-	f := func(keys []int8, lo, hi int8) bool {
-		tr := Build(int8sTo64(keys))
-		l, h := int64(lo), int64(hi)
-		if l > h {
-			l, h = h, l
-		}
-		var want int64
-		for _, k := range keys {
-			if int64(k) >= l && int64(k) <= h {
-				want++
-			}
-		}
-		return tr.CountRange(l, h) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func int8sTo64(in []int8) []int64 {
-	out := make([]int64, len(in))
-	for i, v := range in {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-func TestMinMax(t *testing.T) {
-	tr := New()
-	if _, ok := tr.Min(); ok {
-		t.Error("Min on empty tree: want ok=false")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Error("Max on empty tree: want ok=false")
-	}
-	rng := rand.New(rand.NewSource(29))
-	lo, hi := int64(1<<62), int64(-1<<62)
-	for i := 0; i < 5000; i++ {
-		k := rng.Int63n(100000) - 50000
-		tr.Insert(k)
-		if k < lo {
-			lo = k
-		}
-		if k > hi {
-			hi = k
-		}
-	}
-	if got, ok := tr.Min(); !ok || got != lo {
-		t.Errorf("Min = %d,%v want %d", got, ok, lo)
-	}
-	if got, ok := tr.Max(); !ok || got != hi {
-		t.Errorf("Max = %d,%v want %d", got, ok, hi)
-	}
-}
-
-func TestAscendRange(t *testing.T) {
-	tr := Build([]int64{1, 3, 3, 5, 7, 9})
-	var keys []int64
-	var total int64
-	tr.AscendRange(3, 7, func(k, c int64) bool {
-		keys = append(keys, k)
-		total += c
-		return true
-	})
-	if !reflect.DeepEqual(keys, []int64{3, 5, 7}) {
-		t.Errorf("keys = %v", keys)
-	}
-	if total != 4 {
-		t.Errorf("total = %d, want 4", total)
-	}
-	// Inverted range visits nothing.
-	tr.AscendRange(7, 3, func(k, c int64) bool { t.Error("visited"); return true })
-	// Early stop.
-	n := 0
-	tr.AscendRange(1, 9, func(k, c int64) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
-	}
-}
-
-// Property: AscendRange agrees with CountRange and visits sorted keys.
-func TestAscendRangeQuick(t *testing.T) {
-	f := func(keys []int16, lo, hi int16) bool {
-		vals := make([]int64, len(keys))
-		for i, k := range keys {
-			vals[i] = int64(k % 64)
-		}
-		tr := Build(vals)
-		l, h := int64(lo%64), int64(hi%64)
-		if l > h {
-			l, h = h, l
-		}
-		var total int64
-		prev := int64(-1 << 62)
-		ok := true
-		tr.AscendRange(l, h, func(k, c int64) bool {
-			if k < l || k > h || k <= prev {
-				ok = false
-				return false
-			}
-			prev = k
-			total += c
-			return true
-		})
-		return ok && total == tr.CountRange(l, h)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

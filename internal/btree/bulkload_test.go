@@ -19,12 +19,11 @@ func bulkInputs(rng *rand.Rand, n int) (keys, counts []int64) {
 	return keys, counts
 }
 
-// TestBulkLoadMatchesIncremental: a bulk-loaded tree must be observationally
-// identical to one built by incremental InsertCount calls — same validity
-// invariants, size, distinct keys, per-key counts, range counts, iteration
-// order, and extrema — across sizes that hit empty trees, a root-only leaf,
-// trailing-leaf underflow, and multi-level inner underflow, at several
-// degrees.
+// TestBulkLoadMatchesIncremental: a bulk-loaded tree must validate (fan-out
+// bounds, key order, uniform depth) and agree with the reference count map of
+// its input — size, per-key counts one at a time and through CountsSorted,
+// misses — across sizes that hit empty trees, a root-only leaf, trailing-leaf
+// underflow, and multi-level inner underflow, at several degrees.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	sizes := []int{0, 1, 2, 3, 7, 8, 64, 65, 100, 513, 2000}
@@ -38,47 +37,18 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			if err := bulk.Validate(); err != nil {
 				t.Fatalf("degree %d n %d: bulk-loaded tree invalid: %v", degree, n, err)
 			}
-			inc := NewWithDegree(degree)
+			ref := map[int64]int64{}
 			for i, k := range keys {
-				inc.InsertCount(k, counts[i])
+				ref[k] = counts[i]
 			}
-			if bulk.Len() != inc.Len() || bulk.DistinctKeys() != inc.DistinctKeys() {
-				t.Fatalf("degree %d n %d: len/distinct = %d/%d, want %d/%d",
-					degree, n, bulk.Len(), bulk.DistinctKeys(), inc.Len(), inc.DistinctKeys())
-			}
-			// Full ascent must visit the input pairs in order.
-			i := 0
-			bulk.Ascend(func(k, c int64) bool {
-				if k != keys[i] || c != counts[i] {
-					t.Fatalf("degree %d n %d: ascend[%d] = (%d,%d), want (%d,%d)",
-						degree, n, i, k, c, keys[i], counts[i])
-				}
-				i++
-				return true
-			})
-			if i != n {
-				t.Fatalf("degree %d n %d: ascend visited %d keys", degree, n, i)
+			if !matchesRef(bulk, ref) {
+				t.Fatalf("degree %d n %d: tree disagrees with the reference map", degree, n)
 			}
 			for trial := 0; trial < 20; trial++ {
 				k := rng.Int63n(int64(4*n+8)) - int64(2*n+4)
-				if got, want := bulk.Count(k), inc.Count(k); got != want {
+				if got, want := bulk.Count(k), ref[k]; got != want {
 					t.Fatalf("degree %d n %d: Count(%d) = %d, want %d", degree, n, k, got, want)
 				}
-				lo := rng.Int63n(int64(4*n+8)) - int64(2*n+4)
-				hi := lo + rng.Int63n(int64(2*n+4))
-				if got, want := bulk.CountRange(lo, hi), inc.CountRange(lo, hi); got != want {
-					t.Fatalf("degree %d n %d: CountRange(%d,%d) = %d, want %d", degree, n, lo, hi, got, want)
-				}
-			}
-			bmin, bok := bulk.Min()
-			imin, iok := inc.Min()
-			if bok != iok || bmin != imin {
-				t.Fatalf("degree %d n %d: Min = (%d,%v), want (%d,%v)", degree, n, bmin, bok, imin, iok)
-			}
-			bmax, bok := bulk.Max()
-			imax, iok := inc.Max()
-			if bok != iok || bmax != imax {
-				t.Fatalf("degree %d n %d: Max = (%d,%v), want (%d,%v)", degree, n, bmax, bok, imax, iok)
 			}
 		}
 	}
@@ -112,29 +82,23 @@ func TestBulkLoadErrors(t *testing.T) {
 	}
 }
 
-// TestBuildUsesBulkLoad: Build remains equivalent to incremental insertion
-// now that it routes through BulkLoad.
+// TestBuildUsesBulkLoad: Build tallies its values into the reference count
+// map's multiset before routing through BulkLoad.
 func TestBuildUsesBulkLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := make([]int64, 5000)
+	ref := map[int64]int64{}
 	for i := range vals {
 		vals[i] = rng.Int63n(700) - 350
+		ref[vals[i]]++
 	}
 	built := Build(vals)
-	if err := built.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	inc := New()
-	for _, v := range vals {
-		inc.Insert(v)
-	}
-	if built.Len() != inc.Len() || built.DistinctKeys() != inc.DistinctKeys() {
-		t.Fatalf("len/distinct = %d/%d, want %d/%d",
-			built.Len(), built.DistinctKeys(), inc.Len(), inc.DistinctKeys())
+	if built.Len() != int64(len(vals)) || !matchesRef(built, ref) {
+		t.Fatalf("Build disagrees with the reference map (len %d, want %d)", built.Len(), len(vals))
 	}
 	for v := int64(-360); v <= 360; v += 7 {
-		if built.Count(v) != inc.Count(v) {
-			t.Fatalf("Count(%d) = %d, want %d", v, built.Count(v), inc.Count(v))
+		if built.Count(v) != ref[v] {
+			t.Fatalf("Count(%d) = %d, want %d", v, built.Count(v), ref[v])
 		}
 	}
 }

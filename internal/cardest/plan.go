@@ -233,6 +233,3 @@ func (p *EstimatorPlan) probe(preds []Predicate, out []PredSource) {
 // NumSlots returns the number of predicate positions the plan was prepared
 // for.
 func (p *EstimatorPlan) NumSlots() int { return len(p.slots) }
-
-// JoinStat names the statistic that provided the plan's join cardinality.
-func (p *EstimatorPlan) JoinStat() string { return p.joinStat }

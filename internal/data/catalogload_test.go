@@ -58,7 +58,7 @@ func TestLoadCatalogSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := cat.MustTable("R")
-	if got.Segment() == nil {
+	if got.seg == nil {
 		t.Fatal("segment-loaded table is not segment-backed")
 	}
 	want, _ := tab.Column("x")

@@ -537,9 +537,6 @@ func (s *Segment) Close() error {
 // Name returns the table name stored in the segment.
 func (s *Segment) Name() string { return s.name }
 
-// Path returns the segment's file path.
-func (s *Segment) Path() string { return s.path }
-
 // NumRows returns the segment's row count.
 func (s *Segment) NumRows() int64 { return s.nrows }
 

@@ -99,7 +99,7 @@ func TestSegmentTableSemantics(t *testing.T) {
 	if st.Name() != "seg" || st.NumRows() != tab.NumRows() || st.NumCols() != 3 {
 		t.Fatalf("segment table shape: name %q rows %d cols %d", st.Name(), st.NumRows(), st.NumCols())
 	}
-	if st.Segment() == nil {
+	if st.seg == nil {
 		t.Fatal("Segment() nil on segment-backed table")
 	}
 	if err := st.Validate(); err != nil {

@@ -109,10 +109,6 @@ func (t *Table) NumRows() int {
 	return len(t.cols[0].Vals)
 }
 
-// Segment returns the backing segment of a segment-backed table, or nil for
-// an in-memory table.
-func (t *Table) Segment() *Segment { return t.seg }
-
 // Close releases the backing segment's file handle, if any. In-memory
 // tables need no Close; calling it is a no-op.
 func (t *Table) Close() error {

@@ -48,6 +48,19 @@ func TestFigure7Shapes(t *testing.T) {
 				t.Errorf("way=%d nb=%d: Hist-SIT (%.3f) should be worse than SweepExact (%.3f)",
 					way, nb, hist.Accuracy.AvgRelError, exact.Accuracy.AvgRelError)
 			}
+			// Dropping the containment and the sampling assumption together
+			// leaves only bucketing error: SweepExact is the most accurate of
+			// the Sweep family on the multi-join chains.
+			for _, m := range []sit.Method{sit.Sweep, sit.SweepIndex, sit.SweepFull} {
+				other, ok := res.Cell(way, nb, m)
+				if !ok {
+					t.Fatalf("missing %v cell for way=%d nb=%d", m, way, nb)
+				}
+				if exact.Accuracy.AvgRelError > other.Accuracy.AvgRelError {
+					t.Errorf("way=%d nb=%d: SweepExact (%.3f) should be at least as accurate as %v (%.3f)",
+						way, nb, exact.Accuracy.AvgRelError, m, other.Accuracy.AvgRelError)
+				}
+			}
 			// SweepExact knows the exact cardinality.
 			if exact.EstimatedCard != exact.TrueCard {
 				t.Errorf("way=%d nb=%d: SweepExact card %v != true %v",
@@ -191,6 +204,17 @@ func TestFigure8Shape(t *testing.T) {
 		}
 		if hybrid.AvgCost < opt.AvgCost-1e-6 {
 			t.Errorf("numSITs=%g: Hybrid (%v) beat Opt (%v)?", p.X, hybrid.AvgCost, opt.AvgCost)
+		}
+		// The heuristics order on average as Figure 8 reports: Hybrid <=
+		// Greedy <= Naive. Hybrid's switch from A* to greedy completion is
+		// wall-clock (HybridBudget), so where it fires depends on the host:
+		// over budgets from 1us to 200ms the worst excess over Greedy
+		// measured on this config was 1.1%, hence the 2% slack.
+		if hybrid.AvgCost > 1.02*greedy.AvgCost {
+			t.Errorf("numSITs=%g: Hybrid (%v) dearer than Greedy (%v)", p.X, hybrid.AvgCost, greedy.AvgCost)
+		}
+		if greedy.AvgCost > naive.AvgCost+1e-6 {
+			t.Errorf("numSITs=%g: Greedy (%v) dearer than Naive (%v)", p.X, greedy.AvgCost, naive.AvgCost)
 		}
 		// Sharing must actually pay off at the paper's overlap levels.
 		if naive.AvgCost <= opt.AvgCost {

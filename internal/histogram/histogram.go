@@ -341,15 +341,6 @@ func (h *Histogram) TotalFreq() float64 {
 	return t
 }
 
-// TotalDistinct returns the sum of per-bucket distinct counts.
-func (h *Histogram) TotalDistinct() float64 {
-	t := 0.0
-	for _, b := range h.Buckets {
-		t += b.Distinct
-	}
-	return t
-}
-
 // Min returns the smallest covered value; ok is false for empty histograms.
 func (h *Histogram) Min() (int64, bool) {
 	if len(h.Buckets) == 0 {
@@ -410,11 +401,6 @@ func (h *Histogram) EstimateRange(lo, hi int64) float64 {
 	return est
 }
 
-// EstimateLess estimates the number of tuples with value < c.
-func (h *Histogram) EstimateLess(c int64) float64 {
-	return h.EstimateRange(math.MinInt64, c-1)
-}
-
 // ScaleTo returns a copy whose total frequency equals total, implementing the
 // independence-assumption propagation step of Section 2.1: "bucket
 // frequencies are uniformly scaled down so that the sum of all frequencies in
@@ -425,11 +411,7 @@ func (h *Histogram) ScaleTo(total float64) *Histogram {
 	if cur == 0 {
 		return &Histogram{}
 	}
-	return h.Scale(total / cur)
-}
-
-// Scale returns a copy with all frequencies multiplied by factor.
-func (h *Histogram) Scale(factor float64) *Histogram {
+	factor := total / cur
 	out := &Histogram{Buckets: make([]Bucket, len(h.Buckets))}
 	copy(out.Buckets, h.Buckets)
 	for i := range out.Buckets {
@@ -438,13 +420,6 @@ func (h *Histogram) Scale(factor float64) *Histogram {
 			out.Buckets[i].Distinct = out.Buckets[i].Freq
 		}
 	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	out := &Histogram{Buckets: make([]Bucket, len(h.Buckets))}
-	copy(out.Buckets, h.Buckets)
 	return out
 }
 

@@ -141,9 +141,6 @@ func TestEstimateRange(t *testing.T) {
 			t.Errorf("EstimateRange(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
 		}
 	}
-	if got := h.EstimateLess(5); math.Abs(got-50) > 1e-9 {
-		t.Errorf("EstimateLess(5) = %v, want 50", got)
-	}
 }
 
 func TestLocate(t *testing.T) {
@@ -186,11 +183,6 @@ func TestScale(t *testing.T) {
 	// Original untouched.
 	if h.TotalFreq() != 100 {
 		t.Errorf("original mutated: %v", h.TotalFreq())
-	}
-	c := h.Clone()
-	c.Buckets[0].Freq = 0
-	if h.Buckets[0].Freq != 80 {
-		t.Error("Clone shares storage")
 	}
 }
 

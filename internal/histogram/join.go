@@ -11,7 +11,6 @@ package histogram
 // frequency/distinct mass each side contributes to the range under the
 // uniform-spread assumption.
 type joinPiece struct {
-	lo, hi int64
 	f1, d1 float64
 	f2, d2 float64
 }
@@ -35,7 +34,6 @@ func alignBuckets(h1, h2 *Histogram) []joinPiece {
 			frac1 := (float64(hi-lo) + 1) / b1.Width()
 			frac2 := (float64(hi-lo) + 1) / b2.Width()
 			pieces = append(pieces, joinPiece{
-				lo: lo, hi: hi,
 				f1: b1.Freq * frac1, d1: b1.Distinct * frac1,
 				f2: b2.Freq * frac2, d2: b2.Distinct * frac2,
 			})
@@ -68,33 +66,6 @@ func pieceJoinFreq(p joinPiece) float64 {
 		return 0
 	}
 	return p.f1 * p.f2 / maxD
-}
-
-// JoinHistogram estimates the distribution of the join attribute in the
-// result of the equi-join described by h1 and h2: one bucket per aligned
-// piece with the containment-assumption join frequency and min(dv1, dv2)
-// distinct values. The result's TotalFreq equals JoinCardinality(h1, h2).
-func JoinHistogram(h1, h2 *Histogram) *Histogram {
-	out := &Histogram{}
-	for _, p := range alignBuckets(h1, h2) {
-		f := pieceJoinFreq(p)
-		if f <= 0 {
-			continue
-		}
-		d := p.d1
-		if p.d2 < d {
-			d = p.d2
-		}
-		width := float64(p.hi-p.lo) + 1
-		if d > width {
-			d = width
-		}
-		if d > f {
-			d = f
-		}
-		out.Buckets = append(out.Buckets, Bucket{Lo: p.lo, Hi: p.hi, Freq: f, Distinct: d})
-	}
-	return out
 }
 
 // ContainmentMultiplicity is the histogram-based m-Oracle estimate of

@@ -3,7 +3,6 @@ package histogram
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // FromPairsVOptimal builds a V-Optimal histogram: bucket boundaries minimize
@@ -84,121 +83,10 @@ func FromPairsVOptimal(pairs []ValueFreq, nb int) (*Histogram, error) {
 	return fromBreaks(pairs, breaks), nil
 }
 
-// FromValuesVOptimal is FromPairsVOptimal over raw values.
-func FromValuesVOptimal(vals []int64, nb int) (*Histogram, error) {
-	return FromPairsVOptimal(Tally(vals), nb)
-}
-
 func identityBreaks(m int) []int {
 	breaks := make([]int, m)
 	for i := range breaks {
 		breaks[i] = i
 	}
 	return breaks
-}
-
-// Merge combines two histograms describing disjoint tuple sets of the same
-// attribute (e.g. partitions built in parallel): the result's estimate for
-// any range is the sum of the inputs' estimates, re-bucketized to at most nb
-// buckets with the given construction method. Distinct counts are summed per
-// aligned piece and capped at the piece width.
-func Merge(a, b *Histogram, nb int, m Method) (*Histogram, error) {
-	// Split both inputs on the union of their bucket boundaries; each aligned
-	// piece carries the summed frequency and distinct estimates of the two
-	// sides, then the result is reduced back to the bucket budget.
-	var bkts []Bucket
-	bkts = append(bkts, a.Buckets...)
-	bkts = append(bkts, b.Buckets...)
-	if len(bkts) == 0 {
-		return &Histogram{}, nil
-	}
-	// Collect all boundary edges.
-	edges := map[int64]struct{}{}
-	for _, bk := range bkts {
-		edges[bk.Lo] = struct{}{}
-		edges[bk.Hi+1] = struct{}{}
-	}
-	cuts := make([]int64, 0, len(edges))
-	for e := range edges {
-		cuts = append(cuts, e)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	var merged []Bucket
-	for i := 0; i+1 < len(cuts); i++ {
-		lo, hi := cuts[i], cuts[i+1]-1
-		if hi < lo {
-			continue
-		}
-		f := a.EstimateRange(lo, hi) + b.EstimateRange(lo, hi)
-		if f <= 0 {
-			continue
-		}
-		d := rangeDistinct(a, lo, hi) + rangeDistinct(b, lo, hi)
-		width := float64(hi-lo) + 1
-		if d > width {
-			d = width
-		}
-		if d > f {
-			d = f
-		}
-		merged = append(merged, Bucket{Lo: lo, Hi: hi, Freq: f, Distinct: d})
-	}
-	out := &Histogram{Buckets: merged}
-	if out.NumBuckets() <= nb {
-		return out, nil
-	}
-	return out.Rebucket(nb, m)
-}
-
-// rangeDistinct estimates the distinct values of h within [lo, hi] under the
-// uniform-spread assumption.
-func rangeDistinct(h *Histogram, lo, hi int64) float64 {
-	if hi < lo {
-		return 0
-	}
-	d := 0.0
-	for _, b := range h.Buckets {
-		if b.Hi < lo || b.Lo > hi {
-			continue
-		}
-		oLo, oHi := b.Lo, b.Hi
-		if lo > oLo {
-			oLo = lo
-		}
-		if hi < oHi {
-			oHi = hi
-		}
-		d += b.Distinct * ((float64(oHi-oLo) + 1) / b.Width())
-	}
-	return d
-}
-
-// Rebucket reduces the histogram to at most nb buckets by greedily merging
-// adjacent buckets with the smallest combined frequency until the budget is
-// met (method is reserved for future strategies; the greedy merge preserves
-// totals for every method).
-func (h *Histogram) Rebucket(nb int, m Method) (*Histogram, error) {
-	if nb <= 0 {
-		return nil, fmt.Errorf("histogram: bucket count %d must be positive", nb)
-	}
-	out := h.Clone()
-	for out.NumBuckets() > nb {
-		// Find the adjacent pair with the smallest combined frequency.
-		best := -1
-		bestF := math.MaxFloat64
-		for i := 0; i+1 < len(out.Buckets); i++ {
-			if f := out.Buckets[i].Freq + out.Buckets[i+1].Freq; f < bestF {
-				bestF = f
-				best = i
-			}
-		}
-		a, b := out.Buckets[best], out.Buckets[best+1]
-		mergedB := Bucket{Lo: a.Lo, Hi: b.Hi, Freq: a.Freq + b.Freq, Distinct: a.Distinct + b.Distinct}
-		if w := mergedB.Width(); mergedB.Distinct > w {
-			mergedB.Distinct = w
-		}
-		out.Buckets[best] = mergedB
-		out.Buckets = append(out.Buckets[:best+1], out.Buckets[best+2:]...)
-	}
-	return out, nil
 }

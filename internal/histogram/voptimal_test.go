@@ -109,7 +109,7 @@ func TestVOptimalQuick(t *testing.T) {
 			vals[i] = int64(v % 64)
 		}
 		nb := int(nbSeed%15) + 1
-		h, err := FromValuesVOptimal(vals, nb)
+		h, err := FromValues(vals, nb, VOptimal)
 		if err != nil {
 			return false
 		}
@@ -120,88 +120,6 @@ func TestVOptimalQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Histogram{Buckets: []Bucket{{Lo: 0, Hi: 9, Freq: 100, Distinct: 10}}}
-	b := &Histogram{Buckets: []Bucket{{Lo: 5, Hi: 14, Freq: 50, Distinct: 10}}}
-	m, err := Merge(a, b, 100, MaxDiffArea)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.TotalFreq(); math.Abs(got-150) > 1e-6 {
-		t.Errorf("merged total = %v, want 150", got)
-	}
-	// Range estimates add up.
-	for _, r := range [][2]int64{{0, 4}, {5, 9}, {10, 14}, {0, 14}} {
-		want := a.EstimateRange(r[0], r[1]) + b.EstimateRange(r[0], r[1])
-		if got := m.EstimateRange(r[0], r[1]); math.Abs(got-want) > 1e-6 {
-			t.Errorf("range %v: merged %v, want %v", r, got, want)
-		}
-	}
-	empty, err := Merge(&Histogram{}, &Histogram{}, 10, MaxDiffArea)
-	if err != nil || empty.NumBuckets() != 0 {
-		t.Errorf("empty merge: %v, %v", empty, err)
-	}
-}
-
-func TestMergeRespectsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	mk := func(seed int64) *Histogram {
-		vals := make([]int64, 2000)
-		for i := range vals {
-			vals[i] = rng.Int63n(500)
-		}
-		h, err := FromValues(vals, 40, MaxDiffArea)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	a, b := mk(1), mk(2)
-	m, err := Merge(a, b, 20, MaxDiffArea)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumBuckets() > 20 {
-		t.Errorf("merged buckets = %d > 20", m.NumBuckets())
-	}
-	if err := m.Validate(); err != nil {
-		t.Error(err)
-	}
-	if math.Abs(m.TotalFreq()-(a.TotalFreq()+b.TotalFreq())) > 1e-6*m.TotalFreq() {
-		t.Errorf("merged total = %v, want %v", m.TotalFreq(), a.TotalFreq()+b.TotalFreq())
-	}
-}
-
-func TestRebucket(t *testing.T) {
-	h := &Histogram{Buckets: []Bucket{
-		{Lo: 0, Hi: 1, Freq: 5, Distinct: 2},
-		{Lo: 2, Hi: 3, Freq: 5, Distinct: 2},
-		{Lo: 4, Hi: 5, Freq: 100, Distinct: 2},
-		{Lo: 6, Hi: 7, Freq: 100, Distinct: 2},
-	}}
-	r, err := h.Rebucket(3, MaxDiffArea)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumBuckets() != 3 {
-		t.Fatalf("buckets = %d", r.NumBuckets())
-	}
-	// The two small buckets merge first.
-	if r.Buckets[0].Lo != 0 || r.Buckets[0].Hi != 3 || r.Buckets[0].Freq != 10 {
-		t.Errorf("first merged bucket = %+v", r.Buckets[0])
-	}
-	if _, err := h.Rebucket(0, MaxDiffArea); err == nil {
-		t.Error("nb=0: want error")
-	}
-	// Original untouched.
-	if h.NumBuckets() != 4 {
-		t.Error("Rebucket mutated the receiver")
 	}
 }
 

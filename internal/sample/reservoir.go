@@ -1,16 +1,14 @@
 // Package sample implements the sampling substrate of Section 3.1 step 4:
 // one-pass reservoir sampling over the streamed (value, multiplicity) pairs
-// Sweep produces, in two flavors — Vitter's classic Algorithm R over
-// replicated values (the paper's formulation, "we append n copies of a_i"),
-// and an Efraimidis–Spirakis weighted reservoir that consumes the fractional
-// multiplicities directly (an extension that removes rounding noise).
+// Sweep produces — Vitter's classic Algorithm R over replicated values (the
+// paper's formulation, "we append n copies of a_i"), with fractional
+// multiplicities stochastically rounded.
 //
 // It also provides the GEE distinct-value estimator used when deriving
 // distinct counts from samples (the "sampling assumption" of Section 2.1).
 package sample
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -148,111 +146,6 @@ func (r *Reservoir) Seen() int64 { return r.seen }
 
 // Cap returns the reservoir capacity k.
 func (r *Reservoir) Cap() int { return r.k }
-
-// weightedItem is one candidate in the A-Res weighted reservoir with its key
-// u^(1/w); the k items with the largest keys form the sample.
-type weightedItem struct {
-	value int64
-	key   float64
-}
-
-type weightedHeap []weightedItem
-
-func (h weightedHeap) Len() int            { return len(h) }
-func (h weightedHeap) Less(i, j int) bool  { return h[i].key < h[j].key }
-func (h weightedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *weightedHeap) Push(x interface{}) { *h = append(*h, x.(weightedItem)) }
-func (h *weightedHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// WeightedReservoir is a weighted sample without replacement (Efraimidis and
-// Spirakis A-Res): each offered item gets key u^(1/w) and the k largest keys
-// survive. For Sweep it consumes the fractional multiplicity directly, so no
-// rounding noise enters the sample.
-type WeightedReservoir struct {
-	k    int
-	h    weightedHeap
-	rng  *rand.Rand
-	seen int64
-	mass float64
-}
-
-// NewWeightedReservoir creates a weighted reservoir holding at most k items.
-func NewWeightedReservoir(k int, seed int64) (*WeightedReservoir, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("sample: weighted reservoir size %d must be positive", k)
-	}
-	return &WeightedReservoir{k: k, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Add offers a value with the given weight; non-positive weights are ignored.
-func (w *WeightedReservoir) Add(v int64, weight float64) {
-	if weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
-		return
-	}
-	w.seen++
-	w.mass += weight
-	key := math.Pow(w.rng.Float64(), 1/weight)
-	if len(w.h) < w.k {
-		heap.Push(&w.h, weightedItem{value: v, key: key})
-		return
-	}
-	if key > w.h[0].key {
-		w.h[0] = weightedItem{value: v, key: key}
-		heap.Fix(&w.h, 0)
-	}
-}
-
-// Merge folds another weighted reservoir into w. A-Res keys are exchangeable
-// across independently seeded reservoirs (each item's key is u^(1/weight)
-// regardless of which generator drew u), so merging is exact: keep the k
-// largest keys of the union. The two reservoirs must have equal capacity and
-// must have consumed disjoint partitions of one logical stream. o is left
-// unchanged.
-func (w *WeightedReservoir) Merge(o *WeightedReservoir) error {
-	if o == nil {
-		return fmt.Errorf("sample: cannot merge nil weighted reservoir")
-	}
-	if o.k != w.k {
-		return fmt.Errorf("sample: cannot merge weighted reservoirs of capacity %d and %d", w.k, o.k)
-	}
-	for _, it := range o.h {
-		if len(w.h) < w.k {
-			heap.Push(&w.h, it)
-			continue
-		}
-		if it.key > w.h[0].key {
-			w.h[0] = it
-			heap.Fix(&w.h, 0)
-		}
-	}
-	w.seen += o.seen
-	w.mass += o.mass
-	return nil
-}
-
-// Sample returns the sampled values in unspecified order.
-func (w *WeightedReservoir) Sample() []int64 {
-	out := make([]int64, len(w.h))
-	for i, it := range w.h {
-		out[i] = it.value
-	}
-	return out
-}
-
-// Seen returns the number of items offered with positive weight.
-func (w *WeightedReservoir) Seen() int64 { return w.seen }
-
-// Mass returns the total weight offered, i.e. the estimated stream length.
-func (w *WeightedReservoir) Mass() float64 { return w.mass }
-
-// Cap returns the reservoir capacity k.
-func (w *WeightedReservoir) Cap() int { return w.k }
 
 // EstimateDistinct applies the GEE (Guaranteed-Error Estimator) of Charikar
 // et al. to estimate the number of distinct values in a population of size

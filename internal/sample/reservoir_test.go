@@ -11,7 +11,7 @@ func TestNewReservoirErrors(t *testing.T) {
 	if _, err := NewReservoir(0, 1); err == nil {
 		t.Error("k=0: want error")
 	}
-	if _, err := NewWeightedReservoir(-1, 1); err == nil {
+	if _, err := NewReservoir(-1, 1); err == nil {
 		t.Error("k<0: want error")
 	}
 }
@@ -144,52 +144,6 @@ func TestAddWeighted(t *testing.T) {
 	}
 }
 
-func TestWeightedReservoirBias(t *testing.T) {
-	// Two values, weight 9:1. Sample of 1 should pick the heavy value ~90%.
-	heavy := 0
-	const trials = 5000
-	for trial := 0; trial < trials; trial++ {
-		w, err := NewWeightedReservoir(1, int64(trial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Add(1, 9)
-		w.Add(2, 1)
-		if w.Sample()[0] == 1 {
-			heavy++
-		}
-	}
-	got := float64(heavy) / trials
-	if got < 0.85 || got > 0.95 {
-		t.Errorf("heavy value sampled %.3f, want ~0.9", got)
-	}
-}
-
-func TestWeightedReservoirBookkeeping(t *testing.T) {
-	w, err := NewWeightedReservoir(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Add(1, 2)
-	w.Add(2, 3.5)
-	w.Add(3, 0)           // ignored
-	w.Add(4, math.Inf(1)) // ignored
-	if w.Seen() != 2 {
-		t.Errorf("seen = %d, want 2", w.Seen())
-	}
-	if math.Abs(w.Mass()-5.5) > 1e-9 {
-		t.Errorf("mass = %v, want 5.5", w.Mass())
-	}
-	if w.Cap() != 3 {
-		t.Errorf("cap = %d", w.Cap())
-	}
-	w.Add(5, 1)
-	w.Add(6, 1)
-	if len(w.Sample()) != 3 {
-		t.Errorf("sample len = %d, want 3", len(w.Sample()))
-	}
-}
-
 func TestReservoirMergeErrors(t *testing.T) {
 	r, err := NewReservoir(5, 1)
 	if err != nil {
@@ -315,74 +269,6 @@ func TestReservoirMergeUnbiased(t *testing.T) {
 	}
 }
 
-func TestWeightedReservoirMergeErrors(t *testing.T) {
-	w, _ := NewWeightedReservoir(3, 1)
-	if err := w.Merge(nil); err == nil {
-		t.Error("merge nil: want error")
-	}
-	o, _ := NewWeightedReservoir(4, 2)
-	if err := w.Merge(o); err == nil {
-		t.Error("capacity mismatch: want error")
-	}
-}
-
-func TestWeightedReservoirMergeBookkeeping(t *testing.T) {
-	w, _ := NewWeightedReservoir(3, 1)
-	o, _ := NewWeightedReservoir(3, 2)
-	w.Add(1, 2)
-	w.Add(2, 3)
-	o.Add(3, 1.5)
-	o.Add(4, 0.5)
-	o.Add(5, 1)
-	o.Add(6, 1)
-	if err := w.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	if w.Seen() != 6 {
-		t.Errorf("seen = %d, want 6", w.Seen())
-	}
-	if math.Abs(w.Mass()-9) > 1e-9 {
-		t.Errorf("mass = %v, want 9", w.Mass())
-	}
-	if len(w.Sample()) != 3 {
-		t.Errorf("sample len = %d, want 3", len(w.Sample()))
-	}
-	// o is untouched.
-	if o.Seen() != 4 || math.Abs(o.Mass()-4) > 1e-9 {
-		t.Errorf("merge mutated source: seen=%d mass=%v", o.Seen(), o.Mass())
-	}
-}
-
-// TestWeightedReservoirMergeBias: the weighted-sampling bias must survive a
-// merge — a heavy item offered to one shard should win a merged k=1 sample
-// over a light item offered to the other shard ~weight proportionally.
-func TestWeightedReservoirMergeBias(t *testing.T) {
-	heavy := 0
-	const trials = 5000
-	for trial := 0; trial < trials; trial++ {
-		a, err := NewWeightedReservoir(1, int64(2*trial+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewWeightedReservoir(1, int64(2*trial+2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Add(1, 9)
-		b.Add(2, 1)
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-		if a.Sample()[0] == 1 {
-			heavy++
-		}
-	}
-	got := float64(heavy) / trials
-	if got < 0.85 || got > 0.95 {
-		t.Errorf("heavy value sampled %.3f, want ~0.9", got)
-	}
-}
-
 func TestEstimateDistinct(t *testing.T) {
 	if got := EstimateDistinct(nil, 100); got != 0 {
 		t.Errorf("empty sample = %v", got)
@@ -415,6 +301,27 @@ func TestEstimateDistinctStatistical(t *testing.T) {
 	got := EstimateDistinct(sampleVals, int64(len(population)))
 	if got < 500 || got > 2000 {
 		t.Errorf("distinct estimate = %v, want within [500,2000] of 1000", got)
+	}
+}
+
+// Property: GEE stays within [observed distinct, population].
+func TestDistinctBoundsQuick(t *testing.T) {
+	f := func(raw []uint8, extra uint16) bool {
+		smp := make([]int64, len(raw))
+		seen := map[int64]bool{}
+		for i, v := range raw {
+			smp[i] = int64(v % 32)
+			seen[smp[i]] = true
+		}
+		total := int64(len(raw)) + int64(extra)
+		got := EstimateDistinct(smp, total)
+		if len(smp) == 0 {
+			return got == 0
+		}
+		return got >= float64(len(seen))-1e-9 && got <= float64(total)+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

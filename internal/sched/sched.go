@@ -165,18 +165,6 @@ func Naive(tasks []Task, env Env) (Schedule, error) {
 	return s, nil
 }
 
-// TotalScanCost returns the cost of scanning every table in every task once —
-// the Naive cost — without building the schedule.
-func TotalScanCost(tasks []Task, env Env) float64 {
-	total := 0.0
-	for _, t := range tasks {
-		for _, tab := range t.Seq {
-			total += env.Cost[tab]
-		}
-	}
-	return total
-}
-
 // sortedTables returns the distinct tables referenced by the tasks, sorted.
 func sortedTables(tasks []Task) []string {
 	set := map[string]bool{}

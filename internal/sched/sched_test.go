@@ -89,9 +89,6 @@ func TestNaive(t *testing.T) {
 	if s.Cost != 90 {
 		t.Errorf("naive cost = %v, want 90", s.Cost)
 	}
-	if got := TotalScanCost(tasks, env); got != s.Cost {
-		t.Errorf("TotalScanCost = %v, want %v", got, s.Cost)
-	}
 	if err := Validate(s, tasks, env); err != nil {
 		t.Error(err)
 	}
@@ -255,9 +252,12 @@ func TestGreedyAndHybrid(t *testing.T) {
 		if g.Cost < opt.Cost-1e-9 {
 			t.Fatalf("greedy (%v) beat the optimum (%v)?", g.Cost, opt.Cost)
 		}
-		naiveCost := TotalScanCost(tasks, env)
-		if g.Cost > naiveCost+1e-9 {
-			t.Errorf("greedy (%v) worse than naive (%v)", g.Cost, naiveCost)
+		naive, err := Naive(tasks, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Cost > naive.Cost+1e-9 {
+			t.Errorf("greedy (%v) worse than naive (%v)", g.Cost, naive.Cost)
 		}
 		h, _, err := Hybrid(tasks, env, time.Second)
 		if err != nil {
@@ -365,8 +365,8 @@ func TestSharingBeatsNaive(t *testing.T) {
 	if opt.Cost != 20 {
 		t.Errorf("fully shared cost = %v, want 20", opt.Cost)
 	}
-	if naive := TotalScanCost(tasks, env); naive != 60 {
-		t.Errorf("naive = %v, want 60", naive)
+	if naive, err := Naive(tasks, env); err != nil || naive.Cost != 60 {
+		t.Errorf("naive = %v (%v), want 60", naive.Cost, err)
 	}
 }
 

@@ -19,10 +19,23 @@ func randVals(rng *rand.Rand, n int, lo, span int64) []int64 {
 	return out
 }
 
+// scalarMultiplicity is the per-value reference of the batched m-Oracles:
+// histogram.ContainmentMultiplicity for histogram oracles and Tree.Count for
+// index oracles.
+func scalarMultiplicity(o oracle, v int64) float64 {
+	switch o := o.(type) {
+	case histOracle:
+		return histogram.ContainmentMultiplicity(o.child, o.parent, v)
+	case indexOracle:
+		return float64(o.idx.Count(v))
+	}
+	panic("unknown oracle")
+}
+
 // TestMultiplicityBatchMatchesScalar: each batched oracle must return, per
-// element of an unsorted probe vector, exactly the float the scalar
-// multiplicity call returns — including probes outside both histograms and
-// absent from the index.
+// element of an unsorted probe vector, exactly the float its scalar reference
+// (scalarMultiplicity) returns — including probes outside both histograms
+// and absent from the index.
 func TestMultiplicityBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	xs := randVals(rng, 900, -150, 300)
@@ -35,10 +48,7 @@ func TestMultiplicityBatchMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracles := map[string]interface {
-		oracle
-		batchOracle
-	}{
+	oracles := map[string]oracle{
 		"hist":  histOracle{child: hR, parent: hS},
 		"index": indexOracle{idx: btree.Build(xs)},
 	}
@@ -48,7 +58,7 @@ func TestMultiplicityBatchMatchesScalar(t *testing.T) {
 		out := make([]float64, len(probes))
 		o.multiplicityBatch(probes, out, &scratch)
 		for i, v := range probes {
-			if want := o.multiplicity([]int64{v}); out[i] != want {
+			if want := scalarMultiplicity(o, v); out[i] != want {
 				t.Fatalf("%s: batch m(%d) = %v, scalar = %v", name, v, out[i], want)
 			}
 		}
@@ -106,21 +116,16 @@ func (r *recorder) merge(shard consumer) error {
 	return nil
 }
 
-// feedChunkRowRef is the pre-refactor row-at-a-time feedChunk, kept as the
-// bit-identity reference for the batched implementation.
-func feedChunkRowRef(ch data.Chunk, jobs []*scanJob, dst []consumer) {
+// feedChunkRowRef is the row-at-a-time form of feedChunk over the scalar
+// references, kept as the bit-identity reference for the batched kernel.
+func feedChunkRowRef(ch data.Chunk, p *scanPlan, dst []consumer) {
 	n := ch.Len()
-	var vbuf [4]int64
 	for r := 0; r < n; r++ {
-		for ji, j := range jobs {
+		for ji, j := range p.jobs {
 			m := 1.0
-			for pi := range j.preds {
-				p := &j.preds[pi]
-				vals := vbuf[:0]
-				for _, c := range p.cols {
-					vals = append(vals, ch.Cols[c][r])
-				}
-				m *= p.o.multiplicity(vals)
+			for _, jp := range j.preds {
+				pr := p.probes[jp.probe]
+				m *= scalarMultiplicity(pr.o, ch.Cols[pr.col][r])
 				if m == 0 {
 					break
 				}
@@ -132,10 +137,10 @@ func feedChunkRowRef(ch data.Chunk, jobs []*scanJob, dst []consumer) {
 	}
 }
 
-// probeJobs builds a mixed job set: a single batchable histogram predicate
-// (the straight-into-scratch fast path), a single index predicate, a
-// two-predicate job (batched product path), and a job mixing a 2-D oracle
-// (row fallback) with a batchable one.
+// probeJobs builds a mixed job set: a single histogram predicate (the
+// straight-into-scratch fast path), a single index predicate, and two
+// two-predicate jobs (the product path) — one mixing oracle kinds, one the
+// product of two 1-D histogram oracles a double-predicate edge resolves to.
 func probeJobs(t *testing.T, rng *rand.Rand) []*scanJob {
 	t.Helper()
 	xs := randVals(rng, 800, -100, 200)
@@ -148,22 +153,18 @@ func probeJobs(t *testing.T, rng *rand.Rand) []*scanJob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2R, err := histogram.Build2D(xs, randVals(rng, 800, 0, 50), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2S, err := histogram.Build2D(ys, randVals(rng, 600, 0, 50), 4, 4)
+	hW, err := histogram.FromValues(randVals(rng, 800, 0, 50), 4, histogram.MaxDiffArea)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ho := histOracle{child: hR, parent: hS}
 	io := indexOracle{idx: btree.Build(xs)}
-	o2 := oracle2D{child: h2R, parent: h2S}
+	hw := histOracle{child: hW, parent: hW}
 	return []*scanJob{
-		{targetAttr: "a", preds: []jobPred{newJobPred([]string{"u"}, ho)}},
-		{targetAttr: "a", preds: []jobPred{newJobPred([]string{"v"}, io)}},
-		{targetAttr: "b", preds: []jobPred{newJobPred([]string{"u"}, ho), newJobPred([]string{"v"}, io)}},
-		{targetAttr: "a", preds: []jobPred{newJobPred([]string{"u", "w"}, o2), newJobPred([]string{"v"}, ho)}},
+		{targetAttr: "a", preds: []jobPred{{attr: "u", o: ho}}},
+		{targetAttr: "a", preds: []jobPred{{attr: "v", o: io}}},
+		{targetAttr: "b", preds: []jobPred{{attr: "u", o: ho}, {attr: "v", o: io}}},
+		{targetAttr: "a", preds: []jobPred{{attr: "w", o: hw}, {attr: "v", o: ho}}},
 	}
 }
 
@@ -178,12 +179,11 @@ func TestFeedChunkMatchesRowReference(t *testing.T) {
 		j.cons = got[i]
 	}
 	plan := planScan(jobs)
-	// Jobs 0, 2 and 3 probe column u with the same histogram oracle and jobs
-	// 1 and 2 column v with the same index: three distinct probes serve five
-	// predicates (the 2-D one is never batched), and the sorted jobs 0 and 2
-	// target different attributes.
-	if len(plan.probes) != 3 || len(plan.sorts) != 2 {
-		t.Fatalf("plan shares %d probes and %d target sorts, want 3 and 2", len(plan.probes), len(plan.sorts))
+	// Jobs 0 and 2 probe column u with the same histogram oracle and jobs 1
+	// and 2 column v with the same index: four distinct probes serve six
+	// predicates, and the sorted jobs 0 and 2 target different attributes.
+	if len(plan.probes) != 4 || len(plan.sorts) != 2 {
+		t.Fatalf("plan shares %d probes and %d target sorts, want 4 and 2", len(plan.probes), len(plan.sorts))
 	}
 	for _, n := range []int{0, 1, 37, 4096} {
 		ch := data.Chunk{Cols: make([][]int64, len(plan.cols))}
@@ -197,7 +197,7 @@ func TestFeedChunkMatchesRowReference(t *testing.T) {
 		}
 		var scratch probeScratch
 		feedChunk(ch, plan, got, &scratch)
-		feedChunkRowRef(ch, jobs, want)
+		feedChunkRowRef(ch, plan, want)
 		for i := range jobs {
 			g, w := got[i].(*recorder), want[i].(*recorder)
 			if g.bad != "" {
@@ -211,25 +211,9 @@ func TestFeedChunkMatchesRowReference(t *testing.T) {
 	}
 }
 
-// stripBatch returns a deep copy of jobs with every predicate's batched
-// interface removed, forcing feedChunk down the row fallback.
-func stripBatch(jobs []*scanJob) []*scanJob {
-	out := make([]*scanJob, len(jobs))
-	for i, j := range jobs {
-		cp := *j
-		cp.preds = make([]jobPred, len(j.preds))
-		for pi, p := range j.preds {
-			cp.preds[pi] = jobPred{attrs: p.attrs, o: p.o}
-		}
-		out[i] = &cp
-	}
-	return out
-}
-
 // TestSharedScanBatchedProbingBitIdentical: a full shared scan over a
-// multi-chunk table must deliver identical consumer streams whether the
-// oracles are probed per chunk or per row, at serial and parallel worker
-// counts.
+// multi-chunk table must deliver the consumer streams of the row reference
+// run over the same chunk grid, at serial and parallel worker counts.
 func TestSharedScanBatchedProbingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tab := data.MustNewTable("T", "a", "b", "u", "v", "w")
@@ -239,28 +223,48 @@ func TestSharedScanBatchedProbingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, par := range []int{1, 4} {
-		run := func(jobs []*scanJob, sorted bool) [][]vmPair {
-			cons := make([]*recorder, len(jobs))
-			for i, j := range jobs {
-				cons[i] = &recorder{sorted: sorted}
-				j.cons = cons[i]
+	record := func(sorted bool, scan func(jobs []*scanJob, dst []consumer)) [][]vmPair {
+		jobs := probeJobs(t, rand.New(rand.NewSource(6)))
+		dst := make([]consumer, len(jobs))
+		for i, j := range jobs {
+			dst[i] = &recorder{sorted: sorted}
+			j.cons = dst[i]
+		}
+		scan(jobs, dst)
+		out := make([][]vmPair, len(dst))
+		for i, c := range dst {
+			if bad := c.(*recorder).bad; bad != "" {
+				t.Fatalf("job %d: %s", i, bad)
 			}
-			if err := runSharedScan(tab, jobs, par); err != nil {
+			out[i] = c.(*recorder).pairs
+		}
+		return out
+	}
+	rowwise := record(false, func(jobs []*scanJob, dst []consumer) {
+		plan := planScan(jobs)
+		rd, err := tab.OpenChunks(scanChunkRows, plan.cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		for {
+			ch, ok, err := rd.Next()
+			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([][]vmPair, len(cons))
-			for i, c := range cons {
-				if c.bad != "" {
-					t.Fatalf("parallelism %d job %d: %s", par, i, c.bad)
-				}
-				out[i] = c.pairs
+			if !ok {
+				return
 			}
-			return out
+			feedChunkRowRef(ch, plan, dst)
 		}
+	})
+	for _, par := range []int{1, 4} {
 		for _, sorted := range []bool{false, true} {
-			batched := run(probeJobs(t, rand.New(rand.NewSource(6))), sorted)
-			rowwise := run(stripBatch(probeJobs(t, rand.New(rand.NewSource(6)))), sorted)
+			batched := record(sorted, func(jobs []*scanJob, _ []consumer) {
+				if err := runSharedScan(tab, jobs, par, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
 			if !reflect.DeepEqual(batched, rowwise) {
 				t.Fatalf("parallelism %d sorted %v: batched scan stream != row scan stream", par, sorted)
 			}

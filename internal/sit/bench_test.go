@@ -75,7 +75,7 @@ func BenchmarkSharedScan(b *testing.B) {
 						}
 						jobs[ji] = job
 					}
-					if err := runSharedScan(tab, jobs, p); err != nil {
+					if err := runSharedScan(tab, jobs, p, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -111,7 +111,7 @@ func BenchmarkSweepFull(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				builder.InvalidateCache()
+				clear(builder.sits)
 				if _, err := builder.Build(spec, SweepFull); err != nil {
 					b.Fatal(err)
 				}
@@ -148,7 +148,7 @@ func BenchmarkSharedScanExact(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := runSharedScan(tab, []*scanJob{job}, p); err != nil {
+				if err := runSharedScan(tab, []*scanJob{job}, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -74,7 +74,7 @@ func (b *Builder) BuildGroup(specs []query.SITSpec, m Method) ([]*SIT, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runSharedScanGov(t, jobs, b.cfg.Parallelism, b.gov); err != nil {
+		if err := runSharedScan(t, jobs, b.cfg.Parallelism, b.gov); err != nil {
 			return nil, err
 		}
 	}
@@ -122,7 +122,7 @@ func (b *Builder) build(spec query.SITSpec, m Method, nb int) (*SIT, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runSharedScanGov(t, []*scanJob{job}, b.cfg.Parallelism, b.gov); err != nil {
+		if err := runSharedScan(t, []*scanJob{job}, b.cfg.Parallelism, b.gov); err != nil {
 			return nil, err
 		}
 		return b.finishJob(spec, m, job, nb)
@@ -142,26 +142,12 @@ func (b *Builder) prepareJob(spec query.SITSpec, m Method, nb int) (*scanJob, er
 	}
 	job := &scanJob{targetAttr: spec.Attr}
 	for _, edge := range jt.Children {
-		if b.cfg.Use2DOracles && len(edge.Preds) == 2 && edge.Child.IsLeaf() &&
-			(m == Sweep || m == SweepFull) {
-			// Double-predicate edge to a base table: answer both predicates
-			// jointly from 2-D histograms (Section 3.2's multidimensional-
-			// histogram extension) instead of multiplying independent 1-D
-			// oracles.
-			o, err := b.oracle2DFor(jt.Table, edge)
-			if err != nil {
-				return nil, err
-			}
-			job.preds = append(job.preds, newJobPred(
-				[]string{edge.Preds[0].ParentAttr, edge.Preds[1].ParentAttr}, o))
-			continue
-		}
 		for _, pred := range edge.Preds {
 			o, err := b.childOracle(jt.Table, edge.Child, pred, m)
 			if err != nil {
 				return nil, err
 			}
-			job.preds = append(job.preds, newJobPred([]string{pred.ParentAttr}, o))
+			job.preds = append(job.preds, jobPred{attr: pred.ParentAttr, o: o})
 		}
 	}
 	job.cons, err = b.newConsumer(spec.Table, m)
@@ -245,20 +231,6 @@ func (b *Builder) childOracle(parentTable string, child *query.JoinTree, pred qu
 	return histOracle{child: childHist, parent: parentHist}, nil
 }
 
-// oracle2DFor builds (and caches) the 2-D histograms answering a
-// double-predicate edge jointly.
-func (b *Builder) oracle2DFor(parentTable string, edge query.JoinTreeChild) (oracle, error) {
-	child, err := b.hist2D(edge.Child.Table, edge.Preds[0].ChildAttr, edge.Preds[1].ChildAttr)
-	if err != nil {
-		return nil, err
-	}
-	parent, err := b.hist2D(parentTable, edge.Preds[0].ParentAttr, edge.Preds[1].ParentAttr)
-	if err != nil {
-		return nil, err
-	}
-	return oracle2D{child: child, parent: parent}, nil
-}
-
 // newConsumer creates the stream consumer matching the method: reservoir
 // sampling for Sweep/SweepIndex, exact aggregation for SweepFull/SweepExact.
 func (b *Builder) newConsumer(table string, m Method) (consumer, error) {
@@ -270,10 +242,7 @@ func (b *Builder) newConsumer(table string, m Method) (consumer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if b.cfg.WeightedSampling {
-			return newWeightedConsumer(k, b.nextSeed(), b.cfg.Distinct)
-		}
-		return newSampledConsumer(k, b.nextSeed(), b.cfg.Distinct)
+		return newSampledConsumer(k, b.nextSeed())
 	default:
 		return nil, fmt.Errorf("sit: method %v does not stream", m)
 	}

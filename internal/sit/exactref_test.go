@@ -156,10 +156,10 @@ func TestExactConsumerBitIdenticalToMapReference(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			o := fractionalOracle(t, f.y)
 			job := func(c consumer) []*scanJob {
-				return []*scanJob{{targetAttr: "a", preds: []jobPred{newJobPred([]string{"y"}, o)}, cons: c}}
+				return []*scanJob{{targetAttr: "a", preds: []jobPred{{attr: "y", o: o}}, cons: c}}
 			}
 			ref := newMapConsumer()
-			if err := runSharedScan(f.table(t, false), job(ref), 1); err != nil {
+			if err := runSharedScan(f.table(t, false), job(ref), 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			want := ref.pairs()
@@ -177,7 +177,7 @@ func TestExactConsumerBitIdenticalToMapReference(t *testing.T) {
 				tab := f.table(t, segment)
 				for _, width := range []int{1, 2, 4, 8} {
 					c := newFullConsumer()
-					if err := runSharedScan(tab, job(c), width); err != nil {
+					if err := runSharedScan(tab, job(c), width, nil); err != nil {
 						t.Fatal(err)
 					}
 					h, mass, err := c.result(100, histogram.MaxDiffArea)

@@ -50,12 +50,12 @@ func shardSeed(base int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// probe is one distinct batched m-Oracle probe of a shared scan: an oracle
-// answering a scanned column. Jobs whose predicates agree on both share one
-// answer vector per chunk.
+// probe is one distinct m-Oracle probe of a shared scan: an oracle answering
+// a scanned column. Jobs whose predicates agree on both share one answer
+// vector per chunk.
 type probe struct {
 	col int
-	bo  batchOracle
+	o   oracle
 }
 
 // scanPlan is what a shared scan resolves once, before the first chunk: the
@@ -72,31 +72,15 @@ type scanPlan struct {
 
 func planScan(jobs []*scanJob) *scanPlan {
 	p := &scanPlan{jobs: jobs}
-	colIdx := map[string]int{}
-	need := func(c string) int {
-		if i, ok := colIdx[c]; ok {
-			return i
-		}
-		colIdx[c] = len(p.cols)
-		p.cols = append(p.cols, c)
-		return len(p.cols) - 1
-	}
 	for _, j := range jobs {
-		j.targetCol = need(j.targetAttr)
+		j.targetCol = slot(&p.cols, j.targetAttr)
 		j.sort = -1
 		if j.cons.sortsTarget() {
 			j.sort = slot(&p.sorts, j.targetCol)
 		}
 		for pi := range j.preds {
 			jp := &j.preds[pi]
-			jp.cols = jp.cols[:0]
-			for _, a := range jp.attrs {
-				jp.cols = append(jp.cols, need(a))
-			}
-			jp.probe = -1
-			if jp.bo != nil {
-				jp.probe = slot(&p.probes, probe{col: jp.cols[0], bo: jp.bo})
-			}
+			jp.probe = slot(&p.probes, probe{col: slot(&p.cols, jp.attr), o: jp.o})
 		}
 	}
 	return p
@@ -184,53 +168,36 @@ func (s *probeScratch) growSort(n int) {
 // is the product of the per-predicate oracle answers; the job's target value
 // is streamed with that multiplicity.
 //
-// Every distinct batched probe is answered once per chunk over the whole
-// column sub-slice and every distinct sorted target is argsorted once; jobs
-// then differ only in which answers they multiply and which consumer folds
-// the result. 2-D oracles fall back to the per-row path. The per-consumer
-// stream is unchanged: values arrive in ascending row order with
-// multiplicities that are bit-identical to the row-at-a-time computation
-// (the product is accumulated in the same predicate order, 1*x == x, and rows
-// whose running product hits zero are skipped in both forms).
+// Every distinct probe is answered once per chunk over the whole column
+// sub-slice and every distinct sorted target is argsorted once; jobs then
+// differ only in which answers they multiply and which consumer folds the
+// result. Each consumer sees its values in ascending row order with
+// multiplicities that are bit-identical to a row-at-a-time computation (the
+// product is accumulated in the same predicate order and 1*x == x).
 //
 //statcheck:hot
 func feedChunk(ch data.Chunk, p *scanPlan, dst []consumer, s *probeScratch) {
 	n := ch.Len()
 	s.grow(n, p)
 	for i, pr := range p.probes {
-		pr.bo.multiplicityBatch(ch.Cols[pr.col], s.ans[i][:n], s)
+		pr.o.multiplicityBatch(ch.Cols[pr.col], s.ans[i][:n], s)
 	}
 	for i, col := range p.sorts {
 		s.argsort(ch.Cols[col], &s.tsort[i])
 	}
-	var vbuf [4]int64
 	for ji, j := range p.jobs {
 		var m []float64
-		if len(j.preds) == 1 && j.preds[0].probe >= 0 {
-			// Single batchable predicate: its answers are the stream.
+		if len(j.preds) == 1 {
+			// Single predicate: its answers are the stream.
 			m = s.ans[j.preds[0].probe][:n]
 		} else {
 			m = s.m[:n]
 			for r := range m {
 				m[r] = 1
 			}
-			for pi := range j.preds {
-				jp := &j.preds[pi]
-				if jp.probe >= 0 {
-					for r, a := range s.ans[jp.probe][:n] {
-						m[r] *= a
-					}
-					continue
-				}
-				for r := 0; r < n; r++ {
-					if m[r] == 0 {
-						continue
-					}
-					vals := vbuf[:0]
-					for _, c := range jp.cols {
-						vals = append(vals, ch.Cols[c][r])
-					}
-					m[r] *= jp.o.multiplicity(vals)
+			for _, jp := range j.preds {
+				for r, a := range s.ans[jp.probe][:n] {
+					m[r] *= a
 				}
 			}
 		}
@@ -245,14 +212,9 @@ func feedChunk(ch data.Chunk, p *scanPlan, dst []consumer, s *probeScratch) {
 // runSharedScan performs one sequential scan over the table and feeds every
 // job, using up to parallelism pool workers (0 = GOMAXPROCS; the worker
 // count is additionally capped by the number of chunks, so small tables run
-// serially). Scratch is un-budgeted; see runSharedScanGov.
-func runSharedScan(t *data.Table, jobs []*scanJob, parallelism int) error {
-	return runSharedScanGov(t, jobs, parallelism, nil)
-}
-
-// runSharedScanGov is runSharedScan with the per-worker probe scratch
-// accounted against gov through one pooled grant, released when the scan
-// completes. A nil governor means unlimited.
+// serially). The per-worker probe scratch is accounted against gov through
+// one pooled grant, released when the scan completes; a nil governor means
+// unlimited.
 //
 // The scan streams the table through data.ChunkReader windows instead of an
 // eager chunk array, so a segment-backed table is never materialized: each
@@ -260,7 +222,7 @@ func runSharedScan(t *data.Table, jobs []*scanJob, parallelism int) error {
 // pooled grant) as it goes. Chunk Seq numbers come from the table's global
 // chunk grid, so the Seq-ordered merge — and the results — are identical
 // between in-memory and segment-backed tables at every parallelism.
-func runSharedScanGov(t *data.Table, jobs []*scanJob, parallelism int, gov *mem.Governor) error {
+func runSharedScan(t *data.Table, jobs []*scanJob, parallelism int, gov *mem.Governor) error {
 	if len(jobs) == 0 {
 		return nil
 	}

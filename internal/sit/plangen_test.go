@@ -25,7 +25,7 @@ func TestStatGenBumpsExactly(t *testing.T) {
 	gens := func() map[string]uint64 {
 		out := map[string]uint64{}
 		for _, tb := range []string{"T1", "T2", "T3", "T4"} {
-			out[tb] = reg.StatGen(tb)
+			out[tb] = reg.set.Load().statGen[tb]
 		}
 		return out
 	}

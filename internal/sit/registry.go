@@ -175,13 +175,6 @@ func (r *Registry) cloneSet() map[string]*SIT {
 	return next
 }
 
-// StatGen returns the table's SIT-set generation: the number of published
-// changes (additions, removals, replacements) to the served SITs whose
-// generating expression mentions the table. Lock-free.
-func (r *Registry) StatGen(table string) uint64 {
-	return r.set.Load().statGen[table]
-}
-
 // PlanPin renders the invalidation fingerprint a prepared estimator plan
 // pins: for every table of the expression, the table's data generation and
 // its SIT-set generation, read from one snapshot. Equal pins mean a fresh
@@ -235,26 +228,44 @@ func (r *Registry) Get(spec query.SITSpec, m Method) (*SIT, error) {
 	r.inflight[key] = f
 	r.flightMu.Unlock()
 
+	// Spill and grace-join I/O failures surface as panics from the build. The
+	// flight must retire on that path too — waiters get the panic as an error,
+	// the caller gets the panic itself — or same-spec Gets park forever.
+	defer func() {
+		p := recover()
+		if p != nil {
+			f.err = fmt.Errorf("sit: build of %s panicked: %v", spec.String(), p)
+		}
+		close(f.done)
+		r.flightMu.Lock()
+		delete(r.inflight, key)
+		r.flightMu.Unlock()
+		if p != nil {
+			panic(p)
+		}
+	}()
+	f.s, f.err = r.buildAndPublish(spec, m, key)
+	return f.s, f.err
+}
+
+// buildAndPublish runs one Get's build under the builder lock, released on
+// every exit so a panicking build cannot wedge later writers.
+func (r *Registry) buildAndPublish(spec query.SITSpec, m Method, key string) (*SIT, error) {
 	r.builderMu.Lock()
+	defer r.builderMu.Unlock()
 	// The snapshot may have gained the SIT while we queued for the builder
 	// (an Adopt or a refresh); serve it rather than rebuilding.
 	if s, ok := r.Lookup(spec, m); ok {
-		f.s = s
-	} else {
-		f.s, f.err = r.builder.Build(spec, m)
-		if f.err == nil {
-			next := r.cloneSet()
-			next[key] = f.s
-			r.publish(next)
-		}
+		return s, nil
 	}
-	r.builderMu.Unlock()
-
-	close(f.done)
-	r.flightMu.Lock()
-	delete(r.inflight, key)
-	r.flightMu.Unlock()
-	return f.s, f.err
+	s, err := r.builder.Build(spec, m)
+	if err != nil {
+		return nil, err
+	}
+	next := r.cloneSet()
+	next[key] = s
+	r.publish(next)
+	return s, nil
 }
 
 // Adopt publishes externally built SITs (e.g. loaded from a persisted set)

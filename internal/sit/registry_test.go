@@ -2,6 +2,8 @@ package sit
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -339,4 +341,108 @@ func growTable(t *testing.T, cat *data.Catalog, name string, frac float64) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestRegistryGetSurvivesPanickingBuild: spill I/O failures panic out of the
+// executor, so a build can unwind through Registry.Get. The panic must reach
+// the caller, same-spec waiters must be woken with an error, and the builder
+// lock must be free afterwards — a later Get, Refresh and Close all return.
+// Every step runs under a timeout because the failure mode is a deadlock.
+func TestRegistryGetSurvivesPanickingBuild(t *testing.T) {
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s did not return: the registry is wedged", what)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.MemBudget = 1 // every hash-join build side spills
+	reg, err := NewRegistry(chainCatalog(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := reg.Governor().Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With the spill directory gone, creating the first partition run fails
+	// and exec panics.
+	if err := os.RemoveAll(store.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustSpec(t, registrySpecs[0])
+	key := cacheKey(spec, Materialize)
+	// get reports how Get(spec, Materialize) ended: by panic or by returning
+	// err.
+	type outcome struct {
+		panicked bool
+		err      error
+	}
+	get := func(out chan<- outcome) {
+		defer func() {
+			if recover() != nil {
+				out <- outcome{panicked: true}
+			}
+		}()
+		_, err := reg.Get(spec, Materialize)
+		out <- outcome{err: err}
+	}
+
+	// Park the builder of the flight behind the builder lock, join its flight
+	// the way a same-spec Get does, then let the build run into the panic.
+	reg.builderMu.Lock()
+	builderOut, waiterOut := make(chan outcome, 1), make(chan outcome, 1)
+	go get(builderOut)
+	var f *flight
+	within("flight registration", func() {
+		for f == nil {
+			reg.flightMu.Lock()
+			f = reg.inflight[key]
+			reg.flightMu.Unlock()
+			runtime.Gosched()
+		}
+	})
+	go get(waiterOut)
+	reg.builderMu.Unlock()
+
+	within("the panicking Get", func() {
+		if o := <-builderOut; !o.panicked {
+			t.Errorf("Get(Materialize) without a spill directory returned %v, want the build's panic", o.err)
+		}
+	})
+	within("the flight of the panicking build", func() {
+		<-f.done
+		if f.err == nil {
+			t.Error("waiters of a panicked build were woken without an error")
+		}
+	})
+	// The concurrent Get either joined that flight (error) or arrived after it
+	// retired and ran into the same panic itself; it must not hang.
+	within("a concurrent Get of the same spec", func() {
+		if o := <-waiterOut; !o.panicked && o.err == nil {
+			t.Error("concurrent Get(Materialize) neither panicked nor failed")
+		}
+	})
+	within("Get of another spec", func() {
+		if _, err := reg.Get(mustSpec(t, registrySpecs[1]), SweepFull); err != nil {
+			t.Errorf("Get(SweepFull) after a panicked build: %v", err)
+		}
+	})
+	within("Refresh", func() {
+		if _, err := reg.Refresh(0.2); err != nil {
+			t.Errorf("Refresh after a panicked build: %v", err)
+		}
+	})
+	within("Close", func() {
+		if err := reg.Close(); err != nil {
+			t.Errorf("Close after a panicked build: %v", err)
+		}
+	})
 }

@@ -31,7 +31,6 @@ import (
 	"github.com/sitstats/sits/internal/histogram"
 	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
-	"github.com/sitstats/sits/internal/sample"
 )
 
 // Method selects a SIT creation technique.
@@ -110,19 +109,6 @@ type Config struct {
 	MinSample int
 	// Seed drives sampling.
 	Seed int64
-	// WeightedSampling switches Sweep/SweepIndex from stochastic-rounding
-	// Algorithm R to an Efraimidis-Spirakis weighted reservoir (extension).
-	WeightedSampling bool
-	// Use2DOracles answers double-predicate join edges to base tables from
-	// two-dimensional histograms instead of multiplying independent 1-D
-	// oracles (the multidimensional-histogram extension of Section 3.2).
-	Use2DOracles bool
-	// Slices2D is the per-dimension slice count of the 2-D histograms
-	// (default 16, i.e. up to 256 cells).
-	Slices2D int
-	// Distinct selects the distinct-value estimator applied to sampled
-	// buckets (default GEE; see the sample package).
-	Distinct sample.DistinctEstimator
 	// Parallelism is the builder's pool width (exec.ResolveParallelism): it
 	// caps the fork-join fan-out of the shared sequential scans and of the
 	// generating-query pipelines, all running on the process-wide exec pool.
@@ -160,7 +146,6 @@ func DefaultConfig() Config {
 		SampleRate: 0.10,
 		MinSample:  100,
 		Seed:       1,
-		Slices2D:   16,
 	}
 }
 
@@ -173,9 +158,6 @@ func (c Config) validate() error {
 	}
 	if c.MinSample < 1 {
 		return fmt.Errorf("sit: minimum sample size %d must be >= 1", c.MinSample)
-	}
-	if c.Use2DOracles && c.Slices2D < 1 {
-		return fmt.Errorf("sit: 2-D oracle slice count %d must be >= 1", c.Slices2D)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("sit: parallelism %d must be >= 0 (0 = GOMAXPROCS)", c.Parallelism)
@@ -205,7 +187,6 @@ type Builder struct {
 	cat  *data.Catalog
 	cfg  Config
 	base map[string]genCached[*histogram.Histogram] // "T.a#nb" -> base histogram
-	h2d  map[string]genCached[*histogram.Hist2D]    // "T.a1.a2" -> 2-D histogram
 	idx  map[string]genCached[*btree.Tree]          // "T.a" -> index
 	sits map[string]*SIT                            // method + canonical spec -> SIT
 	seed int64                                      // per-reservoir seed sequence
@@ -228,7 +209,6 @@ func NewBuilder(cat *data.Catalog, cfg Config) (*Builder, error) {
 		cat:  cat,
 		cfg:  cfg,
 		base: map[string]genCached[*histogram.Histogram]{},
-		h2d:  map[string]genCached[*histogram.Hist2D]{},
 		idx:  map[string]genCached[*btree.Tree]{},
 		sits: map[string]*SIT{},
 		seed: cfg.Seed,
@@ -260,38 +240,8 @@ func (b *Builder) Close() error {
 	return b.gov.Close()
 }
 
-// hist2D returns (building and caching on first use) the 2-D histogram over
-// the table's attribute pair.
-func (b *Builder) hist2D(table, attr1, attr2 string) (*histogram.Hist2D, error) {
-	t, err := b.cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	key, gen := table+"."+attr1+"."+attr2, t.Generation()
-	if e, ok := b.h2d[key]; ok && e.gen == gen {
-		return e.v, nil
-	}
-	c1, err := t.Column(attr1)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := t.Column(attr2)
-	if err != nil {
-		return nil, err
-	}
-	h, err := histogram.Build2D(c1, c2, b.cfg.Slices2D, b.cfg.Slices2D)
-	if err != nil {
-		return nil, err
-	}
-	b.h2d[key] = genCached[*histogram.Hist2D]{gen, h}
-	return h, nil
-}
-
 // Catalog returns the data catalog the builder operates on.
 func (b *Builder) Catalog() *data.Catalog { return b.cat }
-
-// Config returns the builder configuration.
-func (b *Builder) Config() Config { return b.cfg }
 
 // nextSeed returns a fresh deterministic seed for a reservoir.
 func (b *Builder) nextSeed() int64 {
@@ -353,10 +303,6 @@ func (b *Builder) Cached(spec query.SITSpec, m Method) (*SIT, bool) {
 	s, ok := b.sits[cacheKey(spec, m)]
 	return s, ok
 }
-
-// InvalidateCache drops all cached SITs (but keeps base histograms and
-// indexes, which depend only on the base data and track its generation).
-func (b *Builder) InvalidateCache() { b.sits = map[string]*SIT{} }
 
 func cacheKey(spec query.SITSpec, m Method) string {
 	return m.String() + "|" + spec.Canonical()

@@ -12,7 +12,6 @@ import (
 	"github.com/sitstats/sits/internal/exec"
 	"github.com/sitstats/sits/internal/histogram"
 	"github.com/sitstats/sits/internal/query"
-	"github.com/sitstats/sits/internal/sample"
 	"github.com/sitstats/sits/internal/workload"
 )
 
@@ -365,10 +364,6 @@ func TestCaching(t *testing.T) {
 	if _, ok := b.Cached(spec, SweepFull); ok {
 		t.Error("cache leaked across methods")
 	}
-	b.InvalidateCache()
-	if _, ok := b.Cached(spec, Sweep); ok {
-		t.Error("InvalidateCache left entries")
-	}
 }
 
 func TestBuildGroupSharesScanAndMatchesIndividual(t *testing.T) {
@@ -518,26 +513,6 @@ func TestSweepBeatsHistSITUnderCorrelation(t *testing.T) {
 	}
 }
 
-func TestWeightedSamplingVariant(t *testing.T) {
-	cat := smallJoinCatalog(t)
-	cfg := DefaultConfig()
-	cfg.WeightedSampling = true
-	b, err := NewBuilder(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := b.Build(singleJoinSpec(t), Sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Hist.Validate(); err != nil {
-		t.Error(err)
-	}
-	if math.Abs(s.EstimatedCard-9) > 1e-9 {
-		t.Errorf("weighted Sweep card = %v, want 9 (exact oracle on tiny data)", s.EstimatedCard)
-	}
-}
-
 func TestHistogramOracleRespectsConfigMethod(t *testing.T) {
 	cat := smallJoinCatalog(t)
 	cfg := DefaultConfig()
@@ -552,82 +527,6 @@ func TestHistogramOracleRespectsConfigMethod(t *testing.T) {
 	}
 	if err := s.Hist.Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestOracle2DBeatsIndependentProduct: with two perfectly correlated join
-// predicates between the same table pair, multiplying independent 1-D oracles
-// overestimates the multiplicity enormously, while the 2-D oracle captures
-// the joint distribution (Section 3.2's deferred multidimensional-histogram
-// extension).
-func TestOracle2DBeatsIndependentProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	cat := data.NewCatalog()
-	r := data.MustNewTable("R", "w", "y")
-	s := data.MustNewTable("S", "x", "z", "a")
-	for i := 0; i < 2000; i++ {
-		v := rng.Int63n(40)
-		r.AppendRow(v, v) // w == y always
-	}
-	for i := 0; i < 1500; i++ {
-		v := rng.Int63n(40)
-		s.AppendRow(v, v, rng.Int63n(300))
-	}
-	cat.MustAdd(r)
-	cat.MustAdd(s)
-	e, err := query.NewExpr(
-		query.JoinPred{LeftTable: "R", LeftAttr: "w", RightTable: "S", RightAttr: "x"},
-		query.JoinPred{LeftTable: "R", LeftAttr: "y", RightTable: "S", RightAttr: "z"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := query.NewSITSpec("S", "a", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueCard, err := exec.Cardinality(cat, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	indep, err := NewBuilder(cat, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	indepSIT, err := indep.Build(spec, SweepFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2d := DefaultConfig()
-	cfg2d.Use2DOracles = true
-	joint, err := NewBuilder(cat, cfg2d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jointSIT, err := joint.Build(spec, SweepFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errOf := func(card float64) float64 {
-		return math.Abs(card-float64(trueCard)) / float64(trueCard)
-	}
-	t.Logf("true=%d independent=%.0f joint2D=%.0f", trueCard, indepSIT.EstimatedCard, jointSIT.EstimatedCard)
-	if errOf(jointSIT.EstimatedCard) >= errOf(indepSIT.EstimatedCard) {
-		t.Errorf("2-D oracle (%.0f) should beat independent product (%.0f) against true %d",
-			jointSIT.EstimatedCard, indepSIT.EstimatedCard, trueCard)
-	}
-	if errOf(jointSIT.EstimatedCard) > 0.5 {
-		t.Errorf("2-D oracle cardinality off by %.0f%%", 100*errOf(jointSIT.EstimatedCard))
-	}
-}
-
-func TestConfig2DValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Use2DOracles = true
-	cfg.Slices2D = 0
-	if _, err := NewBuilder(data.NewCatalog(), cfg); err == nil {
-		t.Error("Use2DOracles with zero slices: want error")
 	}
 }
 
@@ -692,48 +591,6 @@ func TestBuildOnEmptyTables(t *testing.T) {
 		}
 		if err := s.Hist.Validate(); err != nil {
 			t.Errorf("%v: invalid empty histogram: %v", m, err)
-		}
-	}
-}
-
-// TestDistinctEstimatorConfig: the configurable estimator is exercised by
-// the sampled consumers without changing totals.
-func TestDistinctEstimatorConfig(t *testing.T) {
-	cfg := datagen.DefaultChainConfig()
-	cfg.Rows = []int{800, 600, 500, 400}
-	cat, err := datagen.ChainDB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := query.Chain([]string{"T1", "T2"}, []string{"jnext"}, []string{"jprev"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := query.NewSITSpec("T2", "a", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cards []float64
-	for _, est := range []sample.DistinctEstimator{sample.GEE, sample.Chao, sample.Jackknife} {
-		bcfg := DefaultConfig()
-		bcfg.Distinct = est
-		b, err := NewBuilder(cat, bcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := b.Build(spec, Sweep)
-		if err != nil {
-			t.Fatalf("%v: %v", est, err)
-		}
-		if err := s.Hist.Validate(); err != nil {
-			t.Errorf("%v: %v", est, err)
-		}
-		cards = append(cards, s.EstimatedCard)
-	}
-	// The estimator affects distinct counts, never the streamed mass.
-	for i := 1; i < len(cards); i++ {
-		if cards[i] != cards[0] {
-			t.Errorf("estimated cardinality changed with distinct estimator: %v", cards)
 		}
 	}
 }

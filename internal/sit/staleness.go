@@ -101,8 +101,8 @@ func (b *Builder) RefreshStale(sits []*SIT, threshold float64) ([]*SIT, []string
 		}
 		// Drop every cached SIT (including intermediates) that touches any of
 		// the stale SIT's tables, so the rebuild cannot silently reuse stale
-		// intermediate results. Base histograms, 2-D histograms and indexes
-		// carry their table's generation and invalidate themselves.
+		// intermediate results. Base histograms and indexes carry their
+		// table's generation and invalidate themselves.
 		for key, cached := range b.sits { //statcheck:ignore maprange per-key delete, order-independent
 			if sharesTable(cached.Spec, s.Spec) {
 				delete(b.sits, key)

@@ -190,13 +190,9 @@ func TestBaseStatisticsFollowTableGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := func(b *Builder) (*histogram.Histogram, *histogram.Hist2D, *btree.Tree) {
+	warm := func(b *Builder) (*histogram.Histogram, *btree.Tree) {
 		t.Helper()
 		h, err := b.BaseHistogram("T4", "a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := b.hist2D("T4", "jprev", "a")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,10 +200,10 @@ func TestBaseStatisticsFollowTableGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h, h2, idx
+		return h, idx
 	}
-	staleH, _, staleIdx := warm(b)
-	entries := len(b.base) + len(b.h2d) + len(b.idx)
+	staleH, staleIdx := warm(b)
+	entries := len(b.base) + len(b.idx)
 
 	t4 := cat.MustTable("T4")
 	appendSkewed(t, t4, t4.NumRows()/4)
@@ -216,19 +212,16 @@ func TestBaseStatisticsFollowTableGeneration(t *testing.T) {
 		t.Fatalf("refresh rebuilt %v, err %v; want nothing", rebuilt, err)
 	}
 
-	gotH, gotH2, gotIdx := warm(b)
-	wantH, wantH2, wantIdx := warm(newBuilder(t, cat))
+	gotH, gotIdx := warm(b)
+	wantH, wantIdx := warm(newBuilder(t, cat))
 	if gotH == staleH || !reflect.DeepEqual(gotH, wantH) {
 		t.Errorf("base histogram of T4.a is stale after the append:\n got %v\nwant %v", gotH, wantH)
 	}
-	if !reflect.DeepEqual(gotH2, wantH2) {
-		t.Errorf("2-D histogram of T4 is stale after the append")
-	}
-	if gotIdx == staleIdx || gotIdx.Len() != wantIdx.Len() || gotIdx.DistinctKeys() != wantIdx.DistinctKeys() ||
+	if gotIdx == staleIdx || gotIdx.Len() != wantIdx.Len() ||
 		gotIdx.Count(1_000_000) != wantIdx.Count(1_000_000) {
 		t.Errorf("index on T4.jprev is stale after the append: %d keys, want %d", gotIdx.Len(), wantIdx.Len())
 	}
-	if n := len(b.base) + len(b.h2d) + len(b.idx); n != entries {
+	if n := len(b.base) + len(b.idx); n != entries {
 		t.Errorf("caches hold %d entries after the append, %d before: old generations leak", n, entries)
 	}
 	// Unchanged tables keep their cached statistics.

@@ -10,25 +10,18 @@ import (
 )
 
 // oracle is the m-Oracle of Section 3.1: it estimates (or computes) the
-// multiplicity of the scanned tuple's join-attribute value(s) in the joined
-// relation. Single-predicate oracles receive one value; the 2-D oracle for
-// double-predicate edges receives the tuple's pair.
-type oracle interface {
-	multiplicity(vals []int64) float64
-}
-
-// batchOracle is the vectorized m-Oracle contract: multiplicityBatch fills
-// out[i] with the multiplicity of vals[i] (out and vals have equal length).
+// multiplicity of the scanned tuples' join-attribute values in the joined
+// relation, one chunk column at a time. multiplicityBatch fills out[i] with
+// the multiplicity of vals[i] (out and vals have equal length).
 // Implementations sort a permutation of the probe vector and answer it in
 // ascending order — histogram oracles then walk their bucket lists once per
 // chunk and index oracles follow the B+tree leaf chain with one descent per
 // distinct-key jump — and scatter the answers back through the permutation.
-// Every answer is bit-identical to the scalar multiplicity call.
 //
 // The caller supplies the probeScratch backing the argsort and answer
 // buffers: oracles are shared across scanning goroutines and must hold no
 // per-probe state of their own.
-type batchOracle interface {
+type oracle interface {
 	multiplicityBatch(vals []int64, out []float64, s *probeScratch)
 }
 
@@ -75,10 +68,6 @@ type histOracle struct {
 	child, parent *histogram.Histogram
 }
 
-func (o histOracle) multiplicity(vals []int64) float64 {
-	return histogram.ContainmentMultiplicity(o.child, o.parent, vals[0])
-}
-
 //statcheck:hot
 func (o histOracle) multiplicityBatch(vals []int64, out []float64, s *probeScratch) {
 	s.argsort(vals, &s.probe)
@@ -95,10 +84,6 @@ type indexOracle struct {
 	idx *btree.Tree
 }
 
-func (o indexOracle) multiplicity(vals []int64) float64 {
-	return float64(o.idx.Count(vals[0]))
-}
-
 //statcheck:hot
 func (o indexOracle) multiplicityBatch(vals []int64, out []float64, s *probeScratch) {
 	s.argsort(vals, &s.probe)
@@ -107,18 +92,6 @@ func (o indexOracle) multiplicityBatch(vals []int64, out []float64, s *probeScra
 	for i, p := range s.probe.perm {
 		out[p] = float64(counts[i])
 	}
-}
-
-// oracle2D answers double-predicate edges from two-dimensional histograms
-// over the child and parent attribute pairs — the multidimensional-histogram
-// extension Section 3.2 defers. It avoids the between-predicate independence
-// approximation that multiplying two 1-D oracles would introduce.
-type oracle2D struct {
-	child, parent *histogram.Hist2D
-}
-
-func (o oracle2D) multiplicity(vals []int64) float64 {
-	return histogram.Multiplicity2D(o.child, o.parent, vals[0], vals[1])
 }
 
 // consumer absorbs the streamed (value, multiplicity) pairs of Sweep's step 3
@@ -157,16 +130,15 @@ type consumer interface {
 type sampledConsumer struct {
 	res  *sample.Reservoir
 	mass float64
-	est  sample.DistinctEstimator
 	seed int64
 }
 
-func newSampledConsumer(k int, seed int64, est sample.DistinctEstimator) (*sampledConsumer, error) {
+func newSampledConsumer(k int, seed int64) (*sampledConsumer, error) {
 	r, err := sample.NewReservoir(k, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &sampledConsumer{res: r, est: est, seed: seed}, nil
+	return &sampledConsumer{res: r, seed: seed}, nil
 }
 
 //statcheck:hot
@@ -182,12 +154,12 @@ func (c *sampledConsumer) addChunk(target []int64, m []float64, _ *sortedCol) {
 func (c *sampledConsumer) sortsTarget() bool { return false }
 
 func (c *sampledConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
-	h, err := histogramFromSample(c.res.Sample(), c.mass, nb, method, c.est)
+	h, err := histogramFromSample(c.res.Sample(), c.mass, nb, method)
 	return h, c.mass, err
 }
 
 func (c *sampledConsumer) fork(i int) (consumer, error) {
-	return newSampledConsumer(c.res.Cap(), shardSeed(c.seed, i), c.est)
+	return newSampledConsumer(c.res.Cap(), shardSeed(c.seed, i))
 }
 
 func (c *sampledConsumer) merge(shard consumer) error {
@@ -199,54 +171,10 @@ func (c *sampledConsumer) merge(shard consumer) error {
 	return c.res.Merge(s.res)
 }
 
-// weightedConsumer is the weighted-reservoir variant (extension): fractional
-// multiplicities are consumed directly, avoiding rounding noise.
-type weightedConsumer struct {
-	res  *sample.WeightedReservoir
-	est  sample.DistinctEstimator
-	seed int64
-}
-
-func newWeightedConsumer(k int, seed int64, est sample.DistinctEstimator) (*weightedConsumer, error) {
-	r, err := sample.NewWeightedReservoir(k, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &weightedConsumer{res: r, est: est, seed: seed}, nil
-}
-
-//statcheck:hot
-func (c *weightedConsumer) addChunk(target []int64, m []float64, _ *sortedCol) {
-	for r, mv := range m {
-		if mv > 0 {
-			c.res.Add(target[r], mv)
-		}
-	}
-}
-
-func (c *weightedConsumer) sortsTarget() bool { return false }
-
-func (c *weightedConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
-	h, err := histogramFromSample(c.res.Sample(), c.res.Mass(), nb, method, c.est)
-	return h, c.res.Mass(), err
-}
-
-func (c *weightedConsumer) fork(i int) (consumer, error) {
-	return newWeightedConsumer(c.res.Cap(), shardSeed(c.seed, i), c.est)
-}
-
-func (c *weightedConsumer) merge(shard consumer) error {
-	s, ok := shard.(*weightedConsumer)
-	if !ok {
-		return fmt.Errorf("sit: cannot merge %T into weighted consumer", shard)
-	}
-	return c.res.Merge(s.res)
-}
-
 // histogramFromSample builds a histogram over sample values, scales it to the
-// full stream mass, and replaces per-bucket distinct counts with estimates
-// (GEE by default) against the scaled bucket populations.
-func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Method, est sample.DistinctEstimator) (*histogram.Histogram, error) {
+// full stream mass, and replaces per-bucket distinct counts with GEE
+// estimates against the scaled bucket populations.
+func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Method) (*histogram.Histogram, error) {
 	// One sorted copy of the sample serves both the tally and the bucket walk.
 	sorted := radix.SortedCopy(vals)
 	h, err := histogram.FromPairs(histogram.TallySorted(sorted), nb, method)
@@ -258,8 +186,8 @@ func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Me
 	}
 	scaled := h.ScaleTo(mass)
 	// Buckets are sorted and disjoint, so a single merge pass over the sorted
-	// sample assigns every value to its bucket; the estimators are
-	// frequency-based and insensitive to the order of their input.
+	// sample assigns every value to its bucket; GEE is frequency-based and
+	// insensitive to the order of its input.
 	next := 0
 	for i := range scaled.Buckets {
 		b := &scaled.Buckets[i]
@@ -270,10 +198,7 @@ func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Me
 		for end < len(sorted) && sorted[end] <= b.Hi {
 			end++
 		}
-		d, err := sample.EstimateDistinctWith(est, sorted[next:end], int64(b.Freq+0.5))
-		if err != nil {
-			return nil, err
-		}
+		d := sample.EstimateDistinct(sorted[next:end], int64(b.Freq+0.5))
 		next = end
 		if d > b.Width() {
 			d = b.Width()
@@ -447,30 +372,14 @@ func (c *fullConsumer) merge(shard consumer) error {
 	return nil
 }
 
-// jobPred is one join edge of the scan: the scanned table's attribute(s)
-// and the oracle that answers multiplicities for them. cols caches the
-// attributes' integer offsets into the shared scan's column set (resolved
-// once per scan by resolveColumns), so the per-tuple loop never touches a
-// name map. bo is the oracle's batched interface when the predicate can be
-// probed per chunk (single attribute and the oracle supports it); nil forces
-// the per-row fallback (2-D oracles). probe is the predicate's slot among the
-// scan's distinct batched probes (scanPlan.probes), -1 on the fallback.
+// jobPred is one join predicate of the scan: the scanned table's attribute
+// and the oracle that answers multiplicities for it. probe is the predicate's
+// slot among the scan's distinct probes (scanPlan.probes), resolved once per
+// scan by planScan so the per-chunk loop never touches a name map.
 type jobPred struct {
-	attrs []string
+	attr  string
 	o     oracle
-	bo    batchOracle
-	cols  []int
 	probe int
-}
-
-// newJobPred wires a predicate, enabling batched probing for single-attribute
-// predicates whose oracle implements batchOracle.
-func newJobPred(attrs []string, o oracle) jobPred {
-	p := jobPred{attrs: attrs, o: o}
-	if bo, ok := o.(batchOracle); ok && len(attrs) == 1 {
-		p.bo = bo
-	}
-	return p
 }
 
 // scanJob is one SIT produced by a shared sequential scan (Section 4's
