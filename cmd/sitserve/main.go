@@ -63,7 +63,7 @@ func main() {
 	flag.StringVar(&o.method, "method", "sweepfull", "creation method for -build and staleness rebuilds")
 	flag.IntVar(&o.cacheSize, "cache", 0, "estimate result-cache entries (0 = default, negative = disabled)")
 	flag.IntVar(&o.planSize, "plan-cache", 0, "prepared-plan cache entries (0 = default, negative = disabled)")
-	flag.IntVar(&o.shedQueue, "shed-queue", 64, "cold requests queued on the builder before /estimate sheds with 429 under budget pressure (0 = never shed)")
+	flag.IntVar(&o.shedQueue, "shed-queue", 64, "cold requests waiting for the builder on a statistics miss before /estimate sheds with 429 under budget pressure (0 = never shed)")
 	flag.DurationVar(&o.refresh, "refresh", 0, "background staleness sweep interval (0 = disabled)")
 	flag.Float64Var(&o.threshold, "stale-threshold", 0.2, "relative base-table growth that triggers a SIT rebuild")
 	o.eng = cliopt.Register(flag.CommandLine, 1)

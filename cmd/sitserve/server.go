@@ -64,7 +64,8 @@ type estimateResponse struct {
 	Sources     []sourceResponse `json:"sources,omitempty"`
 	// Tier is the serving tier that answered: "result-hit" (estimate cache),
 	// "plan-hit" (cached plan re-probed with this request's constants), or
-	// "cold" (full preparation under the builder lock).
+	// "cold" (full preparation: SIT matching plus base-statistic fallbacks,
+	// which take the builder lock only to build a statistic not yet memoized).
 	Tier string `json:"tier"`
 	// EstimateUS is the server-side time spent answering (microseconds):
 	// a cache probe for result hits, histogram probing for plan hits, the

@@ -12,8 +12,9 @@ package cardest
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"sync"
 
+	"github.com/sitstats/sits/internal/data"
 	"github.com/sitstats/sits/internal/query"
 	"github.com/sitstats/sits/internal/sit"
 )
@@ -61,18 +62,104 @@ type Estimate struct {
 }
 
 // Estimator estimates SPJ query cardinalities using registered SITs.
+//
+// Once its SIT set is registered, an Estimator is safe for concurrent
+// Prepare/Estimate calls: SIT matching reads an index compiled at
+// registration, and the base-statistic fallbacks (join cardinality by
+// histogram propagation, per-column base histograms) are memoized per table
+// generation, so only a memo miss takes the builder — through the lock the
+// estimator was created with. Register is not safe concurrently with
+// anything else.
 type Estimator struct {
-	b    *sit.Builder
-	sits map[string][]*sit.SIT // canonical expr -> SITs over that expr
+	cat   *data.Catalog
+	with  func(func(*sit.Builder) error) error // exclusive builder access
+	epoch uint64                               // registry epoch compiled from (ForRegistry)
+
+	sits  map[string][]*entry     // canonical expr -> SITs over that expr, registration order
+	byCol map[PredColumn][]*entry // per column: candidates in resolution order (see insert)
+
+	// The fallback memos. Entries are stored only under the builder lock,
+	// keyed by table generations read inside that same critical section —
+	// table mutations hold the lock too — so an entry holds exactly the
+	// statistic of the data at its generations; lock-free readers compare
+	// generations and never see a torn value. Waiting on the builder lock and
+	// re-checking under it single-flights concurrent misses.
+	joins  sync.Map // canonical expr -> *joinMemo
+	bases  sync.Map // PredColumn -> *baseMemo
+	nJoins int      // keys in joins; guarded by the builder lock
+}
+
+// maxJoinMemo bounds the join-cardinality memo, which grows with the
+// distinct expressions clients send (base memos are bounded by the catalog's
+// columns). Past the bound the memo is emptied: a stream of new expressions
+// costs builder-lock misses, not memory.
+const maxJoinMemo = 4096
+
+// entry is one registered SIT with what matching reads precomputed: its
+// canonical expression key and the plan slot it resolves to.
+type entry struct {
+	s    *sit.SIT
+	key  string
+	slot planSlot
+}
+
+// joinMemo is a memoized base-histogram-propagation join cardinality at the
+// generations of the expression's tables (in sorted table order).
+type joinMemo struct {
+	gens []uint64
+	card float64
+}
+
+// baseMemo is a memoized base-histogram fallback slot at its table's
+// generation.
+type baseMemo struct {
+	gen  uint64
+	slot planSlot
 }
 
 // New creates an estimator over the builder's catalog and base statistics.
+// Memo misses serialize on a lock private to the estimator; callers that
+// share the builder with other goroutines must serialize those uses
+// themselves (ForRegistry does, through the registry's builder lock).
 func New(b *sit.Builder) (*Estimator, error) {
 	if b == nil {
 		return nil, fmt.Errorf("cardest: New needs a builder")
 	}
-	return &Estimator{b: b, sits: map[string][]*sit.SIT{}}, nil
+	var mu sync.Mutex
+	return newEstimator(b.Catalog(), func(f func(*sit.Builder) error) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return f(b)
+	}), nil
 }
+
+// ForRegistry compiles an estimator over one snapshot of the registry's
+// served SIT set, registered in snapshot (key-sorted) order so tie-breaking
+// is deterministic. Memo misses build base statistics under
+// Registry.WithBuilder. The estimator reflects exactly the snapshot of
+// Epoch(); it is not updated by later publishes.
+func ForRegistry(reg *sit.Registry) (*Estimator, error) {
+	if reg == nil {
+		return nil, fmt.Errorf("cardest: ForRegistry needs a registry")
+	}
+	sits, epoch := reg.Snapshot()
+	e := newEstimator(reg.Catalog(), reg.WithBuilder)
+	e.epoch = epoch
+	for _, s := range sits {
+		if err := e.Register(s); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+func newEstimator(cat *data.Catalog, with func(func(*sit.Builder) error) error) *Estimator {
+	return &Estimator{cat: cat, with: with, sits: map[string][]*entry{}, byCol: map[PredColumn][]*entry{}}
+}
+
+// Epoch returns the registry epoch a ForRegistry estimator was compiled
+// from (0 for New).
+func (e *Estimator) Epoch() uint64 { return e.epoch }
 
 // Register makes a SIT available for matching. Registering a second SIT with
 // the same spec replaces the first.
@@ -81,14 +168,55 @@ func (e *Estimator) Register(s *sit.SIT) error {
 		return fmt.Errorf("cardest: cannot register nil SIT")
 	}
 	key := s.Spec.Expr.Canonical()
-	for i, old := range e.sits[key] {
-		if old.Spec.Canonical() == s.Spec.Canonical() {
-			e.sits[key][i] = s
+	en := &entry{s: s, key: key, slot: planSlot{
+		col:    PredColumn{Table: s.Spec.Table, Attr: s.Spec.Attr},
+		stat:   s.Spec.String(),
+		tables: s.Spec.Expr.NumTables(),
+		hist:   s.Hist,
+		total:  s.Hist.TotalFreq(),
+	}}
+	list := e.sits[key]
+	for i, old := range list {
+		if old.s.Spec.Canonical() == s.Spec.Canonical() {
+			list[i] = en
+			e.remove(old)
+			e.insert(en)
 			return nil
 		}
 	}
-	e.sits[key] = append(e.sits[key], s)
+	e.sits[key] = append(list, en)
+	e.insert(en)
 	return nil
+}
+
+// insert adds the entry to its column's candidate list, which is ordered so
+// that the first candidate applicable to a query is its most specific SIT:
+// most tables first, ties broken by canonical key and then registration
+// order (an entry goes after every equal one).
+func (e *Estimator) insert(en *entry) {
+	list := e.byCol[en.slot.col]
+	i := sort.Search(len(list), func(i int) bool {
+		c := list[i]
+		if c.slot.tables != en.slot.tables {
+			return c.slot.tables < en.slot.tables
+		}
+		return c.key > en.key
+	})
+	list = append(list, nil)
+	copy(list[i+1:], list[i:])
+	list[i] = en
+	e.byCol[en.slot.col] = list
+}
+
+// remove drops a replaced entry from its column's candidate list.
+func (e *Estimator) remove(en *entry) {
+	list := e.byCol[en.slot.col]
+	for i, c := range list {
+		if c == en {
+			e.byCol[en.slot.col] = append(list[:i], list[i+1:]...)
+			return
+		}
+	}
 }
 
 // Registered returns the number of registered SITs.
@@ -142,47 +270,4 @@ func clampSel(s float64) float64 {
 		return 1
 	}
 	return s
-}
-
-// predSet returns the normalized predicate strings of an expression.
-func predSet(e *query.Expr) map[string]bool {
-	set := map[string]bool{}
-	for _, part := range strings.Split(exprPreds(e), "\x00") {
-		if part != "" {
-			set[part] = true
-		}
-	}
-	return set
-}
-
-func exprPreds(e *query.Expr) string {
-	var parts []string
-	for _, j := range e.Joins() {
-		// Normalize by routing through canonical form of a 1-join expr:
-		// cheaper to normalize directly.
-		lt, la, rt, ra := j.LeftTable, j.LeftAttr, j.RightTable, j.RightAttr
-		if lt > rt || (lt == rt && la > ra) {
-			lt, la, rt, ra = rt, ra, lt, la
-		}
-		parts = append(parts, fmt.Sprintf("%s.%s=%s.%s", lt, la, rt, ra))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "\x00")
-}
-
-// isSubExpression reports whether sub's tables and predicates are contained
-// in q's: the condition for the SIT to be applicable to the query (the
-// materialized-view matching of Section 2.2, restricted to join expressions).
-func isSubExpression(sub, q *query.Expr, qPreds map[string]bool) bool {
-	for _, t := range sub.Tables() {
-		if !q.HasTable(t) {
-			return false
-		}
-	}
-	for p := range predSet(sub) {
-		if !qPreds[p] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,97 +87,172 @@ type EstimatorPlan struct {
 	slots         []planSlot
 }
 
+// joinPropagation is the JoinStat of a join cardinality estimated by
+// base-histogram propagation.
+const joinPropagation = "base-histogram propagation"
+
+// pending lists the statistics of a plan that no registered SIT provides:
+// the join cardinality when no SIT covers the exact expression, and the slot
+// positions no SIT matched. They fall back to base statistics, which depend
+// on table data and are read from the memos or built under the builder lock.
+type pending struct {
+	join bool
+	base []int
+}
+
 // Prepare compiles the estimation of one query shape: it resolves the join
 // cardinality (from a SIT over the exact expression, or base-histogram
 // propagation) and, for every predicate column, the most specific applicable
 // statistic — exactly the matching Estimate performs, hoisted out of the
-// per-request path. The returned plan is immutable and safe for concurrent
+// per-request path. SIT matching is lock-free; the builder is taken only
+// when a base-statistic fallback is not memoized at the tables' current
+// generations. The returned plan is immutable and safe for concurrent
 // Execute calls.
 func (e *Estimator) Prepare(expr *query.Expr, cols []PredColumn) (*EstimatorPlan, error) {
-	if expr == nil {
-		return nil, fmt.Errorf("cardest: Prepare needs a join expression")
+	p, pd, err := e.match(expr, cols)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range cols {
-		if !expr.HasTable(c.Table) {
-			return nil, fmt.Errorf("cardest: predicate column %s.%s references table outside the query", c.Table, c.Attr)
-		}
+	ok, err := e.fill(p, expr, pd, nil)
+	if err == nil && !ok {
+		err = e.with(func(b *sit.Builder) error {
+			_, err := e.fill(p, expr, pd, b)
+			return err
+		})
 	}
-	p := &EstimatorPlan{exprCanonical: expr.Canonical()}
-
-	// Join cardinality: prefer any SIT over the exact expression.
-	if matches := e.sits[p.exprCanonical]; len(matches) > 0 {
-		p.joinCard = matches[0].EstimatedCard
-		p.joinStat = matches[0].Spec.String()
-	} else {
-		card, err := e.b.EstimateJoinCard(expr)
-		if err != nil {
-			return nil, err
-		}
-		p.joinCard = card
-		p.joinStat = "base-histogram propagation"
-	}
-
-	if len(cols) == 0 {
-		return p, nil
-	}
-	p.slots = make([]planSlot, len(cols))
-	qPreds := predSet(expr)
-	// Candidate expressions are scanned in sorted canonical order so that a
-	// tie on specificity (two applicable SITs over the same number of tables)
-	// always resolves to the same statistic: repeated preparations — and a
-	// serving cache comparing plan-hit probes against cold estimation — see
-	// bit-identical results regardless of map iteration order.
-	keys := make([]string, 0, len(e.sits))
-	for k := range e.sits {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, c := range cols {
-		slot, err := e.resolveSlot(expr, qPreds, keys, c)
-		if err != nil {
-			return nil, err
-		}
-		p.slots[i] = slot
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// resolveSlot finds the most specific statistic for one predicate column.
-func (e *Estimator) resolveSlot(expr *query.Expr, qPreds map[string]bool, keys []string, c PredColumn) (planSlot, error) {
-	var best *sit.SIT
-	for _, k := range keys {
-		for _, s := range e.sits[k] {
-			if s.Spec.Table != c.Table || s.Spec.Attr != c.Attr {
-				continue
-			}
-			if !isSubExpression(s.Spec.Expr, expr, qPreds) {
-				continue
-			}
-			if best == nil || s.Spec.Expr.NumTables() > best.Spec.Expr.NumTables() {
-				best = s
-			}
+// TryPrepare is Prepare without the builder: ok is false, and no plan is
+// returned, when a base statistic the plan needs is not memoized at the
+// tables' current generations. Serving layers use it to tell a request that
+// must wait for the builder from one that never will.
+func (e *Estimator) TryPrepare(expr *query.Expr, cols []PredColumn) (*EstimatorPlan, bool, error) {
+	p, pd, err := e.match(expr, cols)
+	if err != nil {
+		return nil, false, err
+	}
+	ok, err := e.fill(p, expr, pd, nil)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return p, true, nil
+}
+
+// match resolves everything registered SITs provide — the join cardinality
+// from a SIT over the exact expression, each column's most specific
+// applicable SIT — and reports the rest as pending.
+func (e *Estimator) match(expr *query.Expr, cols []PredColumn) (*EstimatorPlan, pending, error) {
+	var pd pending
+	if expr == nil {
+		return nil, pd, fmt.Errorf("cardest: Prepare needs a join expression")
+	}
+	for _, c := range cols {
+		if !expr.HasTable(c.Table) {
+			return nil, pd, fmt.Errorf("cardest: predicate column %s.%s references table outside the query", c.Table, c.Attr)
 		}
 	}
-	if best != nil {
-		return planSlot{
-			col:    c,
-			stat:   best.Spec.String(),
-			tables: best.Spec.Expr.NumTables(),
-			hist:   best.Hist,
-			total:  best.Hist.TotalFreq(),
-		}, nil
+	p := &EstimatorPlan{exprCanonical: expr.Canonical()}
+	// Join cardinality: prefer the first SIT registered over the exact
+	// expression.
+	if exact := e.sits[p.exprCanonical]; len(exact) > 0 {
+		p.joinCard = exact[0].s.EstimatedCard
+		p.joinStat = exact[0].slot.stat
+	} else {
+		pd.join = true
 	}
-	h, err := e.b.BaseHistogram(c.Table, c.Attr)
-	if err != nil {
-		return planSlot{}, err
+	if len(cols) == 0 {
+		return p, pd, nil
 	}
-	return planSlot{
-		col:    c,
-		stat:   fmt.Sprintf("base histogram %s.%s", c.Table, c.Attr),
-		tables: 1,
-		hist:   h,
-		total:  h.TotalFreq(),
-	}, nil
+	p.slots = make([]planSlot, len(cols))
+	for i, c := range cols {
+		p.slots[i].col = c
+		for _, en := range e.byCol[c] {
+			if expr.Contains(en.s.Spec.Expr) {
+				p.slots[i] = en.slot
+				break
+			}
+		}
+		if p.slots[i].hist == nil {
+			pd.base = append(pd.base, i)
+		}
+	}
+	return p, pd, nil
+}
+
+// fill resolves the plan's pending statistics at the current generations of
+// the expression's tables. With b nil it only reads the memos and reports
+// false on the first miss. With b non-nil the caller holds the builder lock:
+// the generations are read inside that critical section — appends hold the
+// same lock, so they describe exactly the data the builder reads — and every
+// pending statistic is resolved at them, computing and memoizing misses, so
+// the plan never mixes two versions of a table.
+func (e *Estimator) fill(p *EstimatorPlan, expr *query.Expr, pd pending, b *sit.Builder) (bool, error) {
+	if !pd.join && len(pd.base) == 0 {
+		return true, nil
+	}
+	tables := expr.Tables()
+	gens := make([]uint64, len(tables))
+	for i, name := range tables {
+		t, err := e.cat.Table(name)
+		if err != nil {
+			return false, err
+		}
+		gens[i] = t.Generation()
+	}
+	if pd.join {
+		if m, ok := e.joins.Load(p.exprCanonical); ok && slices.Equal(m.(*joinMemo).gens, gens) {
+			p.joinCard = m.(*joinMemo).card
+		} else if b == nil {
+			return false, nil
+		} else {
+			card, err := b.EstimateJoinCard(expr)
+			if err != nil {
+				return false, err
+			}
+			e.memoJoin(p.exprCanonical, &joinMemo{gens: gens, card: card})
+			p.joinCard = card
+		}
+		p.joinStat = joinPropagation
+	}
+	for _, i := range pd.base {
+		c := p.slots[i].col
+		gen := gens[sort.SearchStrings(tables, c.Table)]
+		if m, ok := e.bases.Load(c); ok && m.(*baseMemo).gen == gen {
+			p.slots[i] = m.(*baseMemo).slot
+			continue
+		}
+		if b == nil {
+			return false, nil
+		}
+		h, err := b.BaseHistogram(c.Table, c.Attr)
+		if err != nil {
+			return false, err
+		}
+		slot := planSlot{col: c, stat: "base histogram " + c.Table + "." + c.Attr, tables: 1, hist: h, total: h.TotalFreq()}
+		e.bases.Store(c, &baseMemo{gen: gen, slot: slot})
+		p.slots[i] = slot
+	}
+	return true, nil
+}
+
+// memoJoin stores a join-cardinality memo entry, emptying the memo first when
+// a new key would pass maxJoinMemo. Callers hold the builder lock.
+func (e *Estimator) memoJoin(key string, m *joinMemo) {
+	if _, ok := e.joins.Load(key); !ok {
+		if e.nJoins >= maxJoinMemo {
+			e.joins.Range(func(k, _ any) bool {
+				e.joins.Delete(k)
+				return true
+			})
+			e.nJoins = 0
+		}
+		e.nJoins++
+	}
+	e.joins.Store(key, m)
 }
 
 // Execute probes the plan's resolved histograms with concrete predicate

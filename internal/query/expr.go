@@ -9,8 +9,10 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // JoinPred is one equality join predicate LeftTable.LeftAttr = RightTable.RightAttr.
@@ -21,7 +23,7 @@ type JoinPred struct {
 
 // String renders the predicate as "R.x = S.y".
 func (p JoinPred) String() string {
-	return fmt.Sprintf("%s.%s = %s.%s", p.LeftTable, p.LeftAttr, p.RightTable, p.RightAttr)
+	return p.LeftTable + "." + p.LeftAttr + " = " + p.RightTable + "." + p.RightAttr
 }
 
 // normalized returns the predicate with its two sides in lexicographic order,
@@ -53,6 +55,18 @@ func (p JoinPred) validate() error {
 type Expr struct {
 	tables []string // sorted, unique
 	joins  []JoinPred
+
+	// norm caches the canonical form, computed on first use. An Expr is
+	// immutable after construction, so racing first uses compute the same
+	// value and either store wins.
+	norm atomic.Pointer[normForm]
+}
+
+// normForm is an expression's canonical string and its normalized join
+// predicates in canonical order.
+type normForm struct {
+	canonical string
+	preds     []JoinPred
 }
 
 // NewExpr builds an expression from join predicates; the table set is
@@ -183,14 +197,76 @@ func (e *Expr) IsAcyclic() bool {
 
 // Canonical returns a normalized string form usable as a map key: equal
 // expressions (same tables and predicates, in any order or direction) yield
-// equal canonical strings.
-func (e *Expr) Canonical() string {
-	preds := make([]string, len(e.joins))
-	for i, j := range e.joins {
-		preds[i] = j.normalized().String()
+// equal canonical strings. It is computed once per Expr.
+func (e *Expr) Canonical() string { return e.normal().canonical }
+
+// normal returns the cached canonical form, computing it on first use.
+func (e *Expr) normal() *normForm {
+	if n := e.norm.Load(); n != nil {
+		return n
 	}
-	sort.Strings(preds)
-	return strings.Join(e.tables, ",") + "{" + strings.Join(preds, " AND ") + "}"
+	type rendered struct {
+		p JoinPred
+		s string
+	}
+	rs := make([]rendered, len(e.joins))
+	size := len(e.tables) + 2
+	for i, j := range e.joins {
+		n := j.normalized()
+		rs[i] = rendered{n, n.String()}
+		size += len(rs[i].s) + len(" AND ")
+	}
+	slices.SortFunc(rs, func(a, b rendered) int { return strings.Compare(a.s, b.s) })
+	for _, t := range e.tables {
+		size += len(t)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for i, t := range e.tables {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(t)
+	}
+	sb.WriteByte('{')
+	n := &normForm{preds: make([]JoinPred, len(rs))}
+	for i, r := range rs {
+		if i > 0 {
+			sb.WriteString(" AND ")
+		}
+		sb.WriteString(r.s)
+		n.preds[i] = r.p
+	}
+	sb.WriteByte('}')
+	n.canonical = sb.String()
+	e.norm.Store(n)
+	return n
+}
+
+// Contains reports whether sub is a sub-expression of e: every table and
+// every join predicate of sub (in either direction) also appears in e. This
+// is the applicability test of SIT matching (Section 2.2), restricted to
+// join expressions.
+func (e *Expr) Contains(sub *Expr) bool {
+	for _, t := range sub.tables {
+		if !e.HasTable(t) {
+			return false
+		}
+	}
+	have := e.normal().preds
+	for _, p := range sub.normal().preds {
+		found := false
+		for _, q := range have {
+			if q == p {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether two expressions are semantically equal.

@@ -232,3 +232,39 @@ func TestConnectedSubExprs(t *testing.T) {
 		t.Errorf("multi-pred subs = %v", subs)
 	}
 }
+
+// TestContains covers the SIT-applicability test: tables and join predicates
+// of the sub-expression must all appear in the query, predicates in either
+// direction.
+func TestContains(t *testing.T) {
+	q := MustNewExpr(
+		JoinPred{"R", "a", "S", "b"},
+		JoinPred{"S", "c", "T", "d"},
+		JoinPred{"S", "e", "T", "f"},
+	)
+	base, err := NewBaseExpr("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewBaseExpr("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		sub  *Expr
+		want bool
+	}{
+		{q, true},
+		{MustNewExpr(JoinPred{"S", "b", "R", "a"}), true}, // reversed direction
+		{MustNewExpr(JoinPred{"T", "d", "S", "c"}, JoinPred{"S", "e", "T", "f"}), true},
+		{MustNewExpr(JoinPred{"S", "c", "T", "f"}), false}, // same tables, other predicate
+		{MustNewExpr(JoinPred{"T", "d", "U", "x"}), false}, // table outside the query
+		{base, true},
+		{other, false},
+	}
+	for i, c := range cases {
+		if got := q.Contains(c.sub); got != c.want {
+			t.Errorf("case %d: Contains(%s) = %v, want %v", i, c.sub, got, c.want)
+		}
+	}
+}

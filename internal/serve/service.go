@@ -13,16 +13,22 @@
 //     validated against the registry's per-table pin, so a refresh or
 //     mutation that did not touch a plan's tables leaves it serving across
 //     epoch bumps.
-//  3. Cold — serialize through the registry's single-threaded build
-//     machinery, prepare a fresh plan, execute it, and publish both the plan
-//     and the result for later requests.
+//  3. Cold — prepare a fresh plan with the estimator compiled from the
+//     registry's current snapshot, execute it, and publish both the plan and
+//     the result for later requests. SIT matching and memoized base
+//     statistics are lock-free; the registry's builder lock is taken only to
+//     build a base statistic that does not exist yet at the tables' current
+//     generations. Concurrent cold requests for one shape are
+//     single-flighted, and a plan is published only under the pin and key of
+//     the snapshot it was prepared from.
 //
 // All three tiers are bit-identical: a result hit is the stored execute
 // output, a plan hit re-runs the exact float operations cold estimation
 // would, and preparation is deterministic. Under memory pressure the cold
 // tier sheds: when the governor cannot admit a nominal build reservation and
-// too many cold requests are already queued on the builder, Estimate fails
-// fast with ErrOverloaded instead of queueing unboundedly.
+// too many cold requests are already waiting for the builder on a statistics
+// miss, a request that would wait too fails fast with ErrOverloaded instead
+// of queueing unboundedly.
 package serve
 
 import (
@@ -31,6 +37,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"github.com/sitstats/sits/internal/cardest"
@@ -56,17 +63,18 @@ const DefaultPlanCacheEntries = 1024
 const shedProbeBytes = 64 << 10
 
 // ErrOverloaded is returned by Estimate when the service sheds a cold
-// request under budget pressure: the governor cannot admit a nominal build
-// reservation and the cold queue is at or past Config.ShedQueue. The request
-// was not estimated; clients should retry after a backoff.
+// request that must wait for the builder under budget pressure: the governor
+// cannot admit a nominal build reservation and the builder queue is at or
+// past Config.ShedQueue. The request was not estimated; clients should retry
+// after a backoff.
 var ErrOverloaded = errors.New("serve: overloaded, estimation shed")
 
 // Tier identifies which serving tier answered a request.
 type Tier int
 
 const (
-	// TierCold means the request serialized through the builder: the plan
-	// was prepared (SIT matching, candidate ranking) and executed.
+	// TierCold means the plan was prepared (SIT matching, candidate ranking,
+	// base-statistic fallbacks) and executed.
 	TierCold Tier = iota
 	// TierPlan means a cached prepared plan was executed with the request's
 	// constants: histogram probes only, no matching, no builder lock.
@@ -96,13 +104,15 @@ type Config struct {
 	CacheEntries int
 	// PlanCacheEntries bounds the prepared-plan cache: 0 uses
 	// DefaultPlanCacheEntries, a negative value disables plan caching
-	// (every result miss re-prepares under the builder lock).
+	// (every result miss re-prepares, and concurrent identical cold requests
+	// are not single-flighted).
 	PlanCacheEntries int
-	// ShedQueue enables overload shedding when positive: a cold request
-	// arriving while at least ShedQueue cold requests are already queued on
-	// the builder *and* the governor is under budget pressure fails fast
-	// with ErrOverloaded instead of queueing. 0 disables shedding (cold
-	// requests queue unboundedly, the previous behavior).
+	// ShedQueue enables overload shedding when positive: a cold request that
+	// must wait for the builder on a statistics miss, arriving while at
+	// least ShedQueue requests are already waiting for it *and* the governor
+	// is under budget pressure, fails fast with ErrOverloaded instead of
+	// queueing. Cold requests whose statistics are memoized never wait and
+	// are never shed. 0 disables shedding (waits queue unboundedly).
 	ShedQueue int
 }
 
@@ -113,23 +123,29 @@ type Service struct {
 	cache *estimateCache // nil when result caching is disabled
 	plans *planCache     // nil when plan caching is disabled
 
-	// est is the estimator for the epoch it was built against, rebuilt
-	// lazily when the registry publishes a new epoch. It is only swapped
-	// while holding the registry's builder lock; the pointer itself is
-	// atomic so Stats can peek without taking it.
-	est atomic.Pointer[epochEstimator]
+	// est is the estimator compiled from the registry's snapshot of epoch
+	// est.Epoch(); estMu serializes recompiling it once the epoch moves on.
+	est   atomic.Pointer[cardest.Estimator]
+	estMu sync.Mutex
+
+	flightMu sync.Mutex
+	flights  map[string]*coldFlight // shape + pin -> cold preparation in flight
 
 	hits, misses atomic.Int64 // result-cache hits / cold estimations
 	planHits     atomic.Int64 // plan-cache hits (result-cache misses)
 	sheds        atomic.Int64 // cold requests rejected with ErrOverloaded
-	queued       atomic.Int64 // cold requests currently queued on the builder
+	queued       atomic.Int64 // cold requests waiting for the builder on a statistics miss
 }
 
-// epochEstimator pins an estimator to the registry epoch whose SIT set it
-// has registered.
-type epochEstimator struct {
-	epoch uint64
-	est   *cardest.Estimator
+// coldFlight is one in-progress cold preparation; requests for the same
+// shape and pin wait for it and execute its plan.
+type coldFlight struct {
+	done chan struct{}
+	plan *cardest.EstimatorPlan
+	err  error
+	// waiting is set while the leader waits for the builder: followers then
+	// wait for it too, so the shed decision applies to them.
+	waiting atomic.Bool
 }
 
 // NewService creates a serving layer over the registry.
@@ -140,7 +156,7 @@ func NewService(reg *sit.Registry, cfg Config) (*Service, error) {
 	if cfg.ShedQueue < 0 {
 		return nil, fmt.Errorf("serve: shed queue depth %d must be >= 0 (0 = no shedding)", cfg.ShedQueue)
 	}
-	s := &Service{reg: reg, cfg: cfg}
+	s := &Service{reg: reg, cfg: cfg, flights: map[string]*coldFlight{}}
 	switch {
 	case cfg.CacheEntries == 0:
 		s.cache = newEstimateCache(DefaultCacheEntries)
@@ -167,9 +183,8 @@ func (s *Service) Registry() *sit.Registry { return s.reg }
 // performs. The returned Estimate is shared with the result cache and must
 // be treated as immutable.
 //
-// Under budget pressure (see Config.ShedQueue) a request that would need a
-// cold estimation may fail with ErrOverloaded instead of queueing on the
-// builder.
+// Under budget pressure (see Config.ShedQueue) a cold request that would
+// wait for the builder may fail with ErrOverloaded instead.
 func (s *Service) Estimate(q cardest.SPJQuery) (cardest.Estimate, Tier, error) {
 	if q.Expr == nil {
 		return cardest.Estimate{}, TierCold, fmt.Errorf("serve: request needs a join expression")
@@ -189,108 +204,193 @@ func (s *Service) Estimate(q cardest.SPJQuery) (cardest.Estimate, Tier, error) {
 		}
 	}
 
+	// Without a plan cache there is no shape to single-flight on: every
+	// result miss prepares its own plan.
+	if s.plans == nil {
+		return s.cold(nq, resultKey, "", nil)
+	}
+
 	// Tier 2: plan cache — lock-free. The pin and the result key may
 	// straddle a concurrent publish, but a matching pin proves the plan
 	// resolves the statistics a fresh preparation would, so the executed
 	// result is correct for the pin's snapshot; a result key from an older
 	// epoch merely strands the stored entry.
-	var shape string
+	shape := cardest.ShapeKey(nq.Expr, cardest.Columns(nq.Preds))
+	pin, err := s.reg.PlanPin(nq.Expr)
+	if err != nil {
+		return cardest.Estimate{}, TierCold, err
+	}
+	if plan, ok := s.plans.get(shape, pin); ok {
+		return s.planHit(plan, nq, resultKey)
+	}
+
+	// Tier 3: cold, single-flighted per shape and pin.
+	fkey := shape + "\x00" + pin
+	f, leader := s.join(fkey)
+	if !leader {
+		return s.follow(f, nq)
+	}
+	defer s.retire(fkey, f)
+	// A leader that lost the race with the previous flight's publish finds
+	// its plan here.
+	if plan, ok := s.plans.get(shape, pin); ok {
+		f.plan = plan
+		return s.planHit(plan, nq, resultKey)
+	}
+	return s.cold(nq, resultKey, shape, f)
+}
+
+// cold prepares, executes and publishes the request's plan. f, when not nil,
+// is the flight the request leads; it receives the plan or the error.
+func (s *Service) cold(nq cardest.SPJQuery, key, shape string, f *coldFlight) (cardest.Estimate, Tier, error) {
+	plan, key, pin, err := s.prepare(nq, key, f)
+	if f != nil {
+		f.plan, f.err = plan, err
+	}
+	if err != nil {
+		return cardest.Estimate{}, TierCold, err
+	}
+	out, err := plan.Execute(nq.Preds)
+	if err != nil {
+		return cardest.Estimate{}, TierCold, err
+	}
 	if s.plans != nil {
-		shape = cardest.ShapeKey(nq.Expr, cardest.Columns(nq.Preds))
-		pin, err := s.reg.PlanPin(nq.Expr)
+		s.plans.put(shape, pin, plan)
+	}
+	if s.cache != nil {
+		s.cache.put(key, out)
+	}
+	s.misses.Add(1)
+	return out, TierCold, nil
+}
+
+// prepare compiles the request's plan against one stable snapshot and
+// returns it with the result key and plan pin it may be published under.
+// The key holds the registry epoch and the generation of every table of the
+// expression, all monotonic counters: equal keys read before and after
+// preparation prove none of them moved in between, so the plan, and the pin
+// read inside that window, describe exactly the snapshot of the key. When a
+// counter moved, preparation is retried against the new snapshot.
+func (s *Service) prepare(nq cardest.SPJQuery, key string, f *coldFlight) (*cardest.EstimatorPlan, string, string, error) {
+	if key == "" {
+		var err error
+		if key, err = s.key(nq); err != nil {
+			return nil, "", "", err
+		}
+	}
+	cols := cardest.Columns(nq.Preds)
+	for {
+		est, err := s.current()
 		if err != nil {
-			return cardest.Estimate{}, TierCold, err
+			return nil, "", "", err
 		}
-		if plan, ok := s.plans.get(shape, pin); ok {
-			out, err := plan.Execute(nq.Preds)
-			if err != nil {
-				return cardest.Estimate{}, TierPlan, err
-			}
-			s.planHits.Add(1)
-			if s.cache != nil {
-				s.cache.put(resultKey, out)
-			}
-			return out, TierPlan, nil
+		plan, ok, err := est.TryPrepare(nq.Expr, cols)
+		if err != nil {
+			return nil, "", "", err
 		}
-	}
-
-	// Tier 3: cold — shed under pressure, otherwise queue on the builder.
-	if s.cfg.ShedQueue > 0 && s.queued.Load() >= int64(s.cfg.ShedQueue) && underPressure(s.reg.Governor()) {
-		s.sheds.Add(1)
-		return cardest.Estimate{}, TierCold, ErrOverloaded
-	}
-	s.queued.Add(1)
-	defer s.queued.Add(-1)
-
-	var (
-		out  cardest.Estimate
-		tier = TierCold
-	)
-	err := s.reg.WithBuilder(func(b *sit.Builder) error {
-		// Re-key and re-check under the builder lock: epoch swaps happen
-		// under this lock, so the keys are now stable against refreshes, and
-		// a request that queued behind an identical miss finds that miss's
-		// freshly published result or plan here instead of recomputing it.
-		var key string
-		if s.cache != nil {
-			var err error
-			if key, err = s.key(nq); err != nil {
-				return err
+		if !ok {
+			if s.shed() {
+				return nil, "", "", ErrOverloaded
 			}
-			if est, ok := s.cache.get(key); ok {
-				out, tier = est, TierResult
-				return nil
+			if plan, err = s.waitBuilder(est, nq, cols, f); err != nil {
+				return nil, "", "", err
 			}
 		}
 		var pin string
 		if s.plans != nil {
-			var err error
 			if pin, err = s.reg.PlanPin(nq.Expr); err != nil {
-				return err
-			}
-			if plan, ok := s.plans.get(shape, pin); ok {
-				est, err := plan.Execute(nq.Preds)
-				if err != nil {
-					return err
-				}
-				out, tier = est, TierPlan
-				if s.cache != nil {
-					s.cache.put(key, out)
-				}
-				return nil
+				return nil, "", "", err
 			}
 		}
-		est, err := s.estimator(b)
+		after, err := s.key(nq)
 		if err != nil {
-			return err
+			return nil, "", "", err
 		}
-		plan, err := est.Prepare(nq.Expr, cardest.Columns(nq.Preds))
-		if err != nil {
-			return err
+		if after == key {
+			return plan, key, pin, nil
 		}
-		if out, err = plan.Execute(nq.Preds); err != nil {
-			return err
+		key = after
+	}
+}
+
+// waitBuilder runs a preparation that has to build a base statistic,
+// counted in the builder queue the shed decision reads.
+func (s *Service) waitBuilder(est *cardest.Estimator, nq cardest.SPJQuery, cols []cardest.PredColumn, f *coldFlight) (*cardest.EstimatorPlan, error) {
+	s.queued.Add(1)
+	defer s.queued.Add(-1)
+	if f != nil {
+		f.waiting.Store(true)
+		defer f.waiting.Store(false)
+	}
+	return est.Prepare(nq.Expr, cols)
+}
+
+// shed reports, and counts, whether a request that must wait for the builder
+// is rejected: shedding is on, the builder queue is at or past its bound,
+// and the governor is under budget pressure.
+func (s *Service) shed() bool {
+	if s.cfg.ShedQueue > 0 && s.queued.Load() >= int64(s.cfg.ShedQueue) && underPressure(s.reg.Governor()) {
+		s.sheds.Add(1)
+		return true
+	}
+	return false
+}
+
+// join returns the flight for the key, and whether the caller leads it.
+func (s *Service) join(key string) (*coldFlight, bool) {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if f, ok := s.flights[key]; ok {
+		return f, false
+	}
+	f := &coldFlight{done: make(chan struct{})}
+	s.flights[key] = f
+	return f, true
+}
+
+// retire ends the leader's flight and wakes its followers. A leader that
+// panicked leaves neither plan nor error; its followers get an error.
+func (s *Service) retire(key string, f *coldFlight) {
+	if f.plan == nil && f.err == nil {
+		f.err = errors.New("serve: cold preparation failed")
+	}
+	s.flightMu.Lock()
+	delete(s.flights, key)
+	s.flightMu.Unlock()
+	close(f.done)
+}
+
+// follow answers a request from a flight's plan once the flight is done. A
+// follower of a leader that is waiting for the builder waits for it too, so
+// it is subject to shedding.
+func (s *Service) follow(f *coldFlight, nq cardest.SPJQuery) (cardest.Estimate, Tier, error) {
+	if f.waiting.Load() && s.shed() {
+		return cardest.Estimate{}, TierCold, ErrOverloaded
+	}
+	<-f.done
+	if f.err != nil {
+		if errors.Is(f.err, ErrOverloaded) {
+			s.sheds.Add(1)
 		}
-		if s.plans != nil {
-			s.plans.put(shape, pin, plan)
-		}
-		if s.cache != nil {
-			s.cache.put(key, out)
-		}
-		return nil
-	})
+		return cardest.Estimate{}, TierCold, f.err
+	}
+	// The leader may have prepared against a later snapshot than this
+	// request's key names, so the result is not published.
+	return s.planHit(f.plan, nq, "")
+}
+
+// planHit answers a request by executing a prepared plan and, when key is
+// not empty, publishes the result under it.
+func (s *Service) planHit(plan *cardest.EstimatorPlan, nq cardest.SPJQuery, key string) (cardest.Estimate, Tier, error) {
+	out, err := plan.Execute(nq.Preds)
 	if err != nil {
-		return cardest.Estimate{}, TierCold, err
+		return cardest.Estimate{}, TierPlan, err
 	}
-	switch tier {
-	case TierResult:
-		s.hits.Add(1)
-	case TierPlan:
-		s.planHits.Add(1)
-	default:
-		s.misses.Add(1)
+	s.planHits.Add(1)
+	if s.cache != nil && key != "" {
+		s.cache.put(key, out)
 	}
-	return out, tier, nil
+	return out, TierPlan, nil
 }
 
 // underPressure reports whether the governor is too committed to admit a
@@ -299,26 +399,22 @@ func underPressure(g *mem.Governor) bool {
 	return !g.Unlimited() && g.Budget()-g.Used() < shedProbeBytes
 }
 
-// estimator returns the estimator for the registry's current epoch,
-// rebuilding it from a fresh snapshot when a build or refresh has moved the
-// epoch on. Callers must hold the registry's builder lock (WithBuilder).
-func (s *Service) estimator(b *sit.Builder) (*cardest.Estimator, error) {
-	sits, epoch := s.reg.Snapshot()
-	if cur := s.est.Load(); cur != nil && cur.epoch == epoch {
-		return cur.est, nil
+// current returns the estimator compiled from the registry's current
+// snapshot, compiling it once per epoch.
+func (s *Service) current() (*cardest.Estimator, error) {
+	if est := s.est.Load(); est != nil && est.Epoch() == s.reg.Epoch() {
+		return est, nil
 	}
-	est, err := cardest.New(b)
+	s.estMu.Lock()
+	defer s.estMu.Unlock()
+	if est := s.est.Load(); est != nil && est.Epoch() == s.reg.Epoch() {
+		return est, nil
+	}
+	est, err := cardest.ForRegistry(s.reg)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot order is key-sorted, so registration — and therefore any
-	// order-sensitive tie-breaking inside the estimator — is deterministic.
-	for _, x := range sits {
-		if err := est.Register(x); err != nil {
-			return nil, err
-		}
-	}
-	s.est.Store(&epochEstimator{epoch: epoch, est: est})
+	s.est.Store(est)
 	return est, nil
 }
 
@@ -398,7 +494,8 @@ type Stats struct {
 	PlanEntries   int   `json:"plan_entries"`
 	PlanEvictions int64 `json:"plan_evictions"`
 	// Sheds counts cold requests rejected with ErrOverloaded; Queued is the
-	// current cold-queue depth the shed decision reads.
+	// current number of cold requests waiting for the builder on a
+	// statistics miss, the depth the shed decision reads.
 	Sheds    int64             `json:"sheds"`
 	Queued   int64             `json:"queued"`
 	Registry sit.RegistryStats `json:"registry"`
