@@ -83,7 +83,6 @@ func run(o options) error {
 		cfg.Queries = o.queries
 		cfg.Seed = eng.Seed
 		cfg.Parallelism = eng.Parallelism
-		cfg.BatchSize = eng.BatchSize
 		cfg.MemBudget = eng.MemBudget
 		if o.buckets != "" {
 			var err error
@@ -111,7 +110,6 @@ func run(o options) error {
 		cfg.Queries = o.queries
 		cfg.Seed = eng.Seed
 		cfg.Parallelism = eng.Parallelism
-		cfg.BatchSize = eng.BatchSize
 		cfg.MemBudget = eng.MemBudget
 		fmt.Println("== Section 5.1 (prose): uniform, independent join attributes ==")
 		res, err := experiments.RunFigure7(cfg)
@@ -173,7 +171,6 @@ func run(o options) error {
 		cfg.Queries = o.queries
 		cfg.Seed = eng.Seed
 		cfg.Parallelism = eng.Parallelism
-		cfg.BatchSize = eng.BatchSize
 		cfg.MemBudget = eng.MemBudget
 		cells, err := experiments.RunHistogramAblation(cfg)
 		if err != nil {
@@ -191,7 +188,6 @@ func run(o options) error {
 		cfg.Queries = o.queries
 		cfg.Seed = eng.Seed
 		cfg.Parallelism = eng.Parallelism
-		cfg.BatchSize = eng.BatchSize
 		cfg.MemBudget = eng.MemBudget
 		cells, err := experiments.RunAcyclic(cfg)
 		if err != nil {

@@ -3,7 +3,7 @@
 //
 //	sitserve -addr :8642 [-csv dir | -segments dir] [-tables T1,T2] \
 //	         [-sits stats.json] [-build "spec;spec"] [-method sweepfull] \
-//	         [-mem-budget 512M] [-parallel 0] [-cache 4096] \
+//	         [-mem-budget 512M] [-parallel 0] [-shed-queue 64] \
 //	         [-refresh 30s] [-stale-threshold 0.2]
 //
 // Endpoints:
@@ -46,8 +46,6 @@ type options struct {
 	sitsFile  string
 	builds    string
 	method    string
-	cacheSize int
-	planSize  int
 	shedQueue int
 	refresh   time.Duration
 	threshold float64
@@ -61,8 +59,6 @@ func main() {
 	flag.StringVar(&o.sitsFile, "sits", "", "preload SITs from this JSON file (written by estimate -save)")
 	flag.StringVar(&o.builds, "build", "", "semicolon-separated SIT specs to build at startup")
 	flag.StringVar(&o.method, "method", "sweepfull", "creation method for -build and staleness rebuilds")
-	flag.IntVar(&o.cacheSize, "cache", 0, "estimate result-cache entries (0 = default, negative = disabled)")
-	flag.IntVar(&o.planSize, "plan-cache", 0, "prepared-plan cache entries (0 = default, negative = disabled)")
 	flag.IntVar(&o.shedQueue, "shed-queue", 64, "cold requests waiting for the builder on a statistics miss before /estimate sheds with 429 under budget pressure (0 = never shed)")
 	flag.DurationVar(&o.refresh, "refresh", 0, "background staleness sweep interval (0 = disabled)")
 	flag.Float64Var(&o.threshold, "stale-threshold", 0.2, "relative base-table growth that triggers a SIT rebuild")
@@ -132,11 +128,7 @@ func run(o options) error {
 		}
 	}
 
-	svc, err := sits.NewService(reg, sits.ServeConfig{
-		CacheEntries:     o.cacheSize,
-		PlanCacheEntries: o.planSize,
-		ShedQueue:        o.shedQueue,
-	})
+	svc, err := sits.NewService(reg, sits.ServeConfig{ShedQueue: o.shedQueue})
 	if err != nil {
 		return err
 	}

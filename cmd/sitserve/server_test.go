@@ -115,6 +115,8 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodGet, "/estimate?query=not+a+join", "", http.StatusBadRequest, nil)
 	getJSON(t, h, http.MethodGet, estimateURL("T2.a:bad:0"), "", http.StatusBadRequest, nil)
 	getJSON(t, h, http.MethodGet, estimateURL("T9.a:0:1"), "", http.StatusUnprocessableEntity, nil)
+	getJSON(t, h, http.MethodGet, estimateURL("T2.a:9:0"), "", http.StatusUnprocessableEntity, nil)
+	getJSON(t, h, http.MethodGet, estimateURL("T2.zz:0:1"), "", http.StatusUnprocessableEntity, nil)
 	getJSON(t, h, http.MethodDelete, "/estimate", "", http.StatusMethodNotAllowed, nil)
 	getJSON(t, h, http.MethodPost, "/stats", "", http.StatusMethodNotAllowed, nil)
 	getJSON(t, h, http.MethodGet, "/refresh", "", http.StatusMethodNotAllowed, nil)

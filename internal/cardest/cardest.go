@@ -244,22 +244,41 @@ func (e *Estimator) Registered() int {
 // its answers are bit-identical to a cached plan probed with the same
 // constants.
 func (e *Estimator) Estimate(q SPJQuery) (Estimate, error) {
-	if q.Expr == nil {
-		return Estimate{}, fmt.Errorf("cardest: query needs a join expression")
-	}
-	for _, p := range q.Preds {
-		if !q.Expr.HasTable(p.Table) {
-			return Estimate{}, fmt.Errorf("cardest: predicate %q references table outside the query", p.String())
-		}
-		if p.Hi < p.Lo {
-			return Estimate{}, fmt.Errorf("cardest: predicate %q has an empty range", p.String())
-		}
+	if err := Validate(e.cat, q); err != nil {
+		return Estimate{}, err
 	}
 	plan, err := e.Prepare(q.Expr, Columns(q.Preds))
 	if err != nil {
 		return Estimate{}, err
 	}
 	return plan.Execute(q.Preds)
+}
+
+// Validate checks a query before any estimation work: it needs a join
+// expression, and every predicate must range over a column of the catalog
+// table it names, that table must be in the expression, and the range must
+// not be empty. Serving layers call it before their first tier, so a request
+// that cannot be answered never waits for the builder.
+func Validate(cat *data.Catalog, q SPJQuery) error {
+	if q.Expr == nil {
+		return fmt.Errorf("cardest: query needs a join expression")
+	}
+	for _, p := range q.Preds {
+		if !q.Expr.HasTable(p.Table) {
+			return fmt.Errorf("cardest: predicate %q references table outside the query", p.String())
+		}
+		if p.Hi < p.Lo {
+			return fmt.Errorf("cardest: predicate %q has an empty range", p.String())
+		}
+		t, err := cat.Table(p.Table)
+		if err != nil {
+			return err
+		}
+		if !t.HasColumn(p.Attr) {
+			return fmt.Errorf("cardest: predicate %q references an unknown column", p.String())
+		}
+	}
+	return nil
 }
 
 func clampSel(s float64) float64 {

@@ -12,19 +12,17 @@ import (
 // Engine holds the values of the shared flags.
 type Engine struct {
 	Parallel  int
-	Batch     int
 	MemBudget string
 	Seed      int64
 	CSV       string
 	Segments  string
 }
 
-// Register declares -parallel, -batch, -mem-budget and -seed on fs; seed is
+// Register declares -parallel, -mem-budget and -seed on fs; seed is
 // the binary's default seed.
 func Register(fs *flag.FlagSet, seed int64) *Engine {
 	e := &Engine{}
 	fs.IntVar(&e.Parallel, "parallel", 0, "width of the shared exec worker pool for scans and query pipelines (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
-	fs.IntVar(&e.Batch, "batch", 0, "executor rows per batch (0 = adaptive from plan width)")
 	fs.StringVar(&e.MemBudget, "mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins and sorts spill beyond it")
 	fs.Int64Var(&e.Seed, "seed", seed, "random seed")
 	return e
@@ -42,7 +40,6 @@ func (e *Engine) Config() (sits.Config, error) {
 	cfg := sits.DefaultConfig()
 	cfg.Seed = e.Seed
 	cfg.Parallelism = e.Parallel
-	cfg.BatchSize = e.Batch
 	var err error
 	cfg.MemBudget, err = sits.ParseMemBudget(e.MemBudget)
 	return cfg, err

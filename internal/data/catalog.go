@@ -68,16 +68,3 @@ func (c *Catalog) Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Len returns the number of registered tables.
-func (c *Catalog) Len() int { return len(c.tables) }
-
-// Validate checks every table in the catalog.
-func (c *Catalog) Validate() error {
-	for _, name := range c.Names() {
-		if err := c.tables[name].Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

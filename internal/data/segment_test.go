@@ -105,8 +105,8 @@ func TestSegmentTableSemantics(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Footer-only MinMax, before any column materializes.
-	minV, maxV, ok, err := st.MinMax("id")
+	// Footer-only extrema, before any column materializes.
+	minV, maxV, ok, err := st.seg.ColumnMinMax("id")
 	if err != nil || !ok {
 		t.Fatalf("MinMax: %v %v", ok, err)
 	}
@@ -454,7 +454,7 @@ func TestSegmentEmptyTable(t *testing.T) {
 	if st.NumRows() != 0 || st.NumChunks(4096) != 0 {
 		t.Fatalf("empty segment: rows %d chunks %d", st.NumRows(), st.NumChunks(4096))
 	}
-	if _, _, ok, err := st.MinMax("a"); err != nil || ok {
+	if _, _, ok, err := st.seg.ColumnMinMax("a"); err != nil || ok {
 		t.Fatalf("empty MinMax = %v, %v", ok, err)
 	}
 	rd, err := st.OpenChunks(4096, "a")

@@ -13,7 +13,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -320,44 +319,4 @@ func (c Chunk) Len() int {
 		return 0
 	}
 	return len(c.Cols[0])
-}
-
-// MinMax returns the minimum and maximum values of the named column.
-// ok is false when the table is empty. On a segment-backed table the
-// extrema aggregate from the footer's per-block statistics, touching no
-// block data.
-func (t *Table) MinMax(column string) (minV, maxV int64, ok bool, err error) {
-	if t.seg != nil {
-		return t.seg.ColumnMinMax(column)
-	}
-	vals, err := t.Column(column)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if len(vals) == 0 {
-		return 0, 0, false, nil
-	}
-	minV, maxV = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV, true, nil
-}
-
-// SortedCopy returns a sorted copy of the named column; used by histogram
-// construction and the exact multiplicity index builder.
-func (t *Table) SortedCopy(column string) ([]int64, error) {
-	vals, err := t.Column(column)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]int64, len(vals))
-	copy(cp, vals)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp, nil
 }

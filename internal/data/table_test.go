@@ -60,39 +60,6 @@ func TestAppendAndColumn(t *testing.T) {
 	}
 }
 
-func TestMinMaxDistinctSorted(t *testing.T) {
-	tab := MustNewTable("R", "x")
-	for _, v := range []int64{5, -3, 5, 7, 0} {
-		if err := tab.AppendRow(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lo, hi, ok, err := tab.MinMax("x")
-	if err != nil || !ok {
-		t.Fatalf("MinMax: ok=%v err=%v", ok, err)
-	}
-	if lo != -3 || hi != 7 {
-		t.Errorf("MinMax = (%d,%d), want (-3,7)", lo, hi)
-	}
-	sorted, err := tab.SortedCopy("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sorted, []int64{-3, 0, 5, 5, 7}) {
-		t.Errorf("SortedCopy = %v", sorted)
-	}
-	// Original column is untouched.
-	x := tab.MustColumn("x")
-	if !reflect.DeepEqual(x, []int64{5, -3, 5, 7, 0}) {
-		t.Errorf("original column mutated: %v", x)
-	}
-
-	empty := MustNewTable("E", "x")
-	if _, _, ok, _ := empty.MinMax("x"); ok {
-		t.Error("MinMax of empty table: want ok=false")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	tab := MustNewTable("R", "x", "y")
 	if err := tab.AppendRow(1, 2); err != nil {
@@ -137,14 +104,8 @@ func TestCatalog(t *testing.T) {
 	if names := c.Names(); !reflect.DeepEqual(names, []string{"R", "S"}) {
 		t.Errorf("Names = %v", names)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d", c.Len())
-	}
 	if !c.MustTable("R").HasColumn("x") {
 		t.Error("MustTable(R) lost its column")
-	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -346,8 +307,7 @@ func TestGenerationCounter(t *testing.T) {
 	before := tab.Generation()
 	_ = tab.NumRows()
 	_, _ = tab.Column("a")
-	_, _, _, _ = tab.MinMax("b")
-	_, _ = tab.SortedCopy("b")
+	_, _ = tab.Row(0)
 	if g := tab.Generation(); g != before {
 		t.Fatalf("read-only access bumped generation: %d -> %d", before, g)
 	}

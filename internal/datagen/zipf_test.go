@@ -221,8 +221,8 @@ func TestChainDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.Len() != 4 {
-		t.Fatalf("tables = %d, want 4", cat.Len())
+	if names := cat.Names(); len(names) != 4 {
+		t.Fatalf("tables = %v, want 4", names)
 	}
 	t1 := cat.MustTable("T1")
 	if t1.HasColumn("jprev") {
@@ -246,8 +246,10 @@ func TestChainDB(t *testing.T) {
 			t.Fatalf("T4.a not correlated with jprev at row %d", i)
 		}
 	}
-	if err := cat.Validate(); err != nil {
-		t.Error(err)
+	for _, name := range cat.Names() {
+		if err := cat.MustTable(name).Validate(); err != nil {
+			t.Error(err)
+		}
 	}
 
 	cfg.Tables = 1
@@ -270,7 +272,7 @@ func TestStarDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.Len() != 4 { // F, D1, D2, E
+	if len(cat.Names()) != 4 { // F, D1, D2, E
 		t.Fatalf("tables = %v", cat.Names())
 	}
 	f := cat.MustTable("F")
@@ -296,8 +298,10 @@ func TestStarDB(t *testing.T) {
 			t.Fatalf("a not correlated with k1 at row %d", i)
 		}
 	}
-	if err := cat.Validate(); err != nil {
-		t.Error(err)
+	for _, name := range cat.Names() {
+		if err := cat.MustTable(name).Validate(); err != nil {
+			t.Error(err)
+		}
 	}
 
 	// No snowflake when SubDimRows = 0.

@@ -18,7 +18,8 @@ type Options struct {
 	Parallelism int
 	// BatchSize overrides the rows-per-batch granularity. 0 picks an adaptive
 	// size from the plan's total column width (AdaptiveBatchSize), so wide
-	// join outputs stay inside L2.
+	// join outputs stay inside L2. No production caller sets it: it is the
+	// executor tests' seam for forcing many small batches.
 	BatchSize int
 	// Gov, when non-nil, budgets the plan's operator memory: hash-join build
 	// sides and sort buffers reserve through it and spill (grace partitioning,

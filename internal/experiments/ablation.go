@@ -29,9 +29,6 @@ type AblationConfig struct {
 	// Parallelism bounds the worker pool over the construction algorithms and
 	// the builders' shared scans (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// BatchSize overrides the executor's rows-per-batch granularity (0 =
-	// adaptive from each plan's column width).
-	BatchSize int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
 	// in bytes (0 = unlimited).
 	MemBudget int64
@@ -74,7 +71,7 @@ func RunHistogramAblation(cfg AblationConfig) ([]AblationCell, error) {
 	}
 	gov := mem.NewGovernor(cfg.MemBudget)
 	truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr,
-		exec.Options{Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize, Gov: gov})
+		exec.Options{Parallelism: cfg.Parallelism, Gov: gov})
 	if cerr := gov.Close(); err == nil {
 		err = cerr
 	}
@@ -106,7 +103,6 @@ func RunHistogramAblation(cfg AblationConfig) ([]AblationCell, error) {
 		bcfg.HistMethod = hm
 		bcfg.Seed = cfg.Seed
 		bcfg.Parallelism = cfg.Parallelism
-		bcfg.BatchSize = cfg.BatchSize
 		bcfg.MemBudget = cfg.MemBudget
 		builder, err := sit.NewBuilder(cat, bcfg)
 		if err != nil {

@@ -28,9 +28,6 @@ type AcyclicConfig struct {
 	// Parallelism bounds the worker pool over the creation techniques and the
 	// builders' shared scans (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// BatchSize overrides the executor's rows-per-batch granularity (0 =
-	// adaptive from each plan's column width).
-	BatchSize int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
 	// in bytes (0 = unlimited).
 	MemBudget int64
@@ -80,7 +77,7 @@ func RunAcyclic(cfg AcyclicConfig) ([]AcyclicCell, error) {
 	}
 	gov := mem.NewGovernor(cfg.MemBudget)
 	truthVals, err := exec.AttrValuesOpts(cat, expr, "F", "a",
-		exec.Options{Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize, Gov: gov})
+		exec.Options{Parallelism: cfg.Parallelism, Gov: gov})
 	if cerr := gov.Close(); err == nil {
 		err = cerr
 	}
@@ -111,7 +108,6 @@ func RunAcyclic(cfg AcyclicConfig) ([]AcyclicCell, error) {
 		bcfg.Buckets = cfg.Buckets
 		bcfg.Seed = cfg.Seed
 		bcfg.Parallelism = cfg.Parallelism
-		bcfg.BatchSize = cfg.BatchSize
 		bcfg.MemBudget = cfg.MemBudget
 		builder, err := sit.NewBuilder(cat, bcfg)
 		if err != nil {

@@ -43,9 +43,6 @@ type Fig7Config struct {
 	// single-threaded results exactly). Cells are always assembled in
 	// deterministic (way, buckets, method) order regardless of the setting.
 	Parallelism int
-	// BatchSize overrides the executor's rows-per-batch granularity (0 =
-	// adaptive from each plan's column width).
-	BatchSize int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
 	// in bytes (0 = unlimited); under a budget joins and sorts spill, with
 	// identical results.
@@ -146,7 +143,7 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 		}
 		gov := mem.NewGovernor(cfg.MemBudget)
 		truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr,
-			exec.Options{Parallelism: cfg.Parallelism, BatchSize: cfg.BatchSize, Gov: gov})
+			exec.Options{Parallelism: cfg.Parallelism, Gov: gov})
 		if cerr := gov.Close(); err == nil {
 			err = cerr
 		}
@@ -194,7 +191,6 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 		bcfg.MinSample = 500
 		bcfg.Seed = cfg.Seed
 		bcfg.Parallelism = cfg.Parallelism
-		bcfg.BatchSize = cfg.BatchSize
 		bcfg.MemBudget = cfg.MemBudget
 		builder, err := sit.NewBuilder(cat, bcfg)
 		if err != nil {

@@ -14,7 +14,6 @@ var mapRangeTargets = []string{
 	"/internal/sit",
 	"/internal/histogram",
 	"/internal/sched",
-	"/internal/scs",
 	"/internal/advisor",
 }
 

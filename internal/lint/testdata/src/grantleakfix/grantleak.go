@@ -82,9 +82,22 @@ func tryReserveBranch(gov *mem.Governor, n int64) bool {
 	return true
 }
 
+// Governor and Grant are fixture-local mocks: the check matches receivers
+// by type name, so they bind like the mem types. Grant.Reserve models a
+// reservation that may spill before admitting, reporting (ok, err).
+type Governor struct{}
+
+func (*Governor) Grant(string) *Grant { return &Grant{} }
+
+type Grant struct{}
+
+func (*Grant) Reserve(int64) (bool, error) { return true, nil }
+func (*Grant) Release(int64)               {}
+func (*Grant) Close()                      {}
+
 // reserveChecked binds the ok result; the failure branch never holds the
 // reservation, and Close covers the rest. Clean.
-func reserveChecked(gov *mem.Governor, n int64) error {
+func reserveChecked(gov *Governor, n int64) error {
 	g := gov.Grant("sort")
 	defer g.Close()
 	ok, err := g.Reserve(n)

@@ -160,32 +160,20 @@ func (g *Governor) Close() error {
 }
 
 // Grant is one operator's window onto the governor: it tracks the bytes the
-// operator holds so Close can release any remainder, and carries the
-// operator's spill callback. A nil Grant admits everything. Reservation and
-// release are safe for concurrent use, so one pooled grant can account the
-// scratch of every worker in a parallel fan-out.
+// operator holds so Close can release any remainder. A nil Grant admits
+// everything. Reservation and release are safe for concurrent use, so one
+// pooled grant can account the scratch of every worker in a parallel
+// fan-out. An operator whose TryReserve is denied spills its own state.
 type Grant struct {
 	g    *Governor
 	name string
 	used atomic.Int64
-	// spill is invoked when a reservation is denied; it should free memory
-	// (by spilling state to the run store and calling Release) and return
-	// nil, after which the reservation is retried once.
-	spill func() error
 }
 
 // Grant opens a named per-operator grant. The name appears in diagnostics
 // only. Works on a nil governor, returning a grant that admits everything.
 func (g *Governor) Grant(name string) *Grant {
 	return &Grant{g: g, name: name}
-}
-
-// SetSpill installs the grant's spill callback, invoked by Reserve when the
-// budget denies a reservation.
-func (gr *Grant) SetSpill(f func() error) {
-	if gr != nil {
-		gr.spill = f
-	}
 }
 
 // TryReserve attempts to reserve n bytes without spilling. It reports
@@ -199,25 +187,6 @@ func (gr *Grant) TryReserve(n int64) bool {
 	}
 	gr.used.Add(n)
 	return true
-}
-
-// Reserve reserves n bytes, invoking the grant's spill callback once if the
-// budget denies the request, then retrying. It reports whether the bytes fit
-// the budget; on false the caller must shed state itself (or use Force for
-// bounded scratch).
-func (gr *Grant) Reserve(n int64) (bool, error) {
-	if gr.TryReserve(n) {
-		return true, nil
-	}
-	if gr.spill != nil {
-		if err := gr.spill(); err != nil {
-			return false, err
-		}
-		if gr.TryReserve(n) {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // Force reserves n bytes unconditionally. It is for small bounded scratch

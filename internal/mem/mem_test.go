@@ -74,31 +74,6 @@ func TestGovernorAccounting(t *testing.T) {
 	}
 }
 
-func TestGovernorSpillCallback(t *testing.T) {
-	g := NewGovernor(100)
-	gr := g.Grant("op")
-	spills := 0
-	gr.SetSpill(func() error {
-		spills++
-		gr.Release(gr.Used()) // shed everything
-		return nil
-	})
-	if ok, err := gr.Reserve(80); err != nil || !ok {
-		t.Fatalf("Reserve(80) = %v, %v", ok, err)
-	}
-	// Denied once, spill callback frees the 80, retry succeeds.
-	if ok, err := gr.Reserve(90); err != nil || !ok {
-		t.Fatalf("Reserve(90) = %v, %v; want spill-then-admit", ok, err)
-	}
-	if spills != 1 {
-		t.Fatalf("spill callback ran %d times, want 1", spills)
-	}
-	// Request larger than the whole budget: spill cannot help.
-	if ok, err := gr.Reserve(200); err != nil || ok {
-		t.Fatalf("Reserve(200) = %v, %v; want denied", ok, err)
-	}
-}
-
 func TestNilGovernorIsUnlimited(t *testing.T) {
 	var g *Governor
 	if !g.Unlimited() {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/sitstats/sits/internal/scs"
 )
 
 // TestUnboundedMemoryEqualsWeightedSCS: with M unbounded the multi-SIT
@@ -48,7 +46,7 @@ func TestUnboundedMemoryEqualsWeightedSCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scsRes, err := scs.Solve(seqs, scs.Options{Cost: cost})
+		scsRes, err := solveSCS(seqs, scsOptions{Cost: cost})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +60,7 @@ func TestUnboundedMemoryEqualsWeightedSCS(t *testing.T) {
 			scans[i] = step.Table
 		}
 		for _, seq := range seqs {
-			if !scs.IsSupersequence(scans, seq) {
+			if !isSupersequence(scans, seq) {
 				t.Fatalf("trial %d: schedule %v is not a supersequence of %v", trial, scans, seq)
 			}
 		}

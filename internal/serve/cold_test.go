@@ -111,7 +111,8 @@ type raceState struct {
 func TestPlanColdRaceAppendRefresh(t *testing.T) {
 	scfg := sit.DefaultConfig()
 	// Small caches keep most requests cold while shapes still repeat.
-	svc, reg := newRaceService(t, scfg, Config{CacheEntries: 32, PlanCacheEntries: 16})
+	svc, reg := newRaceService(t, scfg, Config{})
+	svc.cache, svc.plans = newEstimateCache(32), newPlanCache(16)
 	cat := reg.Catalog()
 
 	// Each batch appends a slice of every table's own rows with the payload
@@ -368,16 +369,16 @@ func TestShedSkipsMemoizedColdRequests(t *testing.T) {
 	if r := <-first; r.err != nil || r.tier != TierCold {
 		t.Fatalf("queued request: tier=%v err=%v", r.tier, r.err)
 	}
-	uncached, err := NewService(reg, Config{CacheEntries: -1, PlanCacheEntries: -1})
+	ref, err := cardest.ForRegistry(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := uncached.Estimate(memo)
+	want, err := ref.Estimate(normalize(memo))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("memoized answer diverges from an uncached estimate:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("memoized answer diverges from a from-scratch estimate:\n got %+v\nwant %+v", got, want)
 	}
 	if st := svc.Stats(); st.Queued != 0 {
 		t.Fatalf("final stats %+v, want an empty builder queue", st)
@@ -385,12 +386,13 @@ func TestShedSkipsMemoizedColdRequests(t *testing.T) {
 }
 
 // BenchmarkColdEstimateParallel measures the cold tier under parallel load:
-// a seeded population of 2048 queries over 537 shapes — far more
-// than the 16-entry plan cache — with result caching off, so most requests
-// prepare a plan. Base statistics are warmed before the timer, as they are
-// in a service that has been running.
+// a seeded population of 2048 queries over 537 shapes — far more than the
+// 16-entry result and plan caches — so most requests prepare a plan. Base
+// statistics are warmed before the timer, as they are in a service that has
+// been running.
 func BenchmarkColdEstimateParallel(b *testing.B) {
-	svc, _ := newRaceService(b, sit.DefaultConfig(), Config{CacheEntries: -1, PlanCacheEntries: 16})
+	svc, _ := newRaceService(b, sit.DefaultConfig(), Config{})
+	svc.cache, svc.plans = newEstimateCache(16), newPlanCache(16)
 	exprs := parseRaceExprs(b)
 	rng := rand.New(rand.NewSource(1))
 	pop := make([]cardest.SPJQuery, 2048)

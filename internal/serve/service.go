@@ -45,15 +45,14 @@ import (
 	"github.com/sitstats/sits/internal/sit"
 )
 
-// DefaultCacheEntries bounds the estimate result cache when
-// Config.CacheEntries is zero. One entry holds one Estimate (a few hundred
-// bytes), so the default stays small next to any realistic SIT set.
+// DefaultCacheEntries bounds the estimate result cache. One entry holds one
+// Estimate (a few hundred bytes), so the bound stays small next to any
+// realistic SIT set.
 const DefaultCacheEntries = 4096
 
-// DefaultPlanCacheEntries bounds the plan cache when Config.PlanCacheEntries
-// is zero. Shapes are far fewer than constant combinations — one workload
-// template is one shape — so the plan cache can be much smaller than the
-// result cache.
+// DefaultPlanCacheEntries bounds the plan cache. Shapes are far fewer than
+// constant combinations — one workload template is one shape — so the plan
+// cache can be much smaller than the result cache.
 const DefaultPlanCacheEntries = 1024
 
 // shedProbeBytes is the nominal first reservation of an estimation-triggered
@@ -97,16 +96,9 @@ func (t Tier) String() string {
 	}
 }
 
-// Config parameterizes the serving layer.
+// Config parameterizes the serving layer. The result and plan caches are
+// always on, bounded by DefaultCacheEntries and DefaultPlanCacheEntries.
 type Config struct {
-	// CacheEntries bounds the estimate result cache: 0 uses
-	// DefaultCacheEntries, a negative value disables result caching.
-	CacheEntries int
-	// PlanCacheEntries bounds the prepared-plan cache: 0 uses
-	// DefaultPlanCacheEntries, a negative value disables plan caching
-	// (every result miss re-prepares, and concurrent identical cold requests
-	// are not single-flighted).
-	PlanCacheEntries int
 	// ShedQueue enables overload shedding when positive: a cold request that
 	// must wait for the builder on a statistics miss, arriving while at
 	// least ShedQueue requests are already waiting for it *and* the governor
@@ -120,8 +112,8 @@ type Config struct {
 type Service struct {
 	reg   *sit.Registry
 	cfg   Config
-	cache *estimateCache // nil when result caching is disabled
-	plans *planCache     // nil when plan caching is disabled
+	cache *estimateCache
+	plans *planCache
 
 	// est is the estimator compiled from the registry's snapshot of epoch
 	// est.Epoch(); estMu serializes recompiling it once the epoch moves on.
@@ -156,20 +148,13 @@ func NewService(reg *sit.Registry, cfg Config) (*Service, error) {
 	if cfg.ShedQueue < 0 {
 		return nil, fmt.Errorf("serve: shed queue depth %d must be >= 0 (0 = no shedding)", cfg.ShedQueue)
 	}
-	s := &Service{reg: reg, cfg: cfg, flights: map[string]*coldFlight{}}
-	switch {
-	case cfg.CacheEntries == 0:
-		s.cache = newEstimateCache(DefaultCacheEntries)
-	case cfg.CacheEntries > 0:
-		s.cache = newEstimateCache(cfg.CacheEntries)
-	}
-	switch {
-	case cfg.PlanCacheEntries == 0:
-		s.plans = newPlanCache(DefaultPlanCacheEntries)
-	case cfg.PlanCacheEntries > 0:
-		s.plans = newPlanCache(cfg.PlanCacheEntries)
-	}
-	return s, nil
+	return &Service{
+		reg:     reg,
+		cfg:     cfg,
+		cache:   newEstimateCache(DefaultCacheEntries),
+		plans:   newPlanCache(DefaultPlanCacheEntries),
+		flights: map[string]*coldFlight{},
+	}, nil
 }
 
 // Registry returns the SIT catalog the service estimates from.
@@ -183,31 +168,24 @@ func (s *Service) Registry() *sit.Registry { return s.reg }
 // performs. The returned Estimate is shared with the result cache and must
 // be treated as immutable.
 //
-// Under budget pressure (see Config.ShedQueue) a cold request that would
-// wait for the builder may fail with ErrOverloaded instead.
+// A request cardest.Validate rejects fails before any tier, so it never
+// waits for the builder. Under budget pressure (see Config.ShedQueue) a cold
+// request that would wait for the builder may fail with ErrOverloaded
+// instead.
 func (s *Service) Estimate(q cardest.SPJQuery) (cardest.Estimate, Tier, error) {
-	if q.Expr == nil {
-		return cardest.Estimate{}, TierCold, fmt.Errorf("serve: request needs a join expression")
+	if err := cardest.Validate(s.reg.Catalog(), q); err != nil {
+		return cardest.Estimate{}, TierCold, err
 	}
 	nq := normalize(q)
 
 	// Tier 1: result cache.
-	var resultKey string
-	if s.cache != nil {
-		var err error
-		if resultKey, err = s.key(nq); err != nil {
-			return cardest.Estimate{}, TierCold, err
-		}
-		if est, ok := s.cache.get(resultKey); ok {
-			s.hits.Add(1)
-			return est, TierResult, nil
-		}
+	resultKey, err := s.key(nq)
+	if err != nil {
+		return cardest.Estimate{}, TierCold, err
 	}
-
-	// Without a plan cache there is no shape to single-flight on: every
-	// result miss prepares its own plan.
-	if s.plans == nil {
-		return s.cold(nq, resultKey, "", nil)
+	if est, ok := s.cache.get(resultKey); ok {
+		s.hits.Add(1)
+		return est, TierResult, nil
 	}
 
 	// Tier 2: plan cache — lock-free. The pin and the result key may
@@ -240,13 +218,11 @@ func (s *Service) Estimate(q cardest.SPJQuery) (cardest.Estimate, Tier, error) {
 	return s.cold(nq, resultKey, shape, f)
 }
 
-// cold prepares, executes and publishes the request's plan. f, when not nil,
-// is the flight the request leads; it receives the plan or the error.
+// cold prepares, executes and publishes the request's plan. f is the flight
+// the request leads; it receives the plan or the error.
 func (s *Service) cold(nq cardest.SPJQuery, key, shape string, f *coldFlight) (cardest.Estimate, Tier, error) {
 	plan, key, pin, err := s.prepare(nq, key, f)
-	if f != nil {
-		f.plan, f.err = plan, err
-	}
+	f.plan, f.err = plan, err
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
 	}
@@ -254,12 +230,8 @@ func (s *Service) cold(nq cardest.SPJQuery, key, shape string, f *coldFlight) (c
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
 	}
-	if s.plans != nil {
-		s.plans.put(shape, pin, plan)
-	}
-	if s.cache != nil {
-		s.cache.put(key, out)
-	}
+	s.plans.put(shape, pin, plan)
+	s.cache.put(key, out)
 	s.misses.Add(1)
 	return out, TierCold, nil
 }
@@ -272,12 +244,6 @@ func (s *Service) cold(nq cardest.SPJQuery, key, shape string, f *coldFlight) (c
 // read inside that window, describe exactly the snapshot of the key. When a
 // counter moved, preparation is retried against the new snapshot.
 func (s *Service) prepare(nq cardest.SPJQuery, key string, f *coldFlight) (*cardest.EstimatorPlan, string, string, error) {
-	if key == "" {
-		var err error
-		if key, err = s.key(nq); err != nil {
-			return nil, "", "", err
-		}
-	}
 	cols := cardest.Columns(nq.Preds)
 	for {
 		est, err := s.current()
@@ -296,11 +262,9 @@ func (s *Service) prepare(nq cardest.SPJQuery, key string, f *coldFlight) (*card
 				return nil, "", "", err
 			}
 		}
-		var pin string
-		if s.plans != nil {
-			if pin, err = s.reg.PlanPin(nq.Expr); err != nil {
-				return nil, "", "", err
-			}
+		pin, err := s.reg.PlanPin(nq.Expr)
+		if err != nil {
+			return nil, "", "", err
 		}
 		after, err := s.key(nq)
 		if err != nil {
@@ -318,10 +282,8 @@ func (s *Service) prepare(nq cardest.SPJQuery, key string, f *coldFlight) (*card
 func (s *Service) waitBuilder(est *cardest.Estimator, nq cardest.SPJQuery, cols []cardest.PredColumn, f *coldFlight) (*cardest.EstimatorPlan, error) {
 	s.queued.Add(1)
 	defer s.queued.Add(-1)
-	if f != nil {
-		f.waiting.Store(true)
-		defer f.waiting.Store(false)
-	}
+	f.waiting.Store(true)
+	defer f.waiting.Store(false)
 	return est.Prepare(nq.Expr, cols)
 }
 
@@ -387,7 +349,7 @@ func (s *Service) planHit(plan *cardest.EstimatorPlan, nq cardest.SPJQuery, key 
 		return cardest.Estimate{}, TierPlan, err
 	}
 	s.planHits.Add(1)
-	if s.cache != nil && key != "" {
+	if key != "" {
 		s.cache.put(key, out)
 	}
 	return out, TierPlan, nil
@@ -514,12 +476,8 @@ func (s *Service) Stats() Stats {
 	if total := st.Hits + st.PlanHits + st.Misses; total > 0 {
 		st.HitRate = float64(st.Hits+st.PlanHits) / float64(total)
 	}
-	if s.cache != nil {
-		st.Entries = s.cache.len()
-	}
-	if s.plans != nil {
-		st.PlanEntries = s.plans.len()
-		st.PlanEvictions = s.plans.evicted()
-	}
+	st.Entries = s.cache.len()
+	st.PlanEntries = s.plans.len()
+	st.PlanEvictions = s.plans.evicted()
 	return st
 }

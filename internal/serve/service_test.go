@@ -22,7 +22,7 @@ var serveSpecs = []string{
 
 // newChainService builds a registry over a fresh chain DB, populates it with
 // the test SIT set, and fronts it with a service.
-func newChainService(t *testing.T, scfg sit.Config, cfg Config) (*Service, *data.Catalog) {
+func newChainService(t *testing.T, scfg sit.Config) (*Service, *data.Catalog) {
 	t.Helper()
 	cat, err := datagen.ChainDB(datagen.DefaultChainConfig())
 	if err != nil {
@@ -46,7 +46,7 @@ func newChainService(t *testing.T, scfg sit.Config, cfg Config) (*Service, *data
 			t.Fatal(err)
 		}
 	}
-	svc, err := NewService(reg, cfg)
+	svc, err := NewService(reg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,9 @@ const quarterWS = 24 << 10
 // TestTieredEstimatesBitIdentical asserts the core serving guarantee: no
 // tier ever changes an answer. For every query the cold estimate, the result
 // hit, the plan hit (same shape, shifted constants), a permuted-predicate
-// request, and an uncached service's answers must all be bit-identical —
-// across execution widths {1, 4} and memory budgets {unlimited, quarter-WS}.
+// request, and a from-scratch cardest estimator over the same registry must
+// all be bit-identical — across execution widths {1, 4} and memory budgets
+// {unlimited, quarter-WS}.
 func TestTieredEstimatesBitIdentical(t *testing.T) {
 	var configs []sit.Config
 	for _, par := range []int{1, 4} {
@@ -114,8 +115,8 @@ func TestTieredEstimatesBitIdentical(t *testing.T) {
 	}
 	var baseline, baselineShift []cardest.Estimate
 	for ci, scfg := range configs {
-		cached, _ := newChainService(t, scfg, Config{})
-		uncached, err := NewService(cached.Registry(), Config{CacheEntries: -1, PlanCacheEntries: -1})
+		cached, _ := newChainService(t, scfg)
+		ref, err := cardest.ForRegistry(cached.Registry())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,15 +135,12 @@ func TestTieredEstimatesBitIdentical(t *testing.T) {
 			if tier != TierResult {
 				t.Fatalf("config %d query %d: repeat request served from %v, want result-hit", ci, qi, tier)
 			}
-			raw, tier, err := uncached.Estimate(q)
+			raw, err := ref.Estimate(normalize(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tier != TierCold {
-				t.Fatalf("config %d query %d: uncached service answered from %v", ci, qi, tier)
-			}
 			if !reflect.DeepEqual(cold, hit) || !reflect.DeepEqual(cold, raw) {
-				t.Fatalf("config %d query %d: cached and uncached estimates diverge:\ncold %+v\nhit  %+v\nraw  %+v",
+				t.Fatalf("config %d query %d: served and reference estimates diverge:\ncold %+v\nhit  %+v\nraw  %+v",
 					ci, qi, cold, hit, raw)
 			}
 			if len(q.Preds) > 1 {
@@ -171,7 +169,7 @@ func TestTieredEstimatesBitIdentical(t *testing.T) {
 				if tier != TierPlan {
 					t.Fatalf("config %d query %d: shifted constants served from %v, want plan-hit", ci, qi, tier)
 				}
-				rawShift, _, err := uncached.Estimate(qv)
+				rawShift, err := ref.Estimate(normalize(qv))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +198,7 @@ func TestTieredEstimatesBitIdentical(t *testing.T) {
 // next identical request to recompute — through the cold tier, because the
 // plan pinned the mutated tables and is evicted too.
 func TestCacheInvalidation(t *testing.T) {
-	svc, cat := newChainService(t, sit.DefaultConfig(), Config{})
+	svc, cat := newChainService(t, sit.DefaultConfig())
 	q := testQueries(t)[0]
 
 	if _, tier, err := svc.Estimate(q); err != nil || tier != TierCold {
@@ -258,7 +256,7 @@ func TestCacheInvalidation(t *testing.T) {
 // refreshes evict precisely the plans that pinned the affected tables, and a
 // plan over untouched tables keeps serving across every one of them.
 func TestPlanInvalidationExact(t *testing.T) {
-	svc, cat := newChainService(t, sit.DefaultConfig(), Config{})
+	svc, cat := newChainService(t, sit.DefaultConfig())
 	qA := testQueries(t)[0] // T1 JOIN T2, pred on T2.a
 	qB := cardest.SPJQuery{ // base-table expression over T4 only
 		Expr:  mustExpr(t, "T4"),
@@ -355,7 +353,7 @@ func TestPlanInvalidationExact(t *testing.T) {
 // and asserts exactly one recomputes: the rest either hit a fast tier or
 // find the first request's entry when they reach the builder.
 func TestCacheSingleFlight(t *testing.T) {
-	svc, _ := newChainService(t, sit.DefaultConfig(), Config{})
+	svc, _ := newChainService(t, sit.DefaultConfig())
 	q := testQueries(t)[2]
 
 	const callers = 32
@@ -392,7 +390,8 @@ func TestCacheSingleFlight(t *testing.T) {
 // the least-recently-used one is evicted — and then answered by the plan
 // tier, whose (shape-keyed) entry is still resident.
 func TestCacheLRUEviction(t *testing.T) {
-	svc, _ := newChainService(t, sit.DefaultConfig(), Config{CacheEntries: 2})
+	svc, _ := newChainService(t, sit.DefaultConfig())
+	svc.cache = newEstimateCache(2)
 	qs := testQueries(t)
 	for _, q := range qs[:3] {
 		if _, tier, err := svc.Estimate(q); err != nil || tier != TierCold {
@@ -411,11 +410,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRU bounds the plan cache at two shapes (result cache off)
-// and asserts LRU eviction forces the evicted shape back through the cold
-// tier.
+// TestPlanCacheLRU bounds the plan cache at two shapes and asserts LRU
+// eviction forces the evicted shape back through the cold tier. The repeat
+// requests shift their constants, so the result tier cannot answer them.
 func TestPlanCacheLRU(t *testing.T) {
-	svc, _ := newChainService(t, sit.DefaultConfig(), Config{CacheEntries: -1, PlanCacheEntries: 2})
+	svc, _ := newChainService(t, sit.DefaultConfig())
+	svc.plans = newPlanCache(2)
 	qs := testQueries(t)
 	for _, q := range qs[:3] {
 		if _, tier, err := svc.Estimate(q); err != nil || tier != TierCold {
@@ -426,10 +426,10 @@ func TestPlanCacheLRU(t *testing.T) {
 	if st.PlanEntries != 2 || st.PlanEvictions != 1 {
 		t.Fatalf("stats %+v, want 2 plan entries and 1 eviction", st)
 	}
-	if _, tier, err := svc.Estimate(qs[2]); err != nil || tier != TierPlan {
+	if _, tier, err := svc.Estimate(shifted(qs[2], 1)); err != nil || tier != TierPlan {
 		t.Fatalf("resident plan: tier=%v err=%v", tier, err)
 	}
-	if _, tier, err := svc.Estimate(qs[0]); err != nil || tier != TierCold {
+	if _, tier, err := svc.Estimate(shifted(qs[0], 1)); err != nil || tier != TierCold {
 		t.Fatalf("evicted plan: tier=%v err=%v", tier, err)
 	}
 }
@@ -526,9 +526,65 @@ func TestShedOverload(t *testing.T) {
 	}
 }
 
+// TestInvalidRequestsFailBeforeBuilder: a request no tier can answer — an
+// empty range, an unknown column — is rejected before any tier. With the
+// builder held, both fail at once instead of waiting for it, and neither
+// counts toward the builder queue the shed decision reads.
+func TestInvalidRequestsFailBeforeBuilder(t *testing.T) {
+	svc, _ := newChainService(t, sit.DefaultConfig())
+	reg := svc.Registry()
+	release := make(chan struct{})
+	held := make(chan struct{})
+	builderDone := make(chan error, 1)
+	go func() {
+		builderDone <- reg.WithBuilder(func(*sit.Builder) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	defer func() {
+		close(release)
+		if err := <-builderDone; err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	// Neither the join cardinality of T3 JOIN T4 nor a T4 base statistic is
+	// memoized: a request that reached the cold tier would wait for the
+	// builder.
+	join := mustExpr(t, "T3 JOIN T4 ON T3.jnext = T4.jprev")
+	for _, c := range []struct {
+		name string
+		pred cardest.Predicate
+	}{
+		{"empty range", cardest.Predicate{Table: "T4", Attr: "b", Lo: 10, Hi: 0}},
+		{"unknown column", cardest.Predicate{Table: "T4", Attr: "zz", Lo: 0, Hi: 10}},
+	} {
+		name, q := c.name, cardest.SPJQuery{Expr: join, Preds: []cardest.Predicate{c.pred}}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := svc.Estimate(q)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s: want an error", name)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: request waited for the builder (stats %+v)", name, svc.Stats())
+		}
+	}
+	if st := svc.Stats(); st.Queued != 0 || st.Misses != 0 {
+		t.Fatalf("stats %+v, want invalid requests to touch no tier", st)
+	}
+}
+
 // TestServiceErrors covers request and configuration validation.
 func TestServiceErrors(t *testing.T) {
-	svc, _ := newChainService(t, sit.DefaultConfig(), Config{})
+	svc, _ := newChainService(t, sit.DefaultConfig())
 	if _, _, err := svc.Estimate(cardest.SPJQuery{}); err == nil {
 		t.Fatal("nil expression must fail")
 	}
@@ -552,7 +608,7 @@ func TestServiceErrors(t *testing.T) {
 // equal a from-scratch service's bit for bit — the builder's base-histogram
 // cache follows the table's data generation.
 func TestColdEstimateFreshAfterAppendToUncoveredTable(t *testing.T) {
-	svc, cat := newChainService(t, sit.DefaultConfig(), Config{})
+	svc, cat := newChainService(t, sit.DefaultConfig())
 	q := cardest.SPJQuery{
 		Expr: mustExpr(t, "T3 JOIN T4 ON T3.jnext = T4.jprev"),
 		Preds: []cardest.Predicate{

@@ -252,7 +252,7 @@ func (b *Builder) newConsumer(table string, m Method) (consumer, error) {
 // the histogram over the actual attribute values: the ground-truth SIT.
 func (b *Builder) materializeSIT(spec query.SITSpec, nb int) (*SIT, error) {
 	vals, err := exec.AttrValuesOpts(b.cat, spec.Expr, spec.Table, spec.Attr,
-		exec.Options{Parallelism: b.cfg.Parallelism, BatchSize: b.cfg.BatchSize, Gov: b.gov})
+		exec.Options{Parallelism: b.cfg.Parallelism, Gov: b.gov})
 	if err != nil {
 		return nil, err
 	}

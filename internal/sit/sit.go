@@ -118,10 +118,6 @@ type Config struct {
 	// parallelism level; sampled methods (Sweep, SweepIndex) are deterministic
 	// for a fixed parallelism level.
 	Parallelism int
-	// BatchSize overrides the executor's rows-per-batch granularity when
-	// materializing generating queries (0 = adaptive from the plan's column
-	// width; see exec.AdaptiveBatchSize).
-	BatchSize int
 	// MemBudget caps the executor's operator memory in bytes (0 = unlimited,
 	// the previous behavior). Under a budget, hash-join build sides spill into
 	// grace partitioning and sorts become external merge sorts; results are
@@ -161,9 +157,6 @@ func (c Config) validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("sit: parallelism %d must be >= 0 (0 = GOMAXPROCS)", c.Parallelism)
-	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("sit: batch size %d must be >= 0 (0 = adaptive)", c.BatchSize)
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("sit: memory budget %d must be >= 0 (0 = unlimited)", c.MemBudget)

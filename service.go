@@ -56,8 +56,8 @@ func NewRegistry(cat *Catalog, cfg Config) (*Registry, error) {
 // estimation); see serve.Service.
 type Service = serve.Service
 
-// ServeConfig parameterizes the serving layer: result-cache and plan-cache
-// bounds plus the overload shed threshold.
+// ServeConfig parameterizes the serving layer: the overload shed threshold.
+// The result and plan caches are always on, at fixed bounds.
 type ServeConfig = serve.Config
 
 // ServeStats is a point-in-time view of the serving layer.
