@@ -3,8 +3,8 @@
 //
 //	sitserve -addr :8642 [-csv dir | -segments dir] [-tables T1,T2] \
 //	         [-sits stats.json] [-build "spec;spec"] [-method sweepfull] \
-//	         [-mem-budget 512M] [-parallel 0] [-shed-queue 64] \
-//	         [-refresh 30s] [-stale-threshold 0.2]
+//	         [-mem-budget 512M] [-parallel 0] [-refresh 30s] \
+//	         [-stale-threshold 0.2]
 //
 // Endpoints:
 //
@@ -20,7 +20,8 @@
 // -save) and/or built at startup from the semicolon-separated -build specs.
 // All concurrent requests share one memory governor bounded by -mem-budget;
 // estimates are cached (bit-identical to recomputation) and invalidated by
-// table mutations and SIT refreshes.
+// table mutations and SIT refreshes. Under budget pressure, cold requests
+// past serve.DefaultShedQueue waiting for the builder are shed with 429.
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 
 	"github.com/sitstats/sits"
 	"github.com/sitstats/sits/internal/cliopt"
+	"github.com/sitstats/sits/internal/serve"
 )
 
 // options is the parsed command line.
@@ -46,7 +48,6 @@ type options struct {
 	sitsFile  string
 	builds    string
 	method    string
-	shedQueue int
 	refresh   time.Duration
 	threshold float64
 	eng       *cliopt.Engine
@@ -59,7 +60,6 @@ func main() {
 	flag.StringVar(&o.sitsFile, "sits", "", "preload SITs from this JSON file (written by estimate -save)")
 	flag.StringVar(&o.builds, "build", "", "semicolon-separated SIT specs to build at startup")
 	flag.StringVar(&o.method, "method", "sweepfull", "creation method for -build and staleness rebuilds")
-	flag.IntVar(&o.shedQueue, "shed-queue", 64, "cold requests waiting for the builder on a statistics miss before /estimate sheds with 429 under budget pressure (0 = never shed)")
 	flag.DurationVar(&o.refresh, "refresh", 0, "background staleness sweep interval (0 = disabled)")
 	flag.Float64Var(&o.threshold, "stale-threshold", 0.2, "relative base-table growth that triggers a SIT rebuild")
 	o.eng = cliopt.Register(flag.CommandLine, 1)
@@ -72,6 +72,9 @@ func main() {
 }
 
 func run(o options) error {
+	if !(o.threshold >= 0) {
+		return fmt.Errorf("-stale-threshold must be a non-negative number, got %v", o.threshold)
+	}
 	var tables []string
 	for _, t := range strings.Split(o.tables, ",") {
 		if t = strings.TrimSpace(t); t != "" {
@@ -128,7 +131,7 @@ func run(o options) error {
 		}
 	}
 
-	svc, err := sits.NewService(reg, sits.ServeConfig{ShedQueue: o.shedQueue})
+	svc, err := sits.NewService(reg, sits.ServeConfig{ShedQueue: serve.DefaultShedQueue})
 	if err != nil {
 		return err
 	}

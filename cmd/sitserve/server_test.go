@@ -2,16 +2,20 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/sitstats/sits"
+	"github.com/sitstats/sits/internal/cliopt"
 )
 
 func newTestServer(t *testing.T) (http.Handler, *sits.Catalog) {
@@ -117,6 +121,8 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodGet, estimateURL("T9.a:0:1"), "", http.StatusUnprocessableEntity, nil)
 	getJSON(t, h, http.MethodGet, estimateURL("T2.a:9:0"), "", http.StatusUnprocessableEntity, nil)
 	getJSON(t, h, http.MethodGet, estimateURL("T2.zz:0:1"), "", http.StatusUnprocessableEntity, nil)
+	getJSON(t, h, http.MethodGet, "/estimate?"+url.Values{"query": {"T1 JOIN T2 ON T1.nocol = T2.jprev"}}.Encode(), "",
+		http.StatusUnprocessableEntity, nil)
 	getJSON(t, h, http.MethodDelete, "/estimate", "", http.StatusMethodNotAllowed, nil)
 	getJSON(t, h, http.MethodPost, "/stats", "", http.StatusMethodNotAllowed, nil)
 	getJSON(t, h, http.MethodGet, "/refresh", "", http.StatusMethodNotAllowed, nil)
@@ -278,5 +284,24 @@ func TestServerOverload(t *testing.T) {
 			t.Fatalf("goroutines grew from %d to %d after the flood", baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunRejectsBadStaleThreshold: a staleness threshold no sweep can use
+// fails startup before the catalog is loaded or a port is bound. The data
+// directory does not exist, so a startup that got as far as loading the
+// catalog fails with a different error.
+func TestRunRejectsBadStaleThreshold(t *testing.T) {
+	for _, threshold := range []float64{math.NaN(), -1} {
+		fs := flag.NewFlagSet("sitserve", flag.ContinueOnError)
+		eng := cliopt.Register(fs, 1)
+		eng.RegisterData(fs)
+		if err := fs.Parse([]string{"-csv", filepath.Join(t.TempDir(), "missing")}); err != nil {
+			t.Fatal(err)
+		}
+		err := run(options{addr: "127.0.0.1:0", threshold: threshold, eng: eng})
+		if err == nil || !strings.Contains(err.Error(), "-stale-threshold") {
+			t.Errorf("threshold %v: run returned %v, want a -stale-threshold error", threshold, err)
+		}
 	}
 }

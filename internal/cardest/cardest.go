@@ -254,14 +254,30 @@ func (e *Estimator) Estimate(q SPJQuery) (Estimate, error) {
 	return plan.Execute(q.Preds)
 }
 
-// Validate checks a query before any estimation work: it needs a join
-// expression, and every predicate must range over a column of the catalog
-// table it names, that table must be in the expression, and the range must
-// not be empty. Serving layers call it before their first tier, so a request
-// that cannot be answered never waits for the builder.
+// Validate checks a query before any estimation work: it needs an acyclic
+// join expression over catalog tables whose join columns exist, and every
+// predicate must range over a column of the catalog table it names, that
+// table must be in the expression, and the range must not be empty. Serving
+// layers call it before their first tier, so a request that cannot be
+// answered never waits for the builder. It allocates only to report an
+// error.
 func Validate(cat *data.Catalog, q SPJQuery) error {
 	if q.Expr == nil {
 		return fmt.Errorf("cardest: query needs a join expression")
+	}
+	for i := 0; i < q.Expr.NumTables(); i++ {
+		if _, err := cat.Table(q.Expr.Table(i)); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < q.Expr.NumJoins(); i++ {
+		j := q.Expr.Join(i)
+		if !cat.MustTable(j.LeftTable).HasColumn(j.LeftAttr) || !cat.MustTable(j.RightTable).HasColumn(j.RightAttr) {
+			return fmt.Errorf("cardest: join predicate %q references an unknown column", j.String())
+		}
+	}
+	if !q.Expr.IsAcyclic() {
+		return fmt.Errorf("cardest: join expression %q is cyclic", q.Expr.String())
 	}
 	for _, p := range q.Preds {
 		if !q.Expr.HasTable(p.Table) {
@@ -270,11 +286,7 @@ func Validate(cat *data.Catalog, q SPJQuery) error {
 		if p.Hi < p.Lo {
 			return fmt.Errorf("cardest: predicate %q has an empty range", p.String())
 		}
-		t, err := cat.Table(p.Table)
-		if err != nil {
-			return err
-		}
-		if !t.HasColumn(p.Attr) {
+		if !cat.MustTable(p.Table).HasColumn(p.Attr) {
 			return fmt.Errorf("cardest: predicate %q references an unknown column", p.String())
 		}
 	}

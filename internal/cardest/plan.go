@@ -79,7 +79,7 @@ type planSlot struct {
 // A plan reflects the estimator's registered SIT set at Prepare time —
 // callers that mutate the set (Register) or the underlying tables are
 // responsible for re-preparing, which serving layers do by keying cached
-// plans on the registry's per-table generations.
+// plans on the registry's snapshot pin (epoch + table generations).
 type EstimatorPlan struct {
 	exprCanonical string
 	joinCard      float64

@@ -62,11 +62,12 @@ type Expr struct {
 	norm atomic.Pointer[normForm]
 }
 
-// normForm is an expression's canonical string and its normalized join
-// predicates in canonical order.
+// normForm is an expression's canonical string, its normalized join
+// predicates in canonical order, and whether its join graph is acyclic.
 type normForm struct {
 	canonical string
 	preds     []JoinPred
+	acyclic   bool
 }
 
 // NewExpr builds an expression from join predicates; the table set is
@@ -141,6 +142,17 @@ func (e *Expr) Joins() []JoinPred { return append([]JoinPred(nil), e.joins...) }
 // NumTables returns the number of tables.
 func (e *Expr) NumTables() int { return len(e.tables) }
 
+// Table returns the i-th table in sorted order, without copying the table
+// list as Tables does.
+func (e *Expr) Table(i int) string { return e.tables[i] }
+
+// NumJoins returns the number of join predicates.
+func (e *Expr) NumJoins() int { return len(e.joins) }
+
+// Join returns the i-th join predicate, without copying the predicate list
+// as Joins does.
+func (e *Expr) Join(i int) JoinPred { return e.joins[i] }
+
 // HasTable reports whether the expression references the table.
 func (e *Expr) HasTable(t string) bool {
 	i := sort.SearchStrings(e.tables, t)
@@ -183,17 +195,8 @@ func (e *Expr) connected() bool {
 
 // IsAcyclic reports whether the join graph is acyclic (a tree, since valid
 // expressions are connected): the class of generating queries Sweep handles
-// (Section 3.2).
-func (e *Expr) IsAcyclic() bool {
-	// A connected graph is a tree iff #edges == #nodes - 1, counting
-	// multi-predicate table pairs once.
-	edges := map[[2]string]bool{}
-	for _, j := range e.joins {
-		n := j.normalized()
-		edges[[2]string{n.LeftTable, n.RightTable}] = true
-	}
-	return len(edges) == len(e.tables)-1
-}
+// (Section 3.2). It is computed once per Expr, with the canonical form.
+func (e *Expr) IsAcyclic() bool { return e.normal().acyclic }
 
 // Canonical returns a normalized string form usable as a map key: equal
 // expressions (same tables and predicates, in any order or direction) yield
@@ -239,6 +242,15 @@ func (e *Expr) normal() *normForm {
 	}
 	sb.WriteByte('}')
 	n.canonical = sb.String()
+	// A connected graph is a tree iff #edges == #nodes - 1, counting
+	// multi-predicate table pairs once, at their first predicate.
+	edges := 0
+	for i, p := range n.preds {
+		if slices.IndexFunc(n.preds, func(q JoinPred) bool { return q.LeftTable == p.LeftTable && q.RightTable == p.RightTable }) == i {
+			edges++
+		}
+	}
+	n.acyclic = edges == len(e.tables)-1
 	e.norm.Store(n)
 	return n
 }

@@ -3,71 +3,73 @@ package serve
 import (
 	"container/list"
 	"sync"
-
-	"github.com/sitstats/sits/internal/cardest"
+	"sync/atomic"
 )
 
-// estimateCache is a bounded LRU map from request keys to estimates. Keys
-// embed everything an estimate depends on — the canonical expression, the
-// normalized predicates, the registry epoch, and the base-table generation
-// counters — so invalidation is structural: any change to the served SIT set
-// or the underlying data moves the key, the stale entry simply stops being
-// addressed, and the LRU bound reclaims it. The cache itself never has to
-// guess whether an entry is still valid.
-type estimateCache struct {
+// lru is a bounded map with least-recently-used eviction; the service keeps
+// one for results and one for prepared plans. Every key embeds the snapshot
+// pin (Registry.PlanPin), so invalidation is structural: a publish or a data
+// mutation moves the pin, the stale entry simply stops being addressed, and
+// the LRU bound reclaims it. The cache itself never has to guess whether an
+// entry is still valid.
+type lru[V any] struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
+
+	evictions atomic.Int64 // entries removed by the size bound
 }
 
-// cacheEntry is one resident estimate.
-type cacheEntry struct {
+// lruEntry is one resident value.
+type lruEntry[V any] struct {
 	key string
-	est cardest.Estimate
+	val V
 }
 
-func newEstimateCache(max int) *estimateCache {
-	return &estimateCache{
+func newLRU[V any](max int) *lru[V] {
+	return &lru[V]{
 		max:     max,
 		entries: make(map[string]*list.Element),
 		order:   list.New(),
 	}
 }
 
-// get returns the cached estimate for key, promoting it to most recently
-// used. The estimate is shared — callers must treat it as immutable.
-func (c *estimateCache) get(key string) (cardest.Estimate, bool) {
+// get returns the value for key, promoting it to most recently used. The
+// value is shared — callers must treat it as immutable.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return cardest.Estimate{}, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).est, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put inserts or refreshes the estimate for key, evicting from the LRU tail
+// put inserts or refreshes the value for key, evicting from the LRU tail
 // past the size bound.
-func (c *estimateCache) put(key string, est cardest.Estimate) {
+func (c *lru[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).est = est
+		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, est: est})
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	for len(c.entries) > c.max {
 		tail := c.order.Back()
 		c.order.Remove(tail)
-		delete(c.entries, tail.Value.(*cacheEntry).key)
+		delete(c.entries, tail.Value.(*lruEntry[V]).key)
+		c.evictions.Add(1)
 	}
 }
 
 // len returns the resident entry count.
-func (c *estimateCache) len() int {
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)

@@ -112,7 +112,7 @@ func TestPlanColdRaceAppendRefresh(t *testing.T) {
 	scfg := sit.DefaultConfig()
 	// Small caches keep most requests cold while shapes still repeat.
 	svc, reg := newRaceService(t, scfg, Config{})
-	svc.cache, svc.plans = newEstimateCache(32), newPlanCache(16)
+	svc.cache, svc.plans = newLRU[cardest.Estimate](32), newLRU[*cardest.EstimatorPlan](16)
 	cat := reg.Catalog()
 
 	// Each batch appends a slice of every table's own rows with the payload
@@ -392,7 +392,7 @@ func TestShedSkipsMemoizedColdRequests(t *testing.T) {
 // been running.
 func BenchmarkColdEstimateParallel(b *testing.B) {
 	svc, _ := newRaceService(b, sit.DefaultConfig(), Config{})
-	svc.cache, svc.plans = newEstimateCache(16), newPlanCache(16)
+	svc.cache, svc.plans = newLRU[cardest.Estimate](16), newLRU[*cardest.EstimatorPlan](16)
 	exprs := parseRaceExprs(b)
 	rng := rand.New(rand.NewSource(1))
 	pop := make([]cardest.SPJQuery, 2048)
@@ -419,4 +419,49 @@ func BenchmarkColdEstimateParallel(b *testing.B) {
 	if n := st.Misses + st.PlanHits - before.Misses - before.PlanHits; n > 0 {
 		b.ReportMetric(float64(st.Misses-before.Misses)/float64(n), "cold-share")
 	}
+}
+
+// BenchmarkTierHits measures the two fast tiers on one two-predicate shape:
+// result-hit repeats one request; plan-hit cycles 64 constant sets through a
+// one-entry result cache, so every request executes the cached plan and
+// publishes its result.
+func BenchmarkTierHits(b *testing.B) {
+	q := normalize(cardest.SPJQuery{
+		Expr: parseRaceExprs(b)[3],
+		Preds: []cardest.Predicate{
+			{Table: "T3", Attr: "a", Lo: 0, Hi: 1200},
+			{Table: "T2", Attr: "a", Lo: 50, Hi: 1900},
+		},
+	})
+	b.Run("result-hit", func(b *testing.B) {
+		svc, _ := newRaceService(b, sit.DefaultConfig(), Config{})
+		if _, _, err := svc.Estimate(q); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, tier, err := svc.Estimate(q); err != nil || tier != TierResult {
+				b.Fatalf("tier %v err %v, want result-hit", tier, err)
+			}
+		}
+	})
+	b.Run("plan-hit", func(b *testing.B) {
+		svc, _ := newRaceService(b, sit.DefaultConfig(), Config{})
+		svc.cache = newLRU[cardest.Estimate](1)
+		pop := make([]cardest.SPJQuery, 64)
+		for i := range pop {
+			pop[i] = shifted(q, int64(i+1))
+		}
+		if _, _, err := svc.Estimate(q); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, tier, err := svc.Estimate(pop[i%len(pop)]); err != nil || tier != TierPlan {
+				b.Fatalf("tier %v err %v, want plan-hit", tier, err)
+			}
+		}
+	})
 }

@@ -2,25 +2,27 @@
 // SPJ cardinality-estimation requests from a sit.Registry's served SIT set
 // through a three-tier pipeline, cheapest first:
 //
-//  1. Result cache — a bounded LRU keyed on the full request fingerprint
-//     (canonical expression, normalized predicates with constants, registry
-//     epoch, base-table generations). A hit returns the stored estimate
-//     untouched.
+//  1. Result cache — a bounded LRU keyed on the canonical expression, the
+//     normalized predicates with constants, and the pin (below). A hit
+//     returns the stored estimate untouched.
 //  2. Plan cache — a bounded LRU keyed on the query *shape* (canonical
-//     expression + predicate columns, without constants). A hit executes the
-//     prepared cardest.EstimatorPlan: allocation-free histogram probes with
-//     the request's constants, no builder lock, no SIT matching. Entries are
-//     validated against the registry's per-table pin, so a refresh or
-//     mutation that did not touch a plan's tables leaves it serving across
-//     epoch bumps.
+//     expression + predicate columns, without constants) and the pin. A hit
+//     executes the prepared cardest.EstimatorPlan: allocation-free histogram
+//     probes with the request's constants, no builder lock, no SIT matching.
 //  3. Cold — prepare a fresh plan with the estimator compiled from the
 //     registry's current snapshot, execute it, and publish both the plan and
 //     the result for later requests. SIT matching and memoized base
 //     statistics are lock-free; the registry's builder lock is taken only to
 //     build a base statistic that does not exist yet at the tables' current
-//     generations. Concurrent cold requests for one shape are
-//     single-flighted, and a plan is published only under the pin and key of
-//     the snapshot it was prepared from.
+//     generations. Concurrent cold requests for one plan key are
+//     single-flighted, and a plan is published only under the pin of the
+//     snapshot it was prepared from.
+//
+// The pin is the registry's PlanPin, read once per request before the first
+// tier: the SIT-set epoch plus the data generation of every table of the
+// expression. A publish or a data mutation moves it, so neither cache
+// invalidates in place: stale entries are stranded until the LRU bound
+// reclaims them.
 //
 // All three tiers are bit-identical: a result hit is the stored execute
 // output, a plan hit re-runs the exact float operations cold estimation
@@ -54,6 +56,9 @@ const DefaultCacheEntries = 4096
 // constant combinations — one workload template is one shape — so the plan
 // cache can be much smaller than the result cache.
 const DefaultPlanCacheEntries = 1024
+
+// DefaultShedQueue is the Config.ShedQueue sitserve runs.
+const DefaultShedQueue = 64
 
 // shedProbeBytes is the nominal first reservation of an estimation-triggered
 // build. When the shared governor cannot admit even this much, every build
@@ -104,7 +109,8 @@ type Config struct {
 	// least ShedQueue requests are already waiting for it *and* the governor
 	// is under budget pressure, fails fast with ErrOverloaded instead of
 	// queueing. Cold requests whose statistics are memoized never wait and
-	// are never shed. 0 disables shedding (waits queue unboundedly).
+	// are never shed. 0 disables shedding (waits queue unboundedly). The
+	// benchmark and sitserve (DefaultShedQueue) run 64; shed tests run 1.
 	ShedQueue int
 }
 
@@ -112,8 +118,8 @@ type Config struct {
 type Service struct {
 	reg   *sit.Registry
 	cfg   Config
-	cache *estimateCache
-	plans *planCache
+	cache *lru[cardest.Estimate]
+	plans *lru[*cardest.EstimatorPlan]
 
 	// est is the estimator compiled from the registry's snapshot of epoch
 	// est.Epoch(); estMu serializes recompiling it once the epoch moves on.
@@ -121,7 +127,7 @@ type Service struct {
 	estMu sync.Mutex
 
 	flightMu sync.Mutex
-	flights  map[string]*coldFlight // shape + pin -> cold preparation in flight
+	flights  map[string]*coldFlight // plan key -> cold preparation in flight
 
 	hits, misses atomic.Int64 // result-cache hits / cold estimations
 	planHits     atomic.Int64 // plan-cache hits (result-cache misses)
@@ -130,7 +136,7 @@ type Service struct {
 }
 
 // coldFlight is one in-progress cold preparation; requests for the same
-// shape and pin wait for it and execute its plan.
+// plan key wait for it and execute its plan.
 type coldFlight struct {
 	done chan struct{}
 	plan *cardest.EstimatorPlan
@@ -151,8 +157,8 @@ func NewService(reg *sit.Registry, cfg Config) (*Service, error) {
 	return &Service{
 		reg:     reg,
 		cfg:     cfg,
-		cache:   newEstimateCache(DefaultCacheEntries),
-		plans:   newPlanCache(DefaultPlanCacheEntries),
+		cache:   newLRU[cardest.Estimate](DefaultCacheEntries),
+		plans:   newLRU[*cardest.EstimatorPlan](DefaultPlanCacheEntries),
 		flights: map[string]*coldFlight{},
 	}, nil
 }
@@ -161,12 +167,12 @@ func NewService(reg *sit.Registry, cfg Config) (*Service, error) {
 func (s *Service) Registry() *sit.Registry { return s.reg }
 
 // Estimate answers one SPJ estimation request and reports which tier
-// answered it. Estimates from every tier are bit-identical: the caches pin
-// every input the computation reads (expression, predicates, SIT set,
-// table generations), predicate order is normalized before estimation, and
-// plan execution replays exactly the float operations cold estimation
-// performs. The returned Estimate is shared with the result cache and must
-// be treated as immutable.
+// answered it. Estimates from every tier are bit-identical: the cache keys
+// embed every input the computation reads (expression, predicates, SIT-set
+// epoch, table generations), predicate order is normalized before
+// estimation, and plan execution replays exactly the float operations cold
+// estimation performs. The returned Estimate is shared with the result cache
+// and must be treated as immutable.
 //
 // A request cardest.Validate rejects fails before any tier, so it never
 // waits for the builder. Under budget pressure (see Config.ShedQueue) a cold
@@ -177,51 +183,44 @@ func (s *Service) Estimate(q cardest.SPJQuery) (cardest.Estimate, Tier, error) {
 		return cardest.Estimate{}, TierCold, err
 	}
 	nq := normalize(q)
-
-	// Tier 1: result cache.
-	resultKey, err := s.key(nq)
-	if err != nil {
-		return cardest.Estimate{}, TierCold, err
-	}
-	if est, ok := s.cache.get(resultKey); ok {
-		s.hits.Add(1)
-		return est, TierResult, nil
-	}
-
-	// Tier 2: plan cache — lock-free. The pin and the result key may
-	// straddle a concurrent publish, but a matching pin proves the plan
-	// resolves the statistics a fresh preparation would, so the executed
-	// result is correct for the pin's snapshot; a result key from an older
-	// epoch merely strands the stored entry.
-	shape := cardest.ShapeKey(nq.Expr, cardest.Columns(nq.Preds))
 	pin, err := s.reg.PlanPin(nq.Expr)
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
 	}
-	if plan, ok := s.plans.get(shape, pin); ok {
-		return s.planHit(plan, nq, resultKey)
+
+	// Tier 1: result cache.
+	key := resultKey(nq, pin)
+	if est, ok := s.cache.get(key); ok {
+		s.hits.Add(1)
+		return est, TierResult, nil
 	}
 
-	// Tier 3: cold, single-flighted per shape and pin.
-	fkey := shape + "\x00" + pin
-	f, leader := s.join(fkey)
+	// Tier 2: plan cache — lock-free.
+	shape := cardest.ShapeKey(nq.Expr, cardest.Columns(nq.Preds))
+	pkey := shape + "\x00" + pin
+	if plan, ok := s.plans.get(pkey); ok {
+		return s.planHit(plan, nq, key)
+	}
+
+	// Tier 3: cold, single-flighted per plan key.
+	f, leader := s.join(pkey)
 	if !leader {
 		return s.follow(f, nq)
 	}
-	defer s.retire(fkey, f)
+	defer s.retire(pkey, f)
 	// A leader that lost the race with the previous flight's publish finds
 	// its plan here.
-	if plan, ok := s.plans.get(shape, pin); ok {
+	if plan, ok := s.plans.get(pkey); ok {
 		f.plan = plan
-		return s.planHit(plan, nq, resultKey)
+		return s.planHit(plan, nq, key)
 	}
-	return s.cold(nq, resultKey, shape, f)
+	return s.cold(nq, shape, pin, f)
 }
 
 // cold prepares, executes and publishes the request's plan. f is the flight
 // the request leads; it receives the plan or the error.
-func (s *Service) cold(nq cardest.SPJQuery, key, shape string, f *coldFlight) (cardest.Estimate, Tier, error) {
-	plan, key, pin, err := s.prepare(nq, key, f)
+func (s *Service) cold(nq cardest.SPJQuery, shape, pin string, f *coldFlight) (cardest.Estimate, Tier, error) {
+	plan, pin, err := s.prepare(nq, pin, f)
 	f.plan, f.err = plan, err
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
@@ -230,50 +229,44 @@ func (s *Service) cold(nq cardest.SPJQuery, key, shape string, f *coldFlight) (c
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
 	}
-	s.plans.put(shape, pin, plan)
-	s.cache.put(key, out)
+	s.plans.put(shape+"\x00"+pin, plan)
+	s.cache.put(resultKey(nq, pin), out)
 	s.misses.Add(1)
 	return out, TierCold, nil
 }
 
 // prepare compiles the request's plan against one stable snapshot and
-// returns it with the result key and plan pin it may be published under.
-// The key holds the registry epoch and the generation of every table of the
-// expression, all monotonic counters: equal keys read before and after
-// preparation prove none of them moved in between, so the plan, and the pin
-// read inside that window, describe exactly the snapshot of the key. When a
-// counter moved, preparation is retried against the new snapshot.
-func (s *Service) prepare(nq cardest.SPJQuery, key string, f *coldFlight) (*cardest.EstimatorPlan, string, string, error) {
+// returns it with the pin it may be published under. The pin's counters are
+// monotonic, so equal pins read before and after preparation prove the plan
+// describes exactly the pin's snapshot; when a counter moved, preparation is
+// retried against the new snapshot.
+func (s *Service) prepare(nq cardest.SPJQuery, pin string, f *coldFlight) (*cardest.EstimatorPlan, string, error) {
 	cols := cardest.Columns(nq.Preds)
 	for {
 		est, err := s.current()
 		if err != nil {
-			return nil, "", "", err
+			return nil, "", err
 		}
 		plan, ok, err := est.TryPrepare(nq.Expr, cols)
 		if err != nil {
-			return nil, "", "", err
+			return nil, "", err
 		}
 		if !ok {
 			if s.shed() {
-				return nil, "", "", ErrOverloaded
+				return nil, "", ErrOverloaded
 			}
 			if plan, err = s.waitBuilder(est, nq, cols, f); err != nil {
-				return nil, "", "", err
+				return nil, "", err
 			}
 		}
-		pin, err := s.reg.PlanPin(nq.Expr)
+		after, err := s.reg.PlanPin(nq.Expr)
 		if err != nil {
-			return nil, "", "", err
+			return nil, "", err
 		}
-		after, err := s.key(nq)
-		if err != nil {
-			return nil, "", "", err
+		if after == pin {
+			return plan, pin, nil
 		}
-		if after == key {
-			return plan, key, pin, nil
-		}
-		key = after
+		pin = after
 	}
 }
 
@@ -380,38 +373,32 @@ func (s *Service) current() (*cardest.Estimator, error) {
 	return est, nil
 }
 
-// key renders the request's full input fingerprint: canonical expression,
-// normalized predicates, registry epoch, and the generation counter of every
-// base table the expression touches. NUL separates fields — it cannot appear
-// in table or attribute names.
-func (s *Service) key(q cardest.SPJQuery) (string, error) {
+// resultKey renders the result-cache key: canonical expression, normalized
+// predicates with their constants, and the snapshot pin. NUL separates
+// fields — it cannot appear in table or attribute names.
+func resultKey(q cardest.SPJQuery, pin string) string {
+	canon := q.Expr.Canonical()
+	size := len(canon) + 1 + len(pin)
+	for _, p := range q.Preds {
+		size += len(p.Table) + len(p.Attr) + 44 // NUL, '.', two ':' and two int64s
+	}
+	var num [20]byte
 	var sb strings.Builder
-	sb.WriteString(q.Expr.Canonical())
+	sb.Grow(size)
+	sb.WriteString(canon)
 	for _, p := range q.Preds {
 		sb.WriteByte(0)
 		sb.WriteString(p.Table)
 		sb.WriteByte('.')
 		sb.WriteString(p.Attr)
 		sb.WriteByte(':')
-		sb.WriteString(strconv.FormatInt(p.Lo, 10))
+		sb.Write(strconv.AppendInt(num[:0], p.Lo, 10))
 		sb.WriteByte(':')
-		sb.WriteString(strconv.FormatInt(p.Hi, 10))
+		sb.Write(strconv.AppendInt(num[:0], p.Hi, 10))
 	}
 	sb.WriteByte(0)
-	sb.WriteString("e")
-	sb.WriteString(strconv.FormatUint(s.reg.Epoch(), 10))
-	cat := s.reg.Catalog()
-	for _, name := range q.Expr.Tables() {
-		t, err := cat.Table(name)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteByte(0)
-		sb.WriteString(name)
-		sb.WriteByte('@')
-		sb.WriteString(strconv.FormatUint(t.Generation(), 10))
-	}
-	return sb.String(), nil
+	sb.WriteString(pin)
+	return sb.String()
 }
 
 // normalize returns the query with its predicates in canonical (sorted)
@@ -450,8 +437,9 @@ type Stats struct {
 	PlanHits int64   `json:"plan_hits"`
 	Misses   int64   `json:"misses"`
 	HitRate  float64 `json:"hit_rate"`
-	// Entries / PlanEntries are the resident result and plan counts;
-	// PlanEvictions counts plans removed by stale pins or LRU pressure.
+	// Entries / PlanEntries are the resident result and plan counts, stale
+	// entries stranded under an old pin included; PlanEvictions counts plans
+	// removed by the LRU size bound, the only way a plan leaves the cache.
 	Entries       int   `json:"entries"`
 	PlanEntries   int   `json:"plan_entries"`
 	PlanEvictions int64 `json:"plan_evictions"`
@@ -478,6 +466,6 @@ func (s *Service) Stats() Stats {
 	}
 	st.Entries = s.cache.len()
 	st.PlanEntries = s.plans.len()
-	st.PlanEvictions = s.plans.evicted()
+	st.PlanEvictions = s.plans.evictions.Load()
 	return st
 }

@@ -193,10 +193,10 @@ func TestTieredEstimatesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation asserts both invalidation keys: a base-table
-// mutation (generation bump) and a SIT refresh (epoch bump) each force the
-// next identical request to recompute — through the cold tier, because the
-// plan pinned the mutated tables and is evicted too.
+// TestCacheInvalidation asserts both invalidation inputs of the pin: a
+// base-table mutation (generation bump) and a SIT refresh (epoch bump) each
+// force the next identical request to recompute — through the cold tier,
+// because the plan is keyed on the same pin as the result.
 func TestCacheInvalidation(t *testing.T) {
 	svc, cat := newChainService(t, sit.DefaultConfig())
 	q := testQueries(t)[0]
@@ -208,8 +208,8 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Fatalf("repeat estimate: tier=%v err=%v", tier, err)
 	}
 
-	// A mutation anywhere in the query's tables moves the generation, the
-	// result key, and the plan pin.
+	// A mutation anywhere in the query's tables moves the generation and
+	// with it the pin both keys embed.
 	t1 := cat.MustTable("T1")
 	row, err := t1.Row(0)
 	if err != nil {
@@ -222,8 +222,7 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Fatalf("estimate after mutation: tier=%v err=%v (stale entry served)", tier, err)
 	}
 
-	// A refresh that rebuilds SITs moves the epoch and the SIT-set generation
-	// of every rebuilt table.
+	// A refresh that rebuilds SITs moves the epoch.
 	n := t1.NumRows() / 2
 	for i := 0; i < n; i++ {
 		if err := t1.AppendRow(row...); err != nil {
@@ -244,17 +243,18 @@ func TestCacheInvalidation(t *testing.T) {
 	if st.Hits != 1 || st.PlanHits != 0 || st.Misses != 3 {
 		t.Fatalf("stats %+v, want 1 hit / 0 plan hits / 3 misses", st)
 	}
-	// Both invalidations evicted the plan for this shape: once on the data
-	// generation, once on the SIT-set generation.
-	if st.PlanEvictions != 2 {
-		t.Fatalf("plan evictions %d, want 2", st.PlanEvictions)
+	// Nothing was evicted: the plans and results under the two stale pins
+	// are stranded until the LRU bound reclaims them.
+	if st.PlanEvictions != 0 || st.PlanEntries != 3 || st.Entries != 3 {
+		t.Fatalf("stats %+v, want 0 plan evictions and 3 plans / 3 results resident", st)
 	}
 }
 
-// TestPlanInvalidationExact asserts the plan cache's headline property over
-// the result cache: invalidation is exact. Mutations, adoptions, and
-// refreshes evict precisely the plans that pinned the affected tables, and a
-// plan over untouched tables keeps serving across every one of them.
+// TestPlanInvalidationExact asserts which changes retire a cached plan: a
+// data mutation retires exactly the plans over the mutated table, while a
+// plan over untouched tables keeps serving; any adopt or refresh publishes a
+// new epoch and retires every plan. Retired plans are stranded under their
+// old pin, never evicted.
 func TestPlanInvalidationExact(t *testing.T) {
 	svc, cat := newChainService(t, sit.DefaultConfig())
 	qA := testQueries(t)[0] // T1 JOIN T2, pred on T2.a
@@ -290,8 +290,8 @@ func TestPlanInvalidationExact(t *testing.T) {
 	expect("A after T1 mutation", shifted(qA, 2), TierCold)
 	expect("B after T1 mutation", shifted(qB, 2), TierPlan)
 
-	// Adopting a replacement SIT over T2-T3 moves those tables' SIT-set
-	// generations: qA pins T2, so its plan dies; T4 is untouched.
+	// Adopting a replacement SIT over T2-T3 publishes a new epoch: every plan
+	// dies, the T4 plan included.
 	sits, _ := svc.Registry().Snapshot()
 	var clone *sit.SIT
 	for _, s := range sits {
@@ -307,7 +307,7 @@ func TestPlanInvalidationExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("A after adopt", shifted(qA, 3), TierCold)
-	expect("B after adopt", shifted(qB, 3), TierPlan)
+	expect("B after adopt", shifted(qB, 3), TierCold)
 
 	// Mutating T4 kills exactly the T4 plan; qA's freshly re-prepared plan
 	// survives.
@@ -315,8 +315,8 @@ func TestPlanInvalidationExact(t *testing.T) {
 	expect("B after T4 mutation", shifted(qB, 4), TierCold)
 	expect("A after T4 mutation", shifted(qA, 4), TierPlan)
 
-	// A staleness refresh rebuilds SITs over the grown T2; no SIT spans T4,
-	// so the T4 plan keeps serving across the epoch bump.
+	// A staleness refresh rebuilds SITs over the grown T2. No SIT spans T4,
+	// but the epoch bump still retires the T4 plan.
 	t2 := cat.MustTable("T2")
 	row, err := t2.Row(0)
 	if err != nil {
@@ -335,17 +335,15 @@ func TestPlanInvalidationExact(t *testing.T) {
 		t.Fatal("refresh rebuilt nothing after 50% growth")
 	}
 	expect("A after refresh", shifted(qA, 5), TierCold)
-	expect("B after refresh", shifted(qB, 5), TierPlan)
+	expect("B after refresh", shifted(qB, 5), TierCold)
 
 	st := svc.Stats()
-	if st.Misses != 6 || st.PlanHits != 6 || st.Hits != 0 {
-		t.Fatalf("stats %+v, want 6 cold / 6 plan hits / 0 result hits", st)
+	if st.Misses != 8 || st.PlanHits != 4 || st.Hits != 0 {
+		t.Fatalf("stats %+v, want 8 cold / 4 plan hits / 0 result hits", st)
 	}
-	if st.PlanEvictions != 4 {
-		t.Fatalf("plan evictions %d, want exactly 4 (T1 mutation, adopt, T4 mutation, refresh)", st.PlanEvictions)
-	}
-	if st.PlanEntries != 2 {
-		t.Fatalf("plan entries %d, want 2", st.PlanEntries)
+	// One plan per (shape, pin): A under 4 pins, B under 4; none evicted.
+	if st.PlanEvictions != 0 || st.PlanEntries != 8 {
+		t.Fatalf("stats %+v, want 0 plan evictions and 8 plans resident", st)
 	}
 }
 
@@ -391,7 +389,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // tier, whose (shape-keyed) entry is still resident.
 func TestCacheLRUEviction(t *testing.T) {
 	svc, _ := newChainService(t, sit.DefaultConfig())
-	svc.cache = newEstimateCache(2)
+	svc.cache = newLRU[cardest.Estimate](2)
 	qs := testQueries(t)
 	for _, q := range qs[:3] {
 		if _, tier, err := svc.Estimate(q); err != nil || tier != TierCold {
@@ -415,7 +413,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // requests shift their constants, so the result tier cannot answer them.
 func TestPlanCacheLRU(t *testing.T) {
 	svc, _ := newChainService(t, sit.DefaultConfig())
-	svc.plans = newPlanCache(2)
+	svc.plans = newLRU[*cardest.EstimatorPlan](2)
 	qs := testQueries(t)
 	for _, q := range qs[:3] {
 		if _, tier, err := svc.Estimate(q); err != nil || tier != TierCold {
@@ -527,9 +525,10 @@ func TestShedOverload(t *testing.T) {
 }
 
 // TestInvalidRequestsFailBeforeBuilder: a request no tier can answer — an
-// empty range, an unknown column — is rejected before any tier. With the
-// builder held, both fail at once instead of waiting for it, and neither
-// counts toward the builder queue the shed decision reads.
+// empty range, an unknown predicate or join column, a cyclic join — is
+// rejected before any tier. With the builder held, each fails at once
+// instead of waiting for it, and none counts toward the builder queue the
+// shed decision reads.
 func TestInvalidRequestsFailBeforeBuilder(t *testing.T) {
 	svc, _ := newChainService(t, sit.DefaultConfig())
 	reg := svc.Registry()
@@ -557,12 +556,15 @@ func TestInvalidRequestsFailBeforeBuilder(t *testing.T) {
 	join := mustExpr(t, "T3 JOIN T4 ON T3.jnext = T4.jprev")
 	for _, c := range []struct {
 		name string
-		pred cardest.Predicate
+		q    cardest.SPJQuery
 	}{
-		{"empty range", cardest.Predicate{Table: "T4", Attr: "b", Lo: 10, Hi: 0}},
-		{"unknown column", cardest.Predicate{Table: "T4", Attr: "zz", Lo: 0, Hi: 10}},
+		{"empty range", cardest.SPJQuery{Expr: join, Preds: []cardest.Predicate{{Table: "T4", Attr: "b", Lo: 10, Hi: 0}}}},
+		{"unknown column", cardest.SPJQuery{Expr: join, Preds: []cardest.Predicate{{Table: "T4", Attr: "zz", Lo: 0, Hi: 10}}}},
+		{"unknown join column", cardest.SPJQuery{Expr: mustExpr(t, "T3 JOIN T4 ON T3.nocol = T4.jprev")}},
+		{"cyclic join", cardest.SPJQuery{Expr: mustExpr(t,
+			"T1 JOIN T2 ON T1.jnext = T2.jprev JOIN T3 ON T2.jnext = T3.jprev AND T3.jnext = T1.jprev")}},
 	} {
-		name, q := c.name, cardest.SPJQuery{Expr: join, Preds: []cardest.Predicate{c.pred}}
+		name, q := c.name, c.q
 		done := make(chan error, 1)
 		go func() {
 			_, _, err := svc.Estimate(q)

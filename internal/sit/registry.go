@@ -57,13 +57,6 @@ type Registry struct {
 type sitSet struct {
 	epoch uint64
 	sits  map[string]*SIT // cacheKey(spec, method) -> SIT
-	// statGen counts, per table, the published changes to the SIT subset
-	// mentioning that table: adding, removing, or replacing a SIT bumps the
-	// counter of every table in its generating expression. Prepared estimator
-	// plans pin these counters (plus the tables' data generations), so a
-	// publish that does not touch a plan's tables leaves the plan valid —
-	// the per-table refinement of the all-invalidating epoch.
-	statGen map[string]uint64
 }
 
 // flight is one in-progress single-flighted build.
@@ -86,7 +79,7 @@ func NewRegistry(cat *data.Catalog, cfg Config) (*Registry, error) {
 		inflight: map[string]*flight{},
 		stop:     make(chan struct{}),
 	}
-	r.set.Store(&sitSet{sits: map[string]*SIT{}, statGen: map[string]uint64{}})
+	r.set.Store(&sitSet{sits: map[string]*SIT{}})
 	return r, nil
 }
 
@@ -129,39 +122,11 @@ func (r *Registry) Snapshot() ([]*SIT, uint64) {
 	return out, set.epoch
 }
 
-// publish swaps in a snapshot with the given SIT map and the next epoch, and
-// bumps the per-table stat generation of every table whose SIT subset
-// changed (an entry added, removed, or replaced by a different *SIT).
+// publish swaps in a snapshot with the given SIT map and the next epoch.
 // Callers must hold builderMu, which makes the read-modify-write atomic with
 // respect to other publishers.
 func (r *Registry) publish(sits map[string]*SIT) {
-	cur := r.set.Load()
-	changed := map[string]bool{}
-	for k, s := range sits { //statcheck:ignore maprange set diff collects into a map, order-independent
-		if old, ok := cur.sits[k]; !ok || old != s {
-			for _, t := range s.Spec.Expr.Tables() {
-				changed[t] = true
-			}
-		}
-	}
-	for k, s := range cur.sits { //statcheck:ignore maprange set diff collects into a map, order-independent
-		if _, ok := sits[k]; !ok {
-			for _, t := range s.Spec.Expr.Tables() {
-				changed[t] = true
-			}
-		}
-	}
-	statGen := cur.statGen
-	if len(changed) > 0 {
-		statGen = make(map[string]uint64, len(cur.statGen)+len(changed))
-		for t, g := range cur.statGen { //statcheck:ignore maprange map-to-map copy, order-independent
-			statGen[t] = g
-		}
-		for t := range changed { //statcheck:ignore maprange per-key counter bumps, order-independent
-			statGen[t]++
-		}
-	}
-	r.set.Store(&sitSet{epoch: cur.epoch + 1, sits: sits, statGen: statGen})
+	r.set.Store(&sitSet{epoch: r.set.Load().epoch + 1, sits: sits})
 }
 
 // cloneSet copies the current served map for copy-on-write publication.
@@ -175,33 +140,35 @@ func (r *Registry) cloneSet() map[string]*SIT {
 	return next
 }
 
-// PlanPin renders the invalidation fingerprint a prepared estimator plan
-// pins: for every table of the expression, the table's data generation and
-// its SIT-set generation, read from one snapshot. Equal pins mean a fresh
-// preparation would resolve the identical statistics — neither the data nor
-// the SIT subset over any of the plan's tables changed — so a cached plan
-// with a matching pin probes bit-identically to cold estimation. A publish
-// or mutation that does not touch the plan's tables leaves its pin (and the
-// plan) valid, unlike the epoch-keyed result cache, which strands all
-// entries on every publish.
+// PlanPin renders the fingerprint of the snapshot an estimate over expr is
+// computed from, which every serving key embeds: the epoch, then each table
+// of the expression with its data generation, NUL-separated. All parts are
+// monotonic, so equal pins read before and after a computation prove neither
+// the served SIT set nor the data the expression reads changed in between.
 func (r *Registry) PlanPin(expr *query.Expr) (string, error) {
 	if expr == nil {
 		return "", fmt.Errorf("sit: PlanPin needs an expression")
 	}
-	set := r.set.Load()
-	cat := r.builder.Catalog()
+	size := 21 // 'e' and a uint64
+	for i := 0; i < expr.NumTables(); i++ {
+		size += len(expr.Table(i)) + 22 // NUL, '@' and a uint64
+	}
+	var num [20]byte
 	var sb strings.Builder
-	for _, name := range expr.Tables() {
+	sb.Grow(size)
+	sb.WriteByte('e')
+	sb.Write(strconv.AppendUint(num[:0], r.Epoch(), 10))
+	cat := r.builder.Catalog()
+	for i := 0; i < expr.NumTables(); i++ {
+		name := expr.Table(i)
 		t, err := cat.Table(name)
 		if err != nil {
 			return "", err
 		}
+		sb.WriteByte(0)
 		sb.WriteString(name)
 		sb.WriteByte('@')
-		sb.WriteString(strconv.FormatUint(t.Generation(), 10))
-		sb.WriteByte('#')
-		sb.WriteString(strconv.FormatUint(set.statGen[name], 10))
-		sb.WriteByte(0)
+		sb.Write(strconv.AppendUint(num[:0], t.Generation(), 10))
 	}
 	return sb.String(), nil
 }
@@ -303,17 +270,7 @@ func (r *Registry) Refresh(threshold float64) ([]string, error) {
 	r.builderMu.Lock()
 	defer r.builderMu.Unlock()
 
-	set := r.set.Load()
-	keys := make([]string, 0, len(set.sits))
-	for k := range set.sits {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sits := make([]*SIT, len(keys))
-	for i, k := range keys {
-		sits[i] = set.sits[k]
-	}
-
+	sits, _ := r.Snapshot()
 	refreshed, rebuilt, err := r.builder.RefreshStale(sits, threshold)
 	if err != nil {
 		return nil, err
@@ -322,9 +279,9 @@ func (r *Registry) Refresh(threshold float64) ([]string, error) {
 	if len(rebuilt) == 0 {
 		return nil, nil
 	}
-	next := make(map[string]*SIT, len(keys))
-	for i, k := range keys {
-		next[k] = refreshed[i]
+	next := make(map[string]*SIT, len(sits))
+	for i, s := range sits {
+		next[cacheKey(s.Spec, s.Method)] = refreshed[i]
 	}
 	r.publish(next)
 	r.refreshRebuilt.Add(int64(len(rebuilt)))
@@ -368,8 +325,8 @@ func (r *Registry) StartRefresh(interval time.Duration, threshold float64) error
 	if interval <= 0 {
 		return fmt.Errorf("sit: refresh interval must be positive, got %v", interval)
 	}
-	if threshold < 0 {
-		return fmt.Errorf("sit: staleness threshold must be non-negative")
+	if !(threshold >= 0) {
+		return fmt.Errorf("sit: staleness threshold must be non-negative, got %v", threshold)
 	}
 	if r.closed.Load() {
 		return fmt.Errorf("sit: registry is closed")

@@ -2,6 +2,7 @@ package sit
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -196,6 +197,11 @@ func TestRegistryRefreshPublishesNewEpoch(t *testing.T) {
 	if len(rebuilt) != 0 || reg.Epoch() != epoch0 {
 		t.Fatalf("fresh sweep rebuilt %v and moved epoch %d -> %d", rebuilt, epoch0, reg.Epoch())
 	}
+	// A NaN threshold would compare false against every growth and silently
+	// never rebuild anything.
+	if _, err := reg.Refresh(math.NaN()); err == nil {
+		t.Fatal("Refresh(NaN) must fail")
+	}
 
 	// Readers hammer the snapshot while the catalog mutates and refreshes.
 	stopReaders := make(chan struct{})
@@ -263,6 +269,11 @@ func TestRegistryBackgroundRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch0 := reg.Epoch()
+	for _, bad := range []float64{math.NaN(), -1} {
+		if err := reg.StartRefresh(5*time.Millisecond, bad); err == nil {
+			t.Fatalf("StartRefresh with threshold %v must fail", bad)
+		}
+	}
 	if err := reg.StartRefresh(5*time.Millisecond, 0.2); err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ func (b *Builder) CheckStaleness(s *SIT, threshold float64) (Staleness, error) {
 	if s == nil {
 		return Staleness{}, fmt.Errorf("sit: cannot check nil SIT")
 	}
-	if threshold < 0 {
-		return Staleness{}, fmt.Errorf("sit: staleness threshold must be non-negative")
+	if !(threshold >= 0) {
+		return Staleness{}, fmt.Errorf("sit: staleness threshold must be non-negative, got %v", threshold)
 	}
 	out := Staleness{Growth: map[string]float64{}}
 	if s.builtAgainst == nil {

@@ -52,12 +52,12 @@ func NewRegistry(cat *Catalog, cfg Config) (*Registry, error) {
 // --- Estimate serving ---
 
 // Service answers SPJ estimation requests from a registry's served SIT set
-// through the three-tier serving pipeline (result cache, plan cache, cold
-// estimation); see serve.Service.
+// through three tiers (result cache, plan cache, cold estimation) keyed on
+// one snapshot fingerprint, Registry.PlanPin; see serve.Service.
 type Service = serve.Service
 
-// ServeConfig parameterizes the serving layer: the overload shed threshold.
-// The result and plan caches are always on, at fixed bounds.
+// ServeConfig parameterizes the serving layer: the overload shed threshold,
+// which sitserve fixes at 64. Both caches are always on, at fixed bounds.
 type ServeConfig = serve.Config
 
 // ServeStats is a point-in-time view of the serving layer.
