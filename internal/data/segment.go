@@ -465,11 +465,23 @@ func (r *footerReader) u64() uint64 {
 
 func (r *footerReader) str() string { return string(r.take(int(r.u16()))) }
 
+// left returns the footer bytes not yet consumed.
+func (r *footerReader) left() int { return len(r.buf) - r.off }
+
+// Minimum footer bytes per declared entry. Counts are checked against them
+// before anything is allocated, so a forged count cannot outsize the footer
+// that declares it.
+const (
+	footerColBytes      = 2                 // name length, empty name
+	footerGroupBytes    = 4                 // row count
+	footerGroupColBytes = 8 + 4 + 1 + 8 + 8 // off, plen, enc, min, max
+)
+
 func (s *Segment) parseFooter(footer []byte, dataEnd int64) error {
 	r := &footerReader{buf: footer}
 	s.name = r.str()
 	ncols := int(r.u32())
-	if r.err == nil && (ncols <= 0 || ncols > 1<<20) {
+	if r.err == nil && (ncols <= 0 || ncols > 1<<20 || ncols > r.left()/footerColBytes) {
 		return fmt.Errorf("footer declares %d columns", ncols)
 	}
 	if r.err != nil {
@@ -484,7 +496,8 @@ func (s *Segment) parseFooter(footer []byte, dataEnd int64) error {
 	s.nrows = int64(r.u64())
 	s.blockRows = int(r.u32())
 	ngroups := int(r.u32())
-	if r.err == nil && (s.blockRows <= 0 || ngroups < 0) {
+	if r.err == nil && (s.blockRows <= 0 || ngroups < 0 ||
+		ngroups > r.left()/(footerGroupBytes+footerGroupColBytes*ncols)) {
 		return fmt.Errorf("footer declares blockRows %d, %d groups", s.blockRows, ngroups)
 	}
 	var rows int64
@@ -501,7 +514,7 @@ func (s *Segment) parseFooter(footer []byte, dataEnd int64) error {
 			}
 			b.min = int64(r.u64())
 			b.max = int64(r.u64())
-			if r.err == nil && (b.off < 4 || b.off+int64(b.plen)+4 > dataEnd) {
+			if r.err == nil && (b.off < 4 || b.off > dataEnd-4-int64(b.plen)) {
 				return fmt.Errorf("group %d column %d block [%d,+%d) outside data area", gi, c, b.off, b.plen)
 			}
 			if int(b.plen) > s.maxPlen {

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -437,6 +440,71 @@ func TestSegmentCorruption(t *testing.T) {
 			t.Fatalf("footer bit-flip open = %v, want footer checksum mismatch", err)
 		}
 	})
+}
+
+// forgedFooter is a SEG1 footer under construction: its methods append
+// fields in the on-disk order.
+type forgedFooter []byte
+
+func (f forgedFooter) str(v string) forgedFooter {
+	return append(binary.LittleEndian.AppendUint16(f, uint16(len(v))), v...)
+}
+func (f forgedFooter) u8(v uint8) forgedFooter   { return append(f, v) }
+func (f forgedFooter) u32(v uint32) forgedFooter { return binary.LittleEndian.AppendUint32(f, v) }
+func (f forgedFooter) u64(v uint64) forgedFooter { return binary.LittleEndian.AppendUint64(f, v) }
+
+// writeForgedSegment wraps a footer in a magic header and a trailer whose
+// length and checksum are valid, so OpenSegment gets past every check that
+// precedes footer parsing.
+func writeForgedSegment(t *testing.T, footer []byte) string {
+	t.Helper()
+	file := append([]byte(segMagic), footer...)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(footer)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(footer))
+	file = append(file, segMagic...)
+	path := filepath.Join(t.TempDir(), "forged.seg")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSegmentForgedFooterCounts: a CRC-valid footer whose declared counts
+// or offsets exceed what the file holds must fail to open with an error —
+// never size an allocation from the forged count or overflow the block
+// bounds check.
+func TestSegmentForgedFooterCounts(t *testing.T) {
+	// A fresh prefix per case: the cases must not share a backing array.
+	oneCol := func() forgedFooter { return forgedFooter(nil).str("T").u32(1).str("a") }
+	for _, tc := range []struct {
+		name   string
+		footer forgedFooter
+		want   string
+	}{
+		// 42 bytes on disk declaring 2^31-1 row groups.
+		{"ngroups", oneCol().u64(0).u32(DefaultBlockRows).u32(math.MaxInt32), "groups"},
+		// Two groups declared, one encoded.
+		{"ngroups-one-short", oneCol().u64(2).u32(DefaultBlockRows).u32(2).
+			u32(1).u64(4).u32(0).u8(0).u64(0).u64(0), "groups"},
+		{"ncols", forgedFooter(nil).str("T").u32(1 << 20).str("a"), "columns"},
+		{"ncols-max-u32", forgedFooter(nil).str("T").u32(math.MaxUint32).str("a"), "columns"},
+		// A block offset whose end would overflow int64 past the data area.
+		{"block-offset-overflow", oneCol().u64(1).u32(DefaultBlockRows).u32(1).
+			u32(1).u64(math.MaxInt64 - 2).u32(16).u8(0).u64(0).u64(0), "outside data area"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeForgedSegment(t, tc.footer)
+			seg, err := OpenSegment(path)
+			if err == nil {
+				_ = seg.Close()
+				t.Fatal("forged footer opened cleanly")
+			}
+			// The path embeds the test name; match the message alone.
+			if !strings.Contains(strings.ReplaceAll(err.Error(), path, ""), tc.want) {
+				t.Fatalf("open = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestSegmentEmptyTable(t *testing.T) {

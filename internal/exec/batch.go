@@ -12,8 +12,10 @@
 // per-row copying, filters narrow selection vectors instead of moving data,
 // and joins emit their results column-wise. PlanBatch assembles BatchScan →
 // VecHashJoin (grace-partitioned under a memory budget) → BatchFilter chains
-// for arbitrary connected equi-join expressions, run as a morsel-driven
-// Pipeline on the shared Pool; output columns carry qualified names ("T.a").
+// for arbitrary connected equi-join expressions; output columns carry
+// qualified names ("T.a"). A plan runs on the goroutine that drains it: the
+// parallelism of SIT creation lives in the sit package's shared scans, which
+// fan out on the shared Pool.
 package exec
 
 import (
@@ -38,7 +40,7 @@ const batchBytesTarget = 128 << 10
 // AdaptiveBatchSize picks a batch size from the number of int64 columns an
 // operator emits, so wide join outputs stay inside L2 instead of streaming
 // through it. Plans of up to 16 columns keep DefaultBatchSize (1024 rows x 16
-// cols x 8 B = the 128 KiB target), so narrow pipelines are unaffected; wider
+// cols x 8 B = the 128 KiB target), so narrow plans are unaffected; wider
 // outputs shrink to the next lower power of two, floored at MinBatchSize.
 func AdaptiveBatchSize(ncols int) int {
 	if ncols <= 0 {
@@ -107,8 +109,7 @@ func columnIndex(cols []string, name string) (int, error) {
 type BatchScan struct {
 	cols  []string
 	store [][]int64
-	lo    int // first row served; non-zero only for morsel range scans
-	n     int // one past the last row served
+	n     int // table row count
 	pos   int
 	size  int
 	out   Batch
@@ -161,26 +162,7 @@ func (s *BatchScan) NextBatch() (*Batch, bool) {
 }
 
 // Reset implements BatchOperator.
-func (s *BatchScan) Reset() { s.pos = s.lo }
-
-// NewBatchScanRange is NewBatchScanSize restricted to rows [lo, hi): the
-// morsel source of the parallel Pipeline. Batch boundaries within the range
-// fall at the same multiples of batchSize a whole-table scan starting at lo
-// would produce, so morsel outputs concatenate to the serial stream.
-func NewBatchScanRange(t *data.Table, lo, hi, batchSize int) *BatchScan {
-	s := NewBatchScanSize(t, batchSize)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	s.lo, s.pos, s.n = lo, lo, hi
-	return s
-}
+func (s *BatchScan) Reset() { s.pos = 0 }
 
 // BatchFilter evaluates a row predicate over each input batch and narrows the
 // selection vector; column data is never moved.

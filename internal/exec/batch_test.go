@@ -96,8 +96,8 @@ func TestBatchFilterAndProject(t *testing.T) {
 
 // TestVecHashJoinBitIdentical: the vectorized join must produce exactly the
 // same output sequence (not just multiset) as the nested-loop reference, for
-// single- and multi-condition joins, at every parallelism level and under a
-// 1-byte budget that pushes the build side into grace partitioning.
+// single- and multi-condition joins, unbudgeted and under a 1-byte budget
+// that pushes the build side into grace partitioning.
 func TestVecHashJoinBitIdentical(t *testing.T) {
 	r1, s1 := randomJoinInputs(3, 5000, 4000, 300)
 	r2, s2, conds2 := randomMultiCondInputs(5)
@@ -113,21 +113,18 @@ func TestVecHashJoinBitIdentical(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: reference join is empty; the test data is broken", in.name)
 		}
-		for _, tc := range []struct {
-			parallelism int
-			budget      int64
-		}{{1, 0}, {2, 0}, {4, 0}, {0, 0}, {1, 1}, {4, 1}} {
-			gov := mem.NewGovernor(tc.budget)
-			vj, err := NewVecHashJoinMem(NewBatchScan(in.r), NewBatchScan(in.s), tc.parallelism, 0, gov, in.conds...)
+		for _, budget := range []int64{0, 1} {
+			gov := mem.NewGovernor(budget)
+			vj, err := NewVecHashJoinMem(NewBatchScan(in.r), NewBatchScan(in.s), 0, gov, in.conds...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := drainBatches(t, vj); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s parallelism %d budget %d: VecHashJoin order differs from the nested-loop reference (%d vs %d rows)",
-					in.name, tc.parallelism, tc.budget, len(got), len(want))
+				t.Fatalf("%s budget %d: VecHashJoin order differs from the nested-loop reference (%d vs %d rows)",
+					in.name, budget, len(got), len(want))
 			}
-			if (tc.budget > 0) != (vj.grace != nil) {
-				t.Fatalf("%s budget %d: grace mode = %v", in.name, tc.budget, vj.grace != nil)
+			if (budget > 0) != (vj.grace != nil) {
+				t.Fatalf("%s budget %d: grace mode = %v", in.name, budget, vj.grace != nil)
 			}
 			if err := gov.Close(); err != nil {
 				t.Fatal(err)
@@ -146,7 +143,7 @@ func TestVecHashJoinLongChain(t *testing.T) {
 		}
 	}
 	s := makeTable(t, "S", []string{"y"}, [][]int64{{7}, {8}, {7}})
-	vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+	vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 0, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +166,24 @@ func TestVecHashJoinLongChain(t *testing.T) {
 func TestVecHashJoinEmptyInputs(t *testing.T) {
 	empty := data.MustNewTable("E", "x")
 	full := makeTable(t, "F", []string{"y"}, [][]int64{{1}, {2}})
-	j1, err := NewVecHashJoinSize(NewBatchScan(empty), NewBatchScan(full), 1, 0, JoinCond{LeftCol: "E.x", RightCol: "F.y"})
+	j1, err := NewVecHashJoinSize(NewBatchScan(empty), NewBatchScan(full), 0, JoinCond{LeftCol: "E.x", RightCol: "F.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows := drainBatches(t, j1); len(rows) != 0 {
 		t.Errorf("empty build side: %d rows", len(rows))
 	}
-	j2, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 1, 0, JoinCond{LeftCol: "F.y", RightCol: "E.x"})
+	j2, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 0, JoinCond{LeftCol: "F.y", RightCol: "E.x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows := drainBatches(t, j2); len(rows) != 0 {
 		t.Errorf("empty probe side: %d rows", len(rows))
 	}
-	if _, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 1, 0); err == nil {
+	if _, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 0); err == nil {
 		t.Error("no conditions: want error")
 	}
-	if _, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 1, 0, JoinCond{LeftCol: "F.q", RightCol: "E.x"}); err == nil {
+	if _, err := NewVecHashJoinSize(NewBatchScan(full), NewBatchScan(empty), 0, JoinCond{LeftCol: "F.q", RightCol: "E.x"}); err == nil {
 		t.Error("bad column: want error")
 	}
 }
@@ -228,23 +225,21 @@ func TestJoinPropertyMultiCond(t *testing.T) {
 		r, s, conds := randomMultiCondInputs(seed)
 		want := nestedLoop(t, scanRel(t, r), scanRel(t, s), conds...).rows
 		sortRows(want)
-		for _, p := range []int{1, 3} {
-			vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), p, 0, conds...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vg := drainBatches(t, vj)
-			sortRows(vg)
-			if !reflect.DeepEqual(vg, want) {
-				t.Fatalf("seed %d parallelism %d: VecHashJoin != nested loop (%d vs %d rows)", seed, p, len(vg), len(want))
-			}
+		vj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 0, conds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vg := drainBatches(t, vj)
+		sortRows(vg)
+		if !reflect.DeepEqual(vg, want) {
+			t.Fatalf("seed %d: VecHashJoin != nested loop (%d vs %d rows)", seed, len(vg), len(want))
 		}
 	}
 }
 
-// TestPlanBatchMatchesRowReference: the full batch pipeline must be
-// row-for-row identical to a reference plan assembled from nested-loop joins
-// in the same join order, and identical at every parallelism level.
+// TestPlanBatchMatchesRowReference: the full batch plan must be row-for-row
+// identical to a reference plan assembled from nested-loop joins in the same
+// join order.
 func TestPlanBatchMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cat := data.NewCatalog()
@@ -273,17 +268,57 @@ func TestPlanBatchMatchesRowReference(t *testing.T) {
 	j1 := nestedLoop(t, scanRel(t, s), scanRel(t, r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
 	want := nestedLoop(t, scanRel(t, u), j1, JoinCond{LeftCol: "T.w", RightCol: "S.z"}).rows
 
-	for _, p := range []int{1, 2, 0} {
-		op, err := PlanBatch(cat, e, Options{Parallelism: p})
+	op, err := PlanBatch(cat, e, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainBatches(t, op)
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("batch plan output differs from nested-loop reference")
+	}
+}
+
+// TestPlanBatchBudgetMatrix is the end-to-end spill property: a 3-way chain
+// join planned under budgets {unlimited, quarter working set, 1 byte} must
+// emit the unbudgeted plan's row stream bit for bit, and Reset must replay
+// it — including when the budget pushes a join build into grace mode.
+func TestPlanBatchBudgetMatrix(t *testing.T) {
+	cat, e := chainCatalog(4_000, 400)
+	refOp, err := PlanBatch(cat, e, Options{BatchSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := drainBatches(t, refOp)
+	if len(ref) == 0 {
+		t.Fatal("reference plan is empty")
+	}
+	t2, err := cat.Table("T2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := int64(t2.NumRows()) * int64(t2.NumCols()) * 8
+	for _, budget := range []int64{0, ws / 4, 1} {
+		var gov *mem.Governor
+		if budget > 0 {
+			gov = mem.NewGovernor(budget)
+		}
+		op, err := PlanBatch(cat, e, Options{BatchSize: 128, Gov: gov})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainBatches(t, op)
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d rows, want %d", p, len(got), len(want))
+		if got := drainBatches(t, op); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("budget=%d: plan diverges from the unbudgeted plan (%d vs %d rows)",
+				budget, len(got), len(ref))
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: batch plan output differs from nested-loop reference", p)
+		op.Reset()
+		if got := drainBatches(t, op); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("budget=%d: Reset replay diverges", budget)
+		}
+		if err := gov.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -313,14 +348,12 @@ func TestRangeCardinalityOpts(t *testing.T) {
 			want++
 		}
 	}
-	for _, p := range []int{1, 2} {
-		got, err := RangeCardinalityOpts(cat, e, "S", "a", 50, 120, Options{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("parallelism %d: range cardinality = %d, want %d", p, got, want)
-		}
+	got, err := RangeCardinalityOpts(cat, e, "S", "a", 50, 120, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("range cardinality = %d, want %d", got, want)
 	}
 	card, err := Cardinality(cat, e)
 	if err != nil {

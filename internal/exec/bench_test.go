@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,39 +27,29 @@ func benchJoinInputs(nl, nr, domain int) (*data.Table, *data.Table) {
 	return r, s
 }
 
-// BenchmarkHashJoin measures a single equi-join producing ~1M output rows at
-// parallelism 1 and GOMAXPROCS.
+// BenchmarkHashJoin measures a single equi-join producing ~1M output rows.
 func BenchmarkHashJoin(b *testing.B) {
 	r, s := benchJoinInputs(100_000, 100_000, 10_000)
 	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
-
-	for _, p := range []int{1, 0} {
-		name := "vec-parallel1"
-		if p == 0 {
-			name = "vec-parallelmax"
+	for i := 0; i < b.N; i++ {
+		j, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 0, cond)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				j, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), p, 0, cond)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var rows int64
-				for {
-					batch, ok := j.NextBatch()
-					if !ok {
-						break
-					}
-					rows += int64(batch.NumRows())
-				}
-				b.ReportMetric(float64(rows), "outrows")
+		var rows int64
+		for {
+			batch, ok := j.NextBatch()
+			if !ok {
+				break
 			}
-		})
+			rows += int64(batch.NumRows())
+		}
+		b.ReportMetric(float64(rows), "outrows")
 	}
 }
 
 // chainCatalog is a 3-table chain (T1 ⋈ T2 ⋈ T3) of the given size for
-// end-to-end plan benchmarks and the determinism matrix tests.
+// end-to-end plan benchmarks and the budget matrix test.
 func chainCatalog(rows int, domain int64) (*data.Catalog, *query.Expr) {
 	rng := rand.New(rand.NewSource(2))
 	cat := data.NewCatalog()
@@ -93,42 +82,12 @@ func benchPlanCatalog() (*data.Catalog, *query.Expr) {
 	return chainCatalog(20_000, 2_000)
 }
 
-// BenchmarkPipeline measures the morsel-driven pipeline end to end — plan,
-// parallel scan → filter-free probe chain, ordered merge, drain — for the
-// 3-way chain join at pool widths 1 (serial chain, no Pipeline wrapper) and 4
-// (morsel fan-out on the shared pool). CI compares the two widths: width 4
-// must beat width 1 by ≥1.5x on a multi-core host, and width 1 must stay
-// within 5% of the serial baseline because PlanBatch skips the Pipeline
-// entirely at width 1.
-func BenchmarkPipeline(b *testing.B) {
-	cat, e := benchPlanCatalog()
-	for _, width := range []int{1, 4} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				op, err := PlanBatch(cat, e, Options{Parallelism: width})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var rows int64
-				for {
-					batch, ok := op.NextBatch()
-					if !ok {
-						break
-					}
-					rows += int64(batch.NumRows())
-				}
-				b.ReportMetric(float64(rows), "outrows")
-			}
-		})
-	}
-}
-
 // BenchmarkAttrValues measures the value-vector drain that feeds SIT
 // creation.
 func BenchmarkAttrValues(b *testing.B) {
 	cat, e := benchPlanCatalog()
 	for i := 0; i < b.N; i++ {
-		vals, err := AttrValuesOpts(cat, e, "T3", "a", Options{Parallelism: 1})
+		vals, err := AttrValuesOpts(cat, e, "T3", "a", Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

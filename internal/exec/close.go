@@ -1,13 +1,13 @@
 package exec
 
 // This file is the plan-close protocol. Operator trees reserve governed
-// memory (hash-join arenas, sort buffers, the pipeline's reorder window) and
-// create spill runs as they execute, and historically nothing released those
-// at end of stream: the Builder owned its Governor outright, so tearing the
-// governor down reclaimed everything wholesale. A governor shared across
-// concurrent builders (Config.Governor) outlives any one plan, so a drained
-// plan that keeps its reservations leaks budget forever. ClosePlan walks the
-// tree and returns every grant and spill run a plan still holds.
+// memory (hash-join arenas, sort buffers) and create spill runs as they
+// execute, and historically nothing released those at end of stream: the
+// Builder owned its Governor outright, so tearing the governor down
+// reclaimed everything wholesale. A governor shared across concurrent
+// builders (Config.Governor) outlives any one plan, so a drained plan that
+// keeps its reservations leaks budget forever. ClosePlan walks the tree and
+// returns every grant and spill run a plan still holds.
 
 // PlanCloser is implemented by operators that hold governed resources or
 // wrap children that might. ClosePlan releases this operator's reservations
@@ -26,9 +26,7 @@ func ClosePlan(op any) {
 }
 
 // ClosePlan releases the hash-join build arena's reservation and, when the
-// join spilled, its grace-mode output runs, then closes both inputs. Probe
-// clones (ProbeClone) share the original's hash table and hold no grant of
-// their own; closing the original covers them.
+// join spilled, its grace-mode output runs, then closes both inputs.
 func (j *VecHashJoin) ClosePlan() {
 	if j.grace != nil {
 		j.grace.close()
@@ -99,16 +97,6 @@ func (s *BatchSort) ClosePlan() {
 	s.n, s.pos = 0, 0
 	s.grant.Close()
 	ClosePlan(s.in)
-}
-
-// ClosePlan quiesces the morsel helpers (releasing the reorder window's
-// reservations via Reset), closes the pipeline's grant, and closes the
-// serial chain — the original operators the per-morsel stages were cloned
-// from, which hold the shared hash-table grants.
-func (pl *Pipeline) ClosePlan() {
-	pl.Reset()
-	pl.grant.Close()
-	ClosePlan(pl.serial)
 }
 
 // BatchFilter holds no governed state of its own; it only forwards the close

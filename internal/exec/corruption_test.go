@@ -144,7 +144,7 @@ func TestGraceJoinCorruptRunDetected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gov := mem.NewGovernor(1)
-			j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 2, 0, gov, cond)
+			j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, gov, cond)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,7 +102,7 @@ func TestFilterAndProject(t *testing.T) {
 func TestHashJoinSmall(t *testing.T) {
 	r := makeTable(t, "R", []string{"x"}, [][]int64{{1}, {2}, {2}, {5}})
 	s := makeTable(t, "S", []string{"y", "a"}, [][]int64{{2, 100}, {3, 200}, {2, 300}, {1, 400}})
-	j, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+	j, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 0, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestJoinEquivalence(t *testing.T) {
 	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
 	for seed := int64(0); seed < 5; seed++ {
 		r, s := randomJoinInputs(seed, 200, 150, 20)
-		hj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, cond)
+		hj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 0, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestJoinEquivalenceQuick(t *testing.T) {
 		for _, v := range ys {
 			s.AppendRow(int64(v % 8))
 		}
-		hj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 1, 0, cond)
+		hj, err := NewVecHashJoinSize(NewBatchScan(r), NewBatchScan(s), 0, cond)
 		if err != nil {
 			return false
 		}

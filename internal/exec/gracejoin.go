@@ -29,7 +29,7 @@ import (
 // preserve exactly that order locally — probe runs are seq-ascending, chains
 // are build-ordered — and the sequence number is globally unique per probe
 // row, so a loser-tree merge of the output runs by seq reproduces the
-// in-memory output stream byte for byte, at any budget and any parallelism.
+// in-memory output stream byte for byte, at any budget.
 const gracePartitions = 8
 
 // Partition salts. Level 0 and level 1 must disagree so re-partitioning an
@@ -237,7 +237,7 @@ func (g *graceJoin) joinPartition(build, probe *mem.Run, level int) {
 		g.subPartition(build, probe)
 		return
 	}
-	jt.build(j.parallelism)
+	jt.build()
 	out := newSpillRun(g.store, fmt.Sprintf("join-out-l%d", level), g.outStride)
 	cur := openRowCursor(probe, g.probeStride)
 	g.probePartition(jt, cur, out)

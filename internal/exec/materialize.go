@@ -10,11 +10,10 @@ import (
 
 // Options parameterizes plan execution.
 type Options struct {
-	// Parallelism is the plan's pool width (see ResolveParallelism): 0 uses
-	// one worker per CPU, 1 runs the untouched serial chain, n > 1 runs the
-	// probe pipeline as n-wide morsel tasks and bounds the hash-join build
-	// fan-out. Plan results (and therefore all derived quantities) are
-	// identical at every level.
+	// Parallelism is ignored: every plan runs on the calling goroutine, and
+	// parallelism lives in the shared scans of the sit package. The field
+	// remains only for the one caller in the lifecycle benchmark and goes
+	// when that benchmark retires its width measurement.
 	Parallelism int
 	// BatchSize overrides the rows-per-batch granularity. 0 picks an adaptive
 	// size from the plan's total column width (AdaptiveBatchSize), so wide
@@ -23,24 +22,15 @@ type Options struct {
 	BatchSize int
 	// Gov, when non-nil, budgets the plan's operator memory: hash-join build
 	// sides and sort buffers reserve through it and spill (grace partitioning,
-	// external merge sort) when denied, and the parallel pipeline's reorder
-	// window is accounted against it. Results are identical at any budget.
+	// external merge sort) when denied. Results are identical at any budget.
 	Gov *mem.Governor
-	// Pool overrides the worker pool the plan forks onto; nil uses the
-	// process-wide Default pool.
-	Pool *Pool
 }
 
 // PlanBatch builds a vectorized operator tree evaluating the generating
 // expression with hash joins: tables are joined in a connectivity-preserving
 // order starting from the expression's first table, so every join has at
 // least one applicable predicate. Output columns are qualified names ("R.x").
-//
-// At Parallelism != 1 the probe-side chain (scan of the first table, then
-// every join probe and equality filter) runs as a morsel-driven Pipeline on
-// the shared pool: each stage is recorded as a builder that re-instantiates
-// it over a morsel's scan range (joins via ProbeClone, sharing one built
-// hash table). The emitted row stream is bit-identical to the serial chain.
+// The plan runs on the goroutine that drains it.
 func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, error) {
 	tables := e.Tables()
 	if opts.BatchSize <= 0 {
@@ -73,9 +63,6 @@ func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, e
 	}
 	var root BatchOperator = NewBatchScanSize(first, opts.BatchSize)
 	joined[tables[0]] = true
-	// Per-morsel stage builders, recorded alongside the serial chain so the
-	// Pipeline can re-instantiate the chain over each morsel's scan range.
-	var stages []stageBuilder
 
 	for len(remaining) > 0 {
 		progress := false
@@ -85,15 +72,11 @@ func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, e
 			case lIn && rIn:
 				// Both sides already joined: apply as a filter (extra
 				// predicate between an already-connected table pair).
-				lc, rc := p.LeftTable+"."+p.LeftAttr, p.RightTable+"."+p.RightAttr
-				f, err := equalityFilter(root, lc, rc)
+				f, err := equalityFilter(root, p.LeftTable+"."+p.LeftAttr, p.RightTable+"."+p.RightAttr)
 				if err != nil {
 					return nil, err
 				}
 				root = f
-				stages = append(stages, func(in BatchOperator) (BatchOperator, error) {
-					return equalityFilter(in, lc, rc)
-				})
 			case lIn || rIn:
 				newTable := p.RightTable
 				probeCol, buildCol := p.LeftTable+"."+p.LeftAttr, p.RightTable+"."+p.RightAttr
@@ -107,15 +90,12 @@ func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, e
 				}
 				// Build on the new base table, probe with the accumulated
 				// intermediate result.
-				j, err := NewVecHashJoinMem(NewBatchScanSize(t, opts.BatchSize), root, opts.Parallelism,
+				j, err := NewVecHashJoinMem(NewBatchScanSize(t, opts.BatchSize), root,
 					opts.BatchSize, opts.Gov, JoinCond{LeftCol: buildCol, RightCol: probeCol})
 				if err != nil {
 					return nil, err
 				}
 				root = j
-				stages = append(stages, func(in BatchOperator) (BatchOperator, error) {
-					return j.ProbeClone(in)
-				})
 				joined[newTable] = true
 			default:
 				continue
@@ -127,19 +107,6 @@ func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, e
 		if !progress {
 			return nil, fmt.Errorf("exec: expression %q is not connected", e.String())
 		}
-	}
-	if width := ResolveParallelism(opts.Parallelism); width > 1 && len(stages) > 0 {
-		build := func(src BatchOperator) (BatchOperator, error) {
-			op := src
-			for _, s := range stages {
-				var err error
-				if op, err = s(op); err != nil {
-					return nil, err
-				}
-			}
-			return op, nil
-		}
-		return NewPipeline(opts.Pool, first, width, opts.BatchSize, build, root, opts.Gov), nil
 	}
 	return root, nil
 }

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the executor's shared worker pool. Before it existed,
+// This file implements the engine's shared worker pool. Before it existed,
 // parallelism lived in disconnected islands — the shared-scan fan-out, the
-// hash-join partition build, the experiment sweeps — each spawning its own
-// goroutines and oversubscribing the machine when they nested. The pool puts
-// one set of workers (one per CPU, started lazily on first use) under all of
-// them: callers fork morsels of work, idle workers steal them, and a blocked
+// experiment sweeps — each spawning its own goroutines and oversubscribing the machine when they nested. The pool puts one set of
+// workers (one per CPU, started lazily on first use) under all of them:
+// callers fork morsels of work, idle workers steal them, and a blocked
 // forker helps execute its own morsels so nested fork-joins can never
 // deadlock on a busy pool.
 //
@@ -58,10 +57,9 @@ var (
 )
 
 // Default returns the process-wide pool: one worker per CPU, started lazily,
-// never closed. Every executor fan-out — morsel pipelines, hash-join builds,
-// shared scans, experiment sweeps — runs on this one pool unless handed an
-// explicit private pool, so nested parallel operators share the machine
-// instead of multiplying goroutines.
+// never closed. Every fan-out — shared scans, the sort's gather and async
+// spills, segment conversion, experiment sweeps — runs on this one pool, so
+// nested parallel work shares the machine instead of multiplying goroutines.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = NewPool(runtime.GOMAXPROCS(0)) })
 	return defaultPool
@@ -69,8 +67,8 @@ func Default() *Pool {
 
 // ResolveParallelism maps the engine-wide parallelism knob to a worker
 // count: 0 (or negative) means one worker per CPU, n > 0 means exactly n.
-// It is the single definition shared by exec.Options, sit.Config, and the
-// experiment configs.
+// It is the single definition shared by sit.Config and the experiment
+// configs.
 func ResolveParallelism(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

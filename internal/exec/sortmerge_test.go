@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/sitstats/sits/internal/data"
+	"github.com/sitstats/sits/internal/mem"
 )
 
 // refSortRows is the sort contract: buffer every input row and stable-sort by
@@ -132,5 +135,44 @@ func TestAdaptiveBatchSize(t *testing.T) {
 			t.Fatalf("AdaptiveBatchSize not monotone at %d: %d > %d", n, got, prev)
 		}
 		prev = got
+	}
+}
+
+// TestBatchSortParallelGatherMatchesReference exercises the pool-parallel
+// gather path (input larger than one gather block) against the spilled merge
+// path and the serial reference.
+func TestBatchSortParallelGatherMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tab := data.MustNewTable("G", "k", "v")
+	n := gatherBlockRows + 1234
+	tab.Grow(n)
+	for i := 0; i < n; i++ {
+		if err := tab.AppendRow(rng.Int63n(5000), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mk := func(gov *mem.Governor) *BatchSort {
+		s, err := NewBatchSortMem(NewBatchScan(tab), "G.k", 0, gov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ref := drainBatches(t, mk(nil)) // in-memory path: pool-parallel gather
+	for i := 1; i < len(ref); i++ {
+		if ref[i][0] < ref[i-1][0] {
+			t.Fatalf("gather output not sorted at %d", i)
+		}
+		if ref[i][0] == ref[i-1][0] && ref[i][1] < ref[i-1][1] {
+			t.Fatalf("gather output not stable at %d", i)
+		}
+	}
+	ws := int64(n) * 2 * 8
+	gov := mem.NewGovernor(ws / 4)
+	if got := drainBatches(t, mk(gov)); !reflect.DeepEqual(got, ref) {
+		t.Fatal("spilled sort diverges from parallel-gather sort")
+	}
+	if err := gov.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

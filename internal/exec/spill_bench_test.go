@@ -51,7 +51,7 @@ func BenchmarkGraceJoin(b *testing.B) {
 		b.Run(reg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				gov := mem.NewGovernor(reg.budget)
-				j, err := NewVecHashJoinMem(NewBatchScan(r), NewBatchScan(s), 1, 0, gov,
+				j, err := NewVecHashJoinMem(NewBatchScan(r), NewBatchScan(s), 0, gov,
 					JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 				if err != nil {
 					b.Fatal(err)

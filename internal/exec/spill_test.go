@@ -11,9 +11,9 @@ import (
 
 // The spill-equivalence property: every memory-governed operator produces a
 // byte-identical output stream at any budget — unlimited, a fraction of the
-// working set, or a pathological 1-byte budget that spills everything — and
-// at any parallelism level. The tests here drive each operator through all
-// three regimes against its in-memory reference.
+// working set, or a pathological 1-byte budget that spills everything. The
+// tests here drive each operator through every regime against its in-memory
+// reference.
 
 // spillJoinTables builds a build/probe table pair with heavy key duplication
 // and negative keys (keys in [-50, 50] over thousands of rows).
@@ -40,16 +40,17 @@ func tableBytes(tab *data.Table) int64 {
 	return int64(tab.NumRows()) * int64(tab.NumCols()) * 8
 }
 
-// spillBudgets returns the three budget regimes for a working set: unlimited,
-// half the working set (partial spill), and 1 byte (everything spills).
+// spillBudgets returns the budget regimes for a working set: unlimited, half
+// and a quarter of the working set (partial spill), and 1 byte (everything
+// spills).
 func spillBudgets(workingSet int64) []int64 {
-	return []int64{0, workingSet / 2, 1}
+	return []int64{0, workingSet / 2, workingSet / 4, 1}
 }
 
 func TestGraceJoinEquivalence(t *testing.T) {
 	l, r := spillJoinTables(t, 3000, 4000)
 	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
-	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 1, 0, cond)
+	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 0, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,33 +59,31 @@ func TestGraceJoinEquivalence(t *testing.T) {
 		t.Fatal("reference join is empty; the test data is broken")
 	}
 	for _, budget := range spillBudgets(tableBytes(l)) {
-		for _, par := range []int{1, 4} {
-			gov := mem.NewGovernor(budget)
-			j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), par, 0, gov, cond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drainBatches(t, j)
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("budget=%d par=%d: join diverges from in-memory reference (%d vs %d rows)",
-					budget, par, len(got), len(ref))
-			}
-			if budget > 0 && j.grace == nil {
-				t.Fatalf("budget=%d: join never spilled; the budget regime is not exercised", budget)
-			}
-			if budget == 0 && j.grace != nil {
-				t.Fatal("unlimited budget must not spill")
-			}
-			// Reset must replay the identical stream (in grace mode this
-			// re-merges the retained output runs).
-			j.Reset()
-			again := drainBatches(t, j)
-			if !reflect.DeepEqual(again, ref) {
-				t.Fatalf("budget=%d par=%d: Reset replay diverges", budget, par)
-			}
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
+		gov := mem.NewGovernor(budget)
+		j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, gov, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainBatches(t, j)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("budget=%d: join diverges from in-memory reference (%d vs %d rows)",
+				budget, len(got), len(ref))
+		}
+		if budget > 0 && j.grace == nil {
+			t.Fatalf("budget=%d: join never spilled; the budget regime is not exercised", budget)
+		}
+		if budget == 0 && j.grace != nil {
+			t.Fatal("unlimited budget must not spill")
+		}
+		// Reset must replay the identical stream (in grace mode this
+		// re-merges the retained output runs).
+		j.Reset()
+		again := drainBatches(t, j)
+		if !reflect.DeepEqual(again, ref) {
+			t.Fatalf("budget=%d: Reset replay diverges", budget)
+		}
+		if err := gov.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -95,7 +94,7 @@ func TestGraceJoinMultiCondEquivalence(t *testing.T) {
 		{LeftCol: "L.k", RightCol: "R.k"},
 		{LeftCol: "L.k2", RightCol: "R.k2"},
 	}
-	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 1, 0, conds...)
+	refJ, err := NewVecHashJoinSize(NewBatchScan(l), NewBatchScan(r), 0, conds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +103,17 @@ func TestGraceJoinMultiCondEquivalence(t *testing.T) {
 		t.Fatal("reference multi-cond join is empty")
 	}
 	for _, budget := range spillBudgets(tableBytes(l)) {
-		for _, par := range []int{1, 4} {
-			gov := mem.NewGovernor(budget)
-			j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), par, 0, gov, conds...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := drainBatches(t, j); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("budget=%d par=%d: multi-cond join diverges (%d vs %d rows)",
-					budget, par, len(got), len(ref))
-			}
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
+		gov := mem.NewGovernor(budget)
+		j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, gov, conds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainBatches(t, j); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("budget=%d: multi-cond join diverges (%d vs %d rows)",
+				budget, len(got), len(ref))
+		}
+		if err := gov.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -128,7 +125,7 @@ func TestGraceJoinEmptyInputs(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
 		gov := mem.NewGovernor(budget)
 		// Empty build side.
-		j, err := NewVecHashJoinMem(NewBatchScan(empty), NewBatchScan(r), 1, 0, gov, cond)
+		j, err := NewVecHashJoinMem(NewBatchScan(empty), NewBatchScan(r), 0, gov, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +133,7 @@ func TestGraceJoinEmptyInputs(t *testing.T) {
 			t.Fatalf("budget=%d: empty build side produced %d rows", budget, len(got))
 		}
 		// Empty probe side.
-		j2, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(empty), 1, 0, gov,
+		j2, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(empty), 0, gov,
 			JoinCond{LeftCol: "L.k", RightCol: "E.k"})
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +195,7 @@ func TestGovernorPeakWithinBudget(t *testing.T) {
 	ws := tableBytes(l)
 	budget := ws / 4
 	gov := mem.NewGovernor(budget)
-	j, err := NewVecHashJoinMem(NewBatchScanSize(l, 64), NewBatchScanSize(r, 64), 2, 64, gov,
+	j, err := NewVecHashJoinMem(NewBatchScanSize(l, 64), NewBatchScanSize(r, 64), 64, gov,
 		JoinCond{LeftCol: "L.k", RightCol: "R.k"})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/sitstats/sits/internal/mem"
 )
@@ -14,22 +12,19 @@ type JoinCond struct {
 }
 
 // VecHashJoin is the vectorized equi-join: it drains the left (build) input
-// batch-wise into a joinTable — flat arena, open-addressing slots, build
-// partitioned by hash across workers — and streams the right (probe) input,
-// emitting concatenated left-row ++ right-row matches as column batches.
-// Matches are emitted per probe row in build-input order, so the output row
-// sequence is the same at every parallelism level.
+// batch-wise into a joinTable — flat arena, open-addressing slots — and
+// streams the right (probe) input, emitting concatenated left-row ++ right-row
+// matches as column batches. Matches are emitted per probe row in build-input
+// order, so the output row sequence is the same at every memory budget.
 type VecHashJoin struct {
 	left, right BatchOperator
 	conds       []JoinCond
 	lIdx, rIdx  []int
 	cols        []string
-	parallelism int
 	size        int
 
-	built     bool
-	buildOnce sync.Once
-	jt        *joinTable
+	built bool
+	jt    *joinTable
 
 	// Memory governance. gov/grant are nil for un-budgeted joins; buildBytes
 	// tracks the arena's reservation, grace is non-nil once the build side
@@ -51,21 +46,14 @@ type VecHashJoin struct {
 	bufs [][]int64
 }
 
-// NewVecHashJoinSize joins left and right on the conjunction of conds,
-// building the hash table with up to `parallelism` workers (0 = GOMAXPROCS,
-// 1 = serial). The join result is identical at every parallelism level.
+// NewVecHashJoinSize joins left and right on the conjunction of conds.
 // batchSize is the output batch size (0 = adaptive from the output column
 // count).
-func NewVecHashJoinSize(left, right BatchOperator, parallelism, batchSize int, conds ...JoinCond) (*VecHashJoin, error) {
+func NewVecHashJoinSize(left, right BatchOperator, batchSize int, conds ...JoinCond) (*VecHashJoin, error) {
 	if len(conds) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs at least one condition")
 	}
-	j := &VecHashJoin{
-		left:        left,
-		right:       right,
-		conds:       conds,
-		parallelism: parallelism,
-	}
+	j := &VecHashJoin{left: left, right: right, conds: conds}
 	for _, c := range conds {
 		li, err := columnIndex(left.Columns(), c.LeftCol)
 		if err != nil {
@@ -96,8 +84,8 @@ func NewVecHashJoinSize(left, right BatchOperator, parallelism, batchSize int, c
 // through gov: when the arena exceeds the operator's grant, the join spills
 // into grace hash partitioning (see gracejoin.go) and the output stays
 // byte-identical to the in-memory join. A nil governor means unlimited.
-func NewVecHashJoinMem(left, right BatchOperator, parallelism, batchSize int, gov *mem.Governor, conds ...JoinCond) (*VecHashJoin, error) {
-	j, err := NewVecHashJoinSize(left, right, parallelism, batchSize, conds...)
+func NewVecHashJoinMem(left, right BatchOperator, batchSize int, gov *mem.Governor, conds ...JoinCond) (*VecHashJoin, error) {
+	j, err := NewVecHashJoinSize(left, right, batchSize, conds...)
 	if err != nil {
 		return nil, err
 	}
@@ -111,6 +99,8 @@ func NewVecHashJoinMem(left, right BatchOperator, parallelism, batchSize int, go
 // Columns implements BatchOperator.
 func (j *VecHashJoin) Columns() []string { return j.cols }
 
+// build drains the build side into the hash table (or, once the arena
+// overflows its grant, into grace partitions).
 func (j *VecHashJoin) build() {
 	j.jt = newJoinTable(len(j.left.Columns()), j.lIdx)
 	for {
@@ -132,51 +122,9 @@ func (j *VecHashJoin) build() {
 		j.grace.addBuildBatch(b)
 	}
 	if j.grace == nil {
-		j.jt.build(j.parallelism)
+		j.jt.build()
 	}
 	j.built = true
-}
-
-// ensureBuilt drains the build side exactly once; safe to call from several
-// goroutines (the parallel Pipeline forces builds on the consumer before the
-// first helper spawns, but probe clones may race a late ensureBuilt).
-func (j *VecHashJoin) ensureBuilt() { j.buildOnce.Do(j.build) }
-
-// errProbeClone marks a join whose probe side cannot be re-partitioned.
-var errProbeClone = errors.New("exec: grace-mode join is not probe-cloneable")
-
-// ProbeClone returns a join that shares this join's built hash table but
-// probes an independent right input — the per-morsel stage the parallel
-// Pipeline runs. The clone is probe-only: it never builds, reserves, or
-// spills, and concurrent clones only read the shared table. Cloning fails
-// once the build side has spilled into grace partitioning, because grace
-// output order is a global property of a single probe stream; callers fall
-// back to the serial chain then.
-func (j *VecHashJoin) ProbeClone(right BatchOperator) (*VecHashJoin, error) {
-	j.ensureBuilt()
-	if j.grace != nil {
-		return nil, errProbeClone
-	}
-	c := &VecHashJoin{
-		left:        j.left,
-		right:       right,
-		conds:       j.conds,
-		lIdx:        j.lIdx,
-		rIdx:        j.rIdx,
-		cols:        j.cols,
-		parallelism: 1,
-		size:        j.size,
-		built:       true,
-		jt:          j.jt,
-	}
-	c.buildOnce.Do(func() {}) // consume the Once: the shared table is final
-	c.probeVals = make([]int64, len(j.conds))
-	c.bufs = make([][]int64, len(j.cols))
-	for i := range c.bufs {
-		c.bufs[i] = make([]int64, 0, c.size)
-	}
-	c.out.Cols = make([][]int64, len(j.cols))
-	return c, nil
 }
 
 // NextBatch implements BatchOperator. Returned batches hold up to the
@@ -184,7 +132,9 @@ func (j *VecHashJoin) ProbeClone(right BatchOperator) (*VecHashJoin, error) {
 //
 //statcheck:hot
 func (j *VecHashJoin) NextBatch() (*Batch, bool) {
-	j.ensureBuilt()
+	if !j.built {
+		j.build()
+	}
 	if j.grace != nil {
 		return j.grace.nextBatch()
 	}

@@ -70,8 +70,7 @@ func RunHistogramAblation(cfg AblationConfig) ([]AblationCell, error) {
 		return nil, err
 	}
 	gov := mem.NewGovernor(cfg.MemBudget)
-	truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr,
-		exec.Options{Parallelism: cfg.Parallelism, Gov: gov})
+	truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr, exec.Options{Gov: gov})
 	if cerr := gov.Close(); err == nil {
 		err = cerr
 	}

@@ -76,8 +76,7 @@ func RunAcyclic(cfg AcyclicConfig) ([]AcyclicCell, error) {
 		return nil, err
 	}
 	gov := mem.NewGovernor(cfg.MemBudget)
-	truthVals, err := exec.AttrValuesOpts(cat, expr, "F", "a",
-		exec.Options{Parallelism: cfg.Parallelism, Gov: gov})
+	truthVals, err := exec.AttrValuesOpts(cat, expr, "F", "a", exec.Options{Gov: gov})
 	if cerr := gov.Close(); err == nil {
 		err = cerr
 	}

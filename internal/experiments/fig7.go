@@ -142,8 +142,7 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 			return err
 		}
 		gov := mem.NewGovernor(cfg.MemBudget)
-		truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr,
-			exec.Options{Parallelism: cfg.Parallelism, Gov: gov})
+		truthVals, err := exec.AttrValuesOpts(cat, spec.Expr, spec.Table, spec.Attr, exec.Options{Gov: gov})
 		if cerr := gov.Close(); err == nil {
 			err = cerr
 		}

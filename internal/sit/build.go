@@ -251,8 +251,7 @@ func (b *Builder) newConsumer(table string, m Method) (consumer, error) {
 // materializeSIT executes the generating query with the executor and builds
 // the histogram over the actual attribute values: the ground-truth SIT.
 func (b *Builder) materializeSIT(spec query.SITSpec, nb int) (*SIT, error) {
-	vals, err := exec.AttrValuesOpts(b.cat, spec.Expr, spec.Table, spec.Attr,
-		exec.Options{Parallelism: b.cfg.Parallelism, Gov: b.gov})
+	vals, err := exec.AttrValuesOpts(b.cat, spec.Expr, spec.Table, spec.Attr, exec.Options{Gov: b.gov})
 	if err != nil {
 		return nil, err
 	}

@@ -110,8 +110,9 @@ type Config struct {
 	// Seed drives sampling.
 	Seed int64
 	// Parallelism is the builder's pool width (exec.ResolveParallelism): it
-	// caps the fork-join fan-out of the shared sequential scans and of the
-	// generating-query pipelines, all running on the process-wide exec pool.
+	// caps the fork-join fan-out of the shared sequential scans, which run on
+	// the process-wide exec pool. Generating-query plans (Materialize) run
+	// on the building goroutine whatever the width.
 	// 0 uses GOMAXPROCS, 1 runs fully serially (bit-identical to the original
 	// single-threaded implementation), n > 1 uses at most n workers. Exact
 	// methods (SweepFull, SweepExact) produce bit-identical SITs at every
