@@ -136,6 +136,19 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodGet, estimateURL("T2.a:0:900"), "", http.StatusOK, nil)
 }
 
+// TestServerRejectsUnjoinedTable asserts that a query whose ON clause does
+// not reference the table its JOIN names is a bad request: the parser used to
+// drop that table and answer for a different expression.
+func TestServerRejectsUnjoinedTable(t *testing.T) {
+	h, _ := newTestServer(t)
+	for _, q := range []string{
+		"T1 JOIN T9 ON T1.jnext = T2.jprev",
+		"T1 JOIN T2 ON T1.jnext = T2.jprev JOIN T3 ON T1.jnext = T2.jprev",
+	} {
+		getJSON(t, h, http.MethodGet, "/estimate?"+url.Values{"query": {q}}.Encode(), "", http.StatusBadRequest, nil)
+	}
+}
+
 func TestServerStatsAndRefresh(t *testing.T) {
 	h, cat := newTestServer(t)
 

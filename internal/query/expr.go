@@ -77,14 +77,19 @@ func NewExpr(joins ...JoinPred) (*Expr, error) {
 		return nil, fmt.Errorf("query: NewExpr needs at least one join predicate; use NewBaseExpr for base tables")
 	}
 	set := map[string]bool{}
+	e := &Expr{}
 	for _, j := range joins {
 		if err := j.validate(); err != nil {
 			return nil, err
 		}
 		set[j.LeftTable] = true
 		set[j.RightTable] = true
+		// A predicate repeated, in either direction, adds nothing.
+		n := j.normalized()
+		if !slices.ContainsFunc(e.joins, func(k JoinPred) bool { return k.normalized() == n }) {
+			e.joins = append(e.joins, j)
+		}
 	}
-	e := &Expr{joins: append([]JoinPred(nil), joins...)}
 	for t := range set {
 		e.tables = append(e.tables, t)
 	}
@@ -287,40 +292,40 @@ func (e *Expr) Equal(o *Expr) bool {
 }
 
 // String renders the expression in parseable form:
-// "T1 JOIN T2 ON T1.x = T2.y JOIN T3 ON ...". Predicates are emitted in a
-// deterministic order following a traversal from the lexicographically first
-// table.
+// "T1 JOIN T2 ON T1.x = T2.y JOIN T3 ON ...". Tables are emitted in a
+// deterministic traversal from the lexicographically first table; each
+// table's ON clause holds every predicate between it and the tables before
+// it, so every predicate references the table its JOIN names.
 func (e *Expr) String() string {
 	if len(e.joins) == 0 {
 		return e.tables[0]
 	}
 	var sb strings.Builder
-	emitted := map[string]bool{}
 	sb.WriteString(e.tables[0])
-	emitted[e.tables[0]] = true
+	emitted := map[string]bool{e.tables[0]: true}
 	remaining := append([]JoinPred(nil), e.joins...)
 	for len(remaining) > 0 {
-		progress := false
-		for i, j := range remaining {
-			if emitted[j.LeftTable] || emitted[j.RightTable] {
-				newT := j.RightTable
-				if !emitted[j.LeftTable] {
-					newT = j.LeftTable
-				}
-				if !emitted[newT] {
-					fmt.Fprintf(&sb, " JOIN %s ON %s", newT, j.String())
-					emitted[newT] = true
-				} else {
-					fmt.Fprintf(&sb, " AND %s", j.String())
-				}
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				progress = true
-				break
-			}
-		}
-		if !progress { // unreachable for connected expressions
+		i := slices.IndexFunc(remaining, func(j JoinPred) bool { return emitted[j.LeftTable] != emitted[j.RightTable] })
+		if i < 0 { // unreachable for connected expressions
 			break
 		}
+		newT := remaining[i].RightTable
+		if emitted[newT] {
+			newT = remaining[i].LeftTable
+		}
+		emitted[newT] = true
+		sep := " JOIN " + newT + " ON "
+		rest := remaining[:0]
+		for _, j := range remaining {
+			if (j.LeftTable == newT || j.RightTable == newT) && emitted[j.LeftTable] && emitted[j.RightTable] {
+				sb.WriteString(sep)
+				sb.WriteString(j.String())
+				sep = " AND "
+			} else {
+				rest = append(rest, j)
+			}
+		}
+		remaining = rest
 	}
 	return sb.String()
 }

@@ -102,6 +102,14 @@ func TestCanonicalAndEqual(t *testing.T) {
 	if a.Equal(c) || a.Equal(nil) {
 		t.Error("Equal = true for different expressions")
 	}
+	// A predicate repeated in either direction is one predicate.
+	dup, err := ParseExpr("T1 JOIN T2 ON T1.a = T2.b AND T2.b = T1.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dup.Canonical(), "T1,T2{T1.a = T2.b}"; got != want || dup.NumJoins() != 1 {
+		t.Errorf("duplicate predicates: canonical %q with %d joins, want %q with 1", got, dup.NumJoins(), want)
+	}
 }
 
 func TestExprStringRoundTrip(t *testing.T) {
@@ -110,6 +118,8 @@ func TestExprStringRoundTrip(t *testing.T) {
 		MustNewExpr(pred("R", "x", "S", "y"), pred("S", "z", "T", "w")),
 		MustNewExpr(pred("R", "r1", "S", "s1"), pred("R", "r2", "U", "u1"), pred("U", "u2", "V", "v1")),
 		MustNewExpr(pred("R", "w", "S", "x"), pred("R", "y", "S", "z")),
+		// The R-S edge's second predicate comes after the S-T edge.
+		MustNewExpr(pred("R", "w", "S", "x"), pred("S", "z", "T", "w"), pred("R", "y", "S", "z")),
 	}
 	for _, e := range exprs {
 		back, err := ParseExpr(e.String())

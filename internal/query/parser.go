@@ -33,6 +33,7 @@ func ParseSIT(s string) (SITSpec, error) {
 //
 //	R JOIN S ON R.x = S.y [AND R.w = S.z] JOIN T ON S.u = T.v ...
 //
+// Every predicate of an ON clause must reference the table its JOIN names.
 // A bare table name parses as a base-table expression.
 func ParseExpr(s string) (*Expr, error) {
 	toks, err := tokenize(s)
@@ -122,7 +123,8 @@ func (p *parser) parseExpr() (*Expr, error) {
 		if _, err := p.expect("JOIN"); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect("word"); err != nil {
+		joined, err := p.expect("word")
+		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect("ON"); err != nil {
@@ -132,6 +134,9 @@ func (p *parser) parseExpr() (*Expr, error) {
 			pred, err := p.parsePred()
 			if err != nil {
 				return nil, err
+			}
+			if pred.LeftTable != joined.text && pred.RightTable != joined.text {
+				return nil, fmt.Errorf("query: predicate %q does not reference joined table %q", pred.String(), joined.text)
 			}
 			joins = append(joins, pred)
 			if p.peek().kind != "AND" {

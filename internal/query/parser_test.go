@@ -65,6 +65,8 @@ func TestParseErrors(t *testing.T) {
 		"R JOIN S ON R.x = R.y",     // self join
 		"R JOIN S ON T.x = U.y",     // predicate tables disconnected from R
 		"R @ S",                     // bad character
+		"T1 JOIN T9 ON T1.a = T2.b", // ON predicate does not reference the joined table
+		"T1 JOIN T2 ON T1.a = T2.b JOIN T3 ON T1.a = T2.b", // nor here: T3 would be dropped
 	}
 	for _, s := range bad {
 		if _, err := ParseExpr(s); err == nil {

@@ -14,15 +14,19 @@
 //     the result for later requests. SIT matching and memoized base
 //     statistics are lock-free; the registry's builder lock is taken only to
 //     build a base statistic that does not exist yet at the tables' current
-//     generations. Concurrent cold requests for one plan key are
+//     generations. Concurrent cold requests for one shape are
 //     single-flighted, and a plan is published only under the pin of the
 //     snapshot it was prepared from.
 //
-// The pin is the registry's PlanPin, read once per request before the first
-// tier: the SIT-set epoch plus the data generation of every table of the
-// expression. A publish or a data mutation moves it, so neither cache
-// invalidates in place: stale entries are stranded until the LRU bound
-// reclaims them.
+// The pin is the registry's AppendPin, read once per request into a stack
+// buffer before the first tier: the SIT-set epoch plus the data generation of
+// every table of the expression. A publish or a data mutation moves it, so
+// neither cache invalidates in place: stale entries are stranded until the
+// LRU bound reclaims them.
+//
+// No key is a string: one hash of the request's identity yields a 64-bit
+// fingerprint per tier that indexes its cache (and the cold flights), and a
+// hit compares the stored identity, so a collision is a miss.
 //
 // All three tiers are bit-identical: a result hit is the stored execute
 // output, a plan hit re-runs the exact float operations cold estimation
@@ -34,10 +38,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,7 +131,7 @@ type Service struct {
 	estMu sync.Mutex
 
 	flightMu sync.Mutex
-	flights  map[string]*coldFlight // plan key -> cold preparation in flight
+	flights  map[uint64]*coldFlight // plan fingerprint -> cold preparation in flight
 
 	hits, misses atomic.Int64 // result-cache hits / cold estimations
 	planHits     atomic.Int64 // plan-cache hits (result-cache misses)
@@ -135,12 +139,13 @@ type Service struct {
 	queued       atomic.Int64 // cold requests waiting for the builder on a statistics miss
 }
 
-// coldFlight is one in-progress cold preparation; requests for the same
-// plan key wait for it and execute its plan.
+// coldFlight is one in-progress cold preparation; requests with the same
+// plan identity wait for it and execute its plan.
 type coldFlight struct {
-	done chan struct{}
-	plan *cardest.EstimatorPlan
-	err  error
+	shape ident // the plan identity the flight prepares
+	done  chan struct{}
+	plan  *cardest.EstimatorPlan
+	err   error
 	// waiting is set while the leader waits for the builder: followers then
 	// wait for it too, so the shed decision applies to them.
 	waiting atomic.Bool
@@ -159,7 +164,7 @@ func NewService(reg *sit.Registry, cfg Config) (*Service, error) {
 		cfg:     cfg,
 		cache:   newLRU[cardest.Estimate](DefaultCacheEntries),
 		plans:   newLRU[*cardest.EstimatorPlan](DefaultPlanCacheEntries),
-		flights: map[string]*coldFlight{},
+		flights: map[uint64]*coldFlight{},
 	}, nil
 }
 
@@ -167,12 +172,12 @@ func NewService(reg *sit.Registry, cfg Config) (*Service, error) {
 func (s *Service) Registry() *sit.Registry { return s.reg }
 
 // Estimate answers one SPJ estimation request and reports which tier
-// answered it. Estimates from every tier are bit-identical: the cache keys
-// embed every input the computation reads (expression, predicates, SIT-set
-// epoch, table generations), predicate order is normalized before
-// estimation, and plan execution replays exactly the float operations cold
-// estimation performs. The returned Estimate is shared with the result cache
-// and must be treated as immutable.
+// answered it. Estimates from every tier are bit-identical: the cache
+// identities embed every input the computation reads (expression,
+// predicates, SIT-set epoch, table generations), predicate order is
+// normalized before estimation, and plan execution replays exactly the float
+// operations cold estimation performs. The returned Estimate is shared with
+// the result cache and must be treated as immutable.
 //
 // A request cardest.Validate rejects fails before any tier, so it never
 // waits for the builder. Under budget pressure (see Config.ShedQueue) a cold
@@ -183,43 +188,45 @@ func (s *Service) Estimate(q cardest.SPJQuery) (cardest.Estimate, Tier, error) {
 		return cardest.Estimate{}, TierCold, err
 	}
 	nq := normalize(q)
-	pin, err := s.reg.PlanPin(nq.Expr)
+	var buf [8]uint64 // the epoch and up to seven generations, on the stack
+	pin, err := s.reg.AppendPin(buf[:0], nq.Expr)
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
 	}
 
 	// Tier 1: result cache.
-	key := resultKey(nq, pin)
-	if est, ok := s.cache.get(key); ok {
+	canon := nq.Expr.Canonical()
+	ph, rh := fingerprints(canon, nq.Preds, pin)
+	res := ident{canon: canon, preds: nq.Preds, consts: true, pin: pin}
+	if est, ok := s.cache.get(rh, &res); ok {
 		s.hits.Add(1)
 		return est, TierResult, nil
 	}
 
 	// Tier 2: plan cache — lock-free.
-	shape := cardest.ShapeKey(nq.Expr, cardest.Columns(nq.Preds))
-	pkey := shape + "\x00" + pin
-	if plan, ok := s.plans.get(pkey); ok {
-		return s.planHit(plan, nq, key)
+	shape := ident{canon: canon, preds: nq.Preds, pin: pin}
+	if plan, ok := s.plans.get(ph, &shape); ok {
+		return s.planHit(plan, nq, rh, &res)
 	}
 
-	// Tier 3: cold, single-flighted per plan key.
-	f, leader := s.join(pkey)
+	// Tier 3: cold, single-flighted per plan identity.
+	f, leader := s.join(ph, nq, pin)
 	if !leader {
 		return s.follow(f, nq)
 	}
-	defer s.retire(pkey, f)
+	defer s.retire(ph, f)
 	// A leader that lost the race with the previous flight's publish finds
 	// its plan here.
-	if plan, ok := s.plans.get(pkey); ok {
+	if plan, ok := s.plans.get(ph, &shape); ok {
 		f.plan = plan
-		return s.planHit(plan, nq, key)
+		return s.planHit(plan, nq, rh, &res)
 	}
-	return s.cold(nq, shape, pin, f)
+	return s.cold(nq, pin, f)
 }
 
-// cold prepares, executes and publishes the request's plan. f is the flight
-// the request leads; it receives the plan or the error.
-func (s *Service) cold(nq cardest.SPJQuery, shape, pin string, f *coldFlight) (cardest.Estimate, Tier, error) {
+// cold prepares, executes and publishes the request's plan and result. f is
+// the flight the request leads; it receives the plan or the error.
+func (s *Service) cold(nq cardest.SPJQuery, pin []uint64, f *coldFlight) (cardest.Estimate, Tier, error) {
 	plan, pin, err := s.prepare(nq, pin, f)
 	f.plan, f.err = plan, err
 	if err != nil {
@@ -229,8 +236,13 @@ func (s *Service) cold(nq cardest.SPJQuery, shape, pin string, f *coldFlight) (c
 	if err != nil {
 		return cardest.Estimate{}, TierCold, err
 	}
-	s.plans.put(shape+"\x00"+pin, plan)
-	s.cache.put(resultKey(nq, pin), out)
+	// The plan describes the snapshot of the pin prepare returns, which may
+	// be later than the one the request was looked up under.
+	pub := ident{canon: nq.Expr.Canonical(), preds: nq.Preds, pin: pin}
+	ph, rh := fingerprints(pub.canon, pub.preds, pub.pin)
+	s.plans.put(ph, &pub, plan)
+	pub.consts = true
+	s.cache.put(rh, &pub, out)
 	s.misses.Add(1)
 	return out, TierCold, nil
 }
@@ -240,33 +252,34 @@ func (s *Service) cold(nq cardest.SPJQuery, shape, pin string, f *coldFlight) (c
 // monotonic, so equal pins read before and after preparation prove the plan
 // describes exactly the pin's snapshot; when a counter moved, preparation is
 // retried against the new snapshot.
-func (s *Service) prepare(nq cardest.SPJQuery, pin string, f *coldFlight) (*cardest.EstimatorPlan, string, error) {
+func (s *Service) prepare(nq cardest.SPJQuery, pin []uint64, f *coldFlight) (*cardest.EstimatorPlan, []uint64, error) {
 	cols := cardest.Columns(nq.Preds)
+	var buf [8]uint64
 	for {
 		est, err := s.current()
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		plan, ok, err := est.TryPrepare(nq.Expr, cols)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		if !ok {
 			if s.shed() {
-				return nil, "", ErrOverloaded
+				return nil, nil, ErrOverloaded
 			}
 			if plan, err = s.waitBuilder(est, nq, cols, f); err != nil {
-				return nil, "", err
+				return nil, nil, err
 			}
 		}
-		after, err := s.reg.PlanPin(nq.Expr)
+		after, err := s.reg.AppendPin(buf[:0], nq.Expr)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
-		if after == pin {
+		if slices.Equal(after, pin) {
 			return plan, pin, nil
 		}
-		pin = after
+		pin = slices.Clone(after)
 	}
 }
 
@@ -291,26 +304,38 @@ func (s *Service) shed() bool {
 	return false
 }
 
-// join returns the flight for the key, and whether the caller leads it.
-func (s *Service) join(key string) (*coldFlight, bool) {
+// join returns the flight for the request's shape (fingerprint h) and
+// whether the caller leads it. A colliding shape leads an unregistered
+// flight of its own. The flight copies only the pin: the leader's
+// expression and predicates outlive it.
+func (s *Service) join(h uint64, nq cardest.SPJQuery, pin []uint64) (*coldFlight, bool) {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
-	if f, ok := s.flights[key]; ok {
+	f, ok := s.flights[h]
+	if ok && f.shape.equal(&ident{canon: nq.Expr.Canonical(), preds: nq.Preds, pin: pin}) {
 		return f, false
 	}
-	f := &coldFlight{done: make(chan struct{})}
-	s.flights[key] = f
-	return f, true
+	nf := &coldFlight{
+		shape: ident{canon: nq.Expr.Canonical(), preds: nq.Preds, pin: slices.Clone(pin)},
+		done:  make(chan struct{}),
+	}
+	if !ok {
+		s.flights[h] = nf
+	}
+	return nf, true
 }
 
-// retire ends the leader's flight and wakes its followers. A leader that
-// panicked leaves neither plan nor error; its followers get an error.
-func (s *Service) retire(key string, f *coldFlight) {
+// retire unregisters the leader's flight if registered and wakes its
+// followers. A leader that panicked leaves neither plan nor error; its
+// followers get an error.
+func (s *Service) retire(h uint64, f *coldFlight) {
 	if f.plan == nil && f.err == nil {
 		f.err = errors.New("serve: cold preparation failed")
 	}
 	s.flightMu.Lock()
-	delete(s.flights, key)
+	if s.flights[h] == f {
+		delete(s.flights, h)
+	}
 	s.flightMu.Unlock()
 	close(f.done)
 }
@@ -330,20 +355,20 @@ func (s *Service) follow(f *coldFlight, nq cardest.SPJQuery) (cardest.Estimate, 
 		return cardest.Estimate{}, TierCold, f.err
 	}
 	// The leader may have prepared against a later snapshot than this
-	// request's key names, so the result is not published.
-	return s.planHit(f.plan, nq, "")
+	// request's pin names, so the result is not published.
+	return s.planHit(f.plan, nq, 0, nil)
 }
 
-// planHit answers a request by executing a prepared plan and, when key is
-// not empty, publishes the result under it.
-func (s *Service) planHit(plan *cardest.EstimatorPlan, nq cardest.SPJQuery, key string) (cardest.Estimate, Tier, error) {
+// planHit answers a request by executing a prepared plan and, when res is
+// not nil, publishes the result under it (fingerprint rh).
+func (s *Service) planHit(plan *cardest.EstimatorPlan, nq cardest.SPJQuery, rh uint64, res *ident) (cardest.Estimate, Tier, error) {
 	out, err := plan.Execute(nq.Preds)
 	if err != nil {
 		return cardest.Estimate{}, TierPlan, err
 	}
 	s.planHits.Add(1)
-	if key != "" {
-		s.cache.put(key, out)
+	if res != nil {
+		s.cache.put(rh, res, out)
 	}
 	return out, TierPlan, nil
 }
@@ -373,58 +398,33 @@ func (s *Service) current() (*cardest.Estimator, error) {
 	return est, nil
 }
 
-// resultKey renders the result-cache key: canonical expression, normalized
-// predicates with their constants, and the snapshot pin. NUL separates
-// fields — it cannot appear in table or attribute names.
-func resultKey(q cardest.SPJQuery, pin string) string {
-	canon := q.Expr.Canonical()
-	size := len(canon) + 1 + len(pin)
-	for _, p := range q.Preds {
-		size += len(p.Table) + len(p.Attr) + 44 // NUL, '.', two ':' and two int64s
-	}
-	var num [20]byte
-	var sb strings.Builder
-	sb.Grow(size)
-	sb.WriteString(canon)
-	for _, p := range q.Preds {
-		sb.WriteByte(0)
-		sb.WriteString(p.Table)
-		sb.WriteByte('.')
-		sb.WriteString(p.Attr)
-		sb.WriteByte(':')
-		sb.Write(strconv.AppendInt(num[:0], p.Lo, 10))
-		sb.WriteByte(':')
-		sb.Write(strconv.AppendInt(num[:0], p.Hi, 10))
-	}
-	sb.WriteByte(0)
-	sb.WriteString(pin)
-	return sb.String()
-}
-
 // normalize returns the query with its predicates in canonical (sorted)
 // order, so permutations of one conjunction share a cache entry and the
 // selectivity product multiplies in one deterministic order — float
 // multiplication is not associative-commutative in rounding, so this is part
-// of the bit-identity guarantee, not just a cache-sharing optimization.
+// of the bit-identity guarantee, not just a cache-sharing optimization. A
+// query whose predicates are already sorted is returned as is.
 func normalize(q cardest.SPJQuery) cardest.SPJQuery {
-	if len(q.Preds) < 2 {
+	if slices.IsSortedFunc(q.Preds, comparePreds) {
 		return q
 	}
-	preds := append([]cardest.Predicate(nil), q.Preds...)
-	sort.Slice(preds, func(i, j int) bool {
-		a, b := preds[i], preds[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		if a.Attr != b.Attr {
-			return a.Attr < b.Attr
-		}
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		return a.Hi < b.Hi
-	})
+	preds := slices.Clone(q.Preds)
+	slices.SortFunc(preds, comparePreds)
 	return cardest.SPJQuery{Expr: q.Expr, Preds: preds}
+}
+
+// comparePreds orders predicates by table, attribute, then constants.
+func comparePreds(a, b cardest.Predicate) int {
+	if c := strings.Compare(a.Table, b.Table); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Attr, b.Attr); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Hi, b.Hi)
 }
 
 // Stats is a point-in-time view of the serving layer for monitoring.

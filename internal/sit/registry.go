@@ -140,14 +140,34 @@ func (r *Registry) cloneSet() map[string]*SIT {
 	return next
 }
 
-// PlanPin renders the fingerprint of the snapshot an estimate over expr is
-// computed from, which every serving key embeds: the epoch, then each table
-// of the expression with its data generation, NUL-separated. All parts are
-// monotonic, so equal pins read before and after a computation prove neither
-// the served SIT set nor the data the expression reads changed in between.
-func (r *Registry) PlanPin(expr *query.Expr) (string, error) {
+// AppendPin appends to dst the pin of the snapshot an estimate over expr
+// reads, which every serving identity embeds: the epoch, then each table's
+// data generation in Expr.Table order. All parts are monotonic, so equal
+// pins read before and after a computation prove neither the served SIT set
+// nor the data the expression reads changed in between.
+func (r *Registry) AppendPin(dst []uint64, expr *query.Expr) ([]uint64, error) {
 	if expr == nil {
-		return "", fmt.Errorf("sit: PlanPin needs an expression")
+		return dst, fmt.Errorf("sit: a snapshot pin needs an expression")
+	}
+	dst = append(dst, r.Epoch())
+	cat := r.builder.Catalog()
+	for i := 0; i < expr.NumTables(); i++ {
+		t, err := cat.Table(expr.Table(i))
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, t.Generation())
+	}
+	return dst, nil
+}
+
+// PlanPin renders AppendPin's pin as a string: 'e' and the epoch, then each
+// table of the expression with its data generation, NUL-separated.
+func (r *Registry) PlanPin(expr *query.Expr) (string, error) {
+	var buf [8]uint64
+	pin, err := r.AppendPin(buf[:0], expr)
+	if err != nil {
+		return "", err
 	}
 	size := 21 // 'e' and a uint64
 	for i := 0; i < expr.NumTables(); i++ {
@@ -157,18 +177,12 @@ func (r *Registry) PlanPin(expr *query.Expr) (string, error) {
 	var sb strings.Builder
 	sb.Grow(size)
 	sb.WriteByte('e')
-	sb.Write(strconv.AppendUint(num[:0], r.Epoch(), 10))
-	cat := r.builder.Catalog()
-	for i := 0; i < expr.NumTables(); i++ {
-		name := expr.Table(i)
-		t, err := cat.Table(name)
-		if err != nil {
-			return "", err
-		}
+	sb.Write(strconv.AppendUint(num[:0], pin[0], 10))
+	for i, gen := range pin[1:] {
 		sb.WriteByte(0)
-		sb.WriteString(name)
+		sb.WriteString(expr.Table(i))
 		sb.WriteByte('@')
-		sb.Write(strconv.AppendUint(num[:0], t.Generation(), 10))
+		sb.Write(strconv.AppendUint(num[:0], gen, 10))
 	}
 	return sb.String(), nil
 }

@@ -52,8 +52,9 @@ func NewRegistry(cat *Catalog, cfg Config) (*Registry, error) {
 // --- Estimate serving ---
 
 // Service answers SPJ estimation requests from a registry's served SIT set
-// through three tiers (result cache, plan cache, cold estimation) keyed on
-// one snapshot fingerprint, Registry.PlanPin; see serve.Service.
+// through three tiers (result cache, plan cache, cold estimation) whose
+// entries are identified by the request and one snapshot pin,
+// Registry.AppendPin; see serve.Service.
 type Service = serve.Service
 
 // ServeConfig parameterizes the serving layer: the overload shed threshold,
