@@ -14,7 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"github.com/sitstats/sits"
@@ -50,6 +52,10 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// saveSITs encodes the SIT set written by -save; tests replace it to make
+// the write fail part-way.
+var saveSITs = sits.SaveSITs
 
 func run(o options) error {
 	if o.query == "" {
@@ -144,15 +150,8 @@ func run(o options) error {
 		fmt.Printf("true cardinality:      %d\n", card)
 	}
 	if o.saveFile != "" {
-		f, err := os.Create(o.saveFile)
+		err := writeFileAtomic(o.saveFile, func(w io.Writer) error { return saveSITs(w, registered) })
 		if err != nil {
-			return err
-		}
-		if err := sits.SaveSITs(f, registered); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("saved %d SIT(s) to %s\n", len(registered), o.saveFile)
@@ -160,14 +159,58 @@ func run(o options) error {
 	return nil
 }
 
+// writeFileAtomic writes path through a temporary file in the same directory
+// that is synced, renamed over path, and followed by a sync of the directory,
+// so a failed or killed write leaves the previous file whole and no temporary
+// file behind.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			_ = f.Close()
+			_ = os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file owner-only; a saved set is read by other
+	// processes (sitserve -sits), as a file os.Create made would be.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = write(f); err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err = d.Sync(); err != nil {
+		_ = d.Close()
+		return err
+	}
+	return d.Close()
+}
+
 // exactCardinality executes the query with every predicate applied.
 func exactCardinality(cat *sits.Catalog, expr *sits.Expr, preds []sits.Predicate) (int64, error) {
 	if len(preds) == 0 {
 		return sits.TrueCardinality(cat, expr)
 	}
-	// Apply the first predicate through GroundTruth; additional predicates
-	// need full row filtering, which the facade exposes only one attribute at
-	// a time — fall back to intersect counts conservatively for the CLI.
+	// GroundTruth gives the exact distribution of one attribute over the
+	// query's result, so it answers exactly one range predicate; more than
+	// one is rejected rather than approximated.
 	if len(preds) == 1 {
 		truth, err := sits.GroundTruth(cat, expr, preds[0].Table, preds[0].Attr)
 		if err != nil {

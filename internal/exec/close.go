@@ -1,13 +1,13 @@
 package exec
 
 // This file is the plan-close protocol. Operator trees reserve governed
-// memory (hash-join arenas, sort buffers) and create spill runs as they
-// execute, and historically nothing released those at end of stream: the
-// Builder owned its Governor outright, so tearing the governor down
-// reclaimed everything wholesale. A governor shared across concurrent
-// builders (Config.Governor) outlives any one plan, so a drained plan that
-// keeps its reservations leaks budget forever. ClosePlan walks the tree and
-// returns every grant and spill run a plan still holds.
+// memory (hash-join arenas) and create spill runs as they execute, and
+// historically nothing released those at end of stream: the Builder owned
+// its Governor outright, so tearing the governor down reclaimed everything
+// wholesale. A governor shared across concurrent builders (Config.Governor)
+// outlives any one plan, so a drained plan that keeps its reservations leaks
+// budget forever. ClosePlan walks the tree and returns every grant and spill
+// run a plan still holds.
 
 // PlanCloser is implemented by operators that hold governed resources or
 // wrap children that might. ClosePlan releases this operator's reservations
@@ -69,33 +69,11 @@ func (g *graceJoin) abandon(w *spillRun) {
 	g.removeRuns(w.finish())
 }
 
-// ClosePlan releases the sort's buffer/permutation/sorted-copy reservations
-// and removes its spilled runs, then closes the input. Outstanding async
-// spill tasks are driven to completion first so no task writes to a removed
-// store entry.
+// ClosePlan drops the sort's columns, then closes the input.
 func (s *BatchSort) ClosePlan() {
-	s.waitSpills()
-	for _, c := range s.cursors {
-		if !c.done {
-			if err := c.rd.Close(); err != nil {
-				spillFail("close sorted run", err)
-			}
-		}
-	}
-	s.cursors, s.lt = nil, nil
-	for _, r := range s.runs {
-		if r == nil {
-			continue
-		}
-		if err := r.Remove(); err != nil {
-			spillFail("remove sorted run", err)
-		}
-	}
-	s.runs = nil
-	s.cols, s.bufCols, s.perm = nil, nil, nil
+	s.cols = nil
 	s.sorted = true // a closed sort must not re-drain its closed input
 	s.n, s.pos = 0, 0
-	s.grant.Close()
 	ClosePlan(s.in)
 }
 

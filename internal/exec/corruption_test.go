@@ -13,8 +13,7 @@ import (
 // Spilled state lives outside the process, so the engine must never trust it
 // blindly: every run frame carries a checksum, and these tests prove that a
 // disk that flips a bit or drops a tail turns into a loud spill panic on the
-// re-read path — for the external sort and the grace join — never into
-// silently wrong rows.
+// grace join's re-read path, never into silently wrong rows.
 
 // expectSpillPanic runs fn and asserts it panics with a message mentioning
 // substr.
@@ -91,43 +90,6 @@ func chopTail(t *testing.T) func(path string, size int64) {
 		if err := os.Truncate(path, size-5); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestExternalSortCorruptRunDetected(t *testing.T) {
-	tab, _ := spillJoinTables(t, 4000, 1)
-	for _, tc := range []struct {
-		name   string
-		damage func(t *testing.T) func(string, int64)
-		want   string
-	}{
-		{"srn2-bitflip", flipByte, "checksum"},
-		{"srn2-truncated", chopTail, "truncated"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			gov := mem.NewGovernor(1)
-			s, err := NewBatchSortMem(NewBatchScan(tab), "L.k", 0, gov)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := drainBatches(t, s); len(got) != tab.NumRows() {
-				t.Fatalf("sort emitted %d of %d rows", len(got), tab.NumRows())
-			}
-			if n := corruptRuns(t, gov, tc.damage(t)); n == 0 {
-				t.Fatal("no spilled runs on disk; the corruption is not exercised")
-			}
-			expectSpillPanic(t, tc.want, func() {
-				s.Reset()
-				for {
-					if _, ok := s.NextBatch(); !ok {
-						break
-					}
-				}
-			})
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -21,8 +21,8 @@ type Options struct {
 	// executor tests' seam for forcing many small batches.
 	BatchSize int
 	// Gov, when non-nil, budgets the plan's operator memory: hash-join build
-	// sides and sort buffers reserve through it and spill (grace partitioning,
-	// external merge sort) when denied. Results are identical at any budget.
+	// sides reserve through it and spill into grace partitions when denied.
+	// Results are identical at any budget.
 	Gov *mem.Governor
 }
 

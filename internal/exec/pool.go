@@ -8,11 +8,11 @@ import (
 
 // This file implements the engine's shared worker pool. Before it existed,
 // parallelism lived in disconnected islands — the shared-scan fan-out, the
-// experiment sweeps — each spawning its own goroutines and oversubscribing the machine when they nested. The pool puts one set of
-// workers (one per CPU, started lazily on first use) under all of them:
-// callers fork morsels of work, idle workers steal them, and a blocked
-// forker helps execute its own morsels so nested fork-joins can never
-// deadlock on a busy pool.
+// experiment sweeps — each spawning its own goroutines and oversubscribing
+// the machine when they nested. The pool puts one set of workers (one per
+// CPU, started lazily on first use) under all of them: callers fork morsels
+// of work, idle workers help claim them, and a blocked forker claims its own
+// morsels so nested fork-joins can never deadlock on a busy pool.
 //
 // Determinism is the callers' contract, not the pool's: every fork-join runs
 // fn(i) for a fixed index set with each index writing to its own slot, so
@@ -22,18 +22,17 @@ import (
 // Task is one unit of pool work.
 type Task func()
 
-// Pool is a work-stealing worker pool. Each worker owns a deque: the owner
-// pushes and pops at the newest end, idle workers steal from the oldest end,
-// and external submissions are dealt round-robin across the deques. Workers
-// are spawned lazily on the first submission and park on a condition
-// variable when every deque is empty.
+// Pool is a fixed set of workers draining one FIFO task queue. Every task a
+// fork-join submits is a helper that claims morsels from its group's atomic
+// counter, so load balances through the counter and the queue needs no
+// per-worker structure. Workers are spawned lazily on the first submission
+// and park on a condition variable when the queue is empty.
 type Pool struct {
 	width int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	deques  [][]Task // per-worker deques; owner pops newest, thieves steal oldest
-	rr      int      // round-robin cursor for external submissions
+	queue   []Task
 	spawned bool
 	closed  bool
 	running int // tasks currently executing
@@ -46,7 +45,7 @@ func NewPool(width int) *Pool {
 	if width < 1 {
 		width = 1
 	}
-	p := &Pool{width: width, deques: make([][]Task, width)}
+	p := &Pool{width: width}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -57,9 +56,9 @@ var (
 )
 
 // Default returns the process-wide pool: one worker per CPU, started lazily,
-// never closed. Every fan-out — shared scans, the sort's gather and async
-// spills, segment conversion, experiment sweeps — runs on this one pool, so
-// nested parallel work shares the machine instead of multiplying goroutines.
+// never closed. Every fan-out — shared scans, segment conversion, experiment
+// sweeps — runs on this one pool, so nested parallel work shares the machine
+// instead of multiplying goroutines.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = NewPool(runtime.GOMAXPROCS(0)) })
 	return defaultPool
@@ -104,23 +103,21 @@ func (p *Pool) Submit(t Task) {
 		p.spawned = true
 		p.wg.Add(p.width)
 		for w := 0; w < p.width; w++ {
-			go p.worker(w)
+			go p.worker()
 		}
 	}
-	p.deques[p.rr] = append(p.deques[p.rr], t)
-	p.rr = (p.rr + 1) % p.width
+	p.queue = append(p.queue, t)
 	p.cond.Signal()
 	p.mu.Unlock()
 }
 
-// worker is one pool worker's loop: run own work newest-first, steal oldest
-// work from siblings, park when everything is empty.
-func (p *Pool) worker(w int) {
+// worker is one pool worker's loop: run the oldest queued task, park when
+// the queue is empty.
+func (p *Pool) worker() {
 	defer p.wg.Done()
 	p.mu.Lock()
 	for {
-		t := p.take(w)
-		if t == nil {
+		if len(p.queue) == 0 {
 			if p.closed {
 				p.mu.Unlock()
 				return
@@ -128,46 +125,19 @@ func (p *Pool) worker(w int) {
 			p.cond.Wait()
 			continue
 		}
+		t := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
 		p.running++
 		p.mu.Unlock()
 		t()
 		p.mu.Lock()
 		p.running--
-		if p.running == 0 && p.empty() {
+		if p.running == 0 && len(p.queue) == 0 {
 			// Wake Close and Idle-pollers; workers re-check and re-park.
 			p.cond.Broadcast()
 		}
 	}
-}
-
-// take pops the newest task of w's own deque, falling back to stealing the
-// oldest task of a sibling deque. Called with p.mu held.
-func (p *Pool) take(w int) Task {
-	if d := p.deques[w]; len(d) > 0 {
-		t := d[len(d)-1]
-		d[len(d)-1] = nil
-		p.deques[w] = d[:len(d)-1]
-		return t
-	}
-	for i := 1; i < p.width; i++ {
-		v := (w + i) % p.width
-		if d := p.deques[v]; len(d) > 0 {
-			t := d[0]
-			p.deques[v] = d[1:]
-			return t
-		}
-	}
-	return nil
-}
-
-// empty reports whether every deque is empty. Called with p.mu held.
-func (p *Pool) empty() bool {
-	for _, d := range p.deques {
-		if len(d) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Idle reports whether the pool has no queued and no running tasks.
@@ -177,7 +147,7 @@ func (p *Pool) Idle() bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.running == 0 && p.empty()
+	return p.running == 0 && len(p.queue) == 0
 }
 
 // Close drains every queued task and stops the workers; it returns once all
@@ -195,7 +165,7 @@ func (p *Pool) Close() {
 }
 
 // fjGroup is one fork-join fan-out. Morsel indices are claimed from an
-// atomic counter (the work-stealing granularity: a fast claimer simply takes
+// atomic counter (the load-balancing granularity: a fast claimer simply takes
 // more morsels), completions are counted so the forker can join, and the
 // first panic is captured and replayed on the forking goroutine.
 type fjGroup struct {

@@ -12,8 +12,8 @@ func benchSortInput(n int) *data.Table {
 	return r
 }
 
-// BenchmarkSort measures sorting a 500k-row scan with the argsort + columnar
-// gather.
+// BenchmarkSort measures sorting a 500k-row scan with the radix argsort +
+// columnar gather.
 func BenchmarkSort(b *testing.B) {
 	tab := benchSortInput(500_000)
 	b.Run("batch", func(b *testing.B) {

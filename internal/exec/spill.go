@@ -7,9 +7,9 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
-// This file holds the pieces shared by the spill-capable operators: streaming
-// cursors over run-store files and the loser-tree k-way merge that recombines
-// spilled runs. BatchOperator carries no error channel, so spill I/O failures
+// This file holds the grace join's spill pieces: streaming cursors over
+// run-store files and the loser-tree k-way merge that recombines spilled
+// output runs. BatchOperator carries no error channel, so spill I/O failures
 // (disk full, torn file, checksum mismatch) surface as panics wrapping the
 // underlying error; they are unrecoverable mid-plan.
 
@@ -144,11 +144,10 @@ func (c *rowCursor) advance() {
 // because each replay does exactly one comparison per level, against the
 // heap's two.
 //
-// The tree works on cursor indices through a caller-provided ordering, so
-// the same structure merges sorted column runs (ordered by sort key, ties by
-// run index for stability) and grace-join output runs (ordered by the unique
-// probe sequence number). Indices >= n are padding leaves; less must order
-// exhausted and padding cursors after every live one.
+// The tree works on cursor indices through a caller-provided ordering; the
+// grace join merges its output runs by the unique probe sequence number.
+// Indices >= n are padding leaves; less must order exhausted and padding
+// cursors after every live one.
 type loserTree struct {
 	k    int     // leaf count, power of two
 	tree []int32 // tree[0] = overall winner; tree[1..k-1] = losers

@@ -75,36 +75,3 @@ func BenchmarkGraceJoin(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkExternalSort measures sorting a 500k-row scan in-memory vs as an
-// external merge sort with 75% of the buffer spilled into sorted runs.
-func BenchmarkExternalSort(b *testing.B) {
-	tab := benchSortInput(500_000)
-	ws := int64(tab.NumRows()*tab.NumCols()) * 8
-	for _, reg := range spillRegimes(ws) {
-		b.Run(reg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gov := mem.NewGovernor(reg.budget)
-				s, err := NewBatchSortMem(NewBatchScan(tab), "R.x", 0, gov)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var rows int64
-				for {
-					batch, ok := s.NextBatch()
-					if !ok {
-						break
-					}
-					rows += int64(batch.NumRows())
-				}
-				if reg.budget > 0 {
-					reportSpill(b, gov)
-				}
-				if err := gov.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rows), "outrows")
-			}
-		})
-	}
-}

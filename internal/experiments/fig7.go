@@ -44,7 +44,7 @@ type Fig7Config struct {
 	// deterministic (way, buckets, method) order regardless of the setting.
 	Parallelism int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
-	// in bytes (0 = unlimited); under a budget joins and sorts spill, with
+	// in bytes (0 = unlimited); under a budget hash joins spill, with
 	// identical results.
 	MemBudget int64
 }

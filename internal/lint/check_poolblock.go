@@ -5,16 +5,18 @@ package lint
 //
 // exec.Pool workers are a fixed set; a task that calls ForkJoin (or
 // otherwise waits for pool capacity) from inside a worker can deadlock the
-// moment every worker is doing the same — the exact nested-fan-out hazard
-// the spill path's inline-claim pattern (waitSpills draining jobs on the
-// waiting goroutine via CAS) exists to dodge. The check walks every func
+// moment every worker is doing the same — the nested-fan-out hazard that
+// ForkJoinWidth's caller-participates claim loop exists to dodge: the forker
+// claims its own group's morsels from the group's atomic counter instead of
+// waiting for a worker to pick its helpers up. The check walks every func
 // literal passed to Pool.Submit and flags calls to blocking pool methods on
 // any Pool-typed receiver inside it, nested literals included (they may run
 // inline on the worker).
 //
-// The sanctioned escape hatches are invisible to the check by construction:
-// submitting a method value (Submit(j.exec)) carries no literal to inspect,
-// and the inline-claim loop never calls a blocking entry point.
+// The sanctioned shape is invisible to the check by construction:
+// ForkJoinWidth submits a method value (Submit(g.runClaims)), which carries
+// no literal to inspect, and the claim loop never calls a blocking entry
+// point.
 
 import (
 	"fmt"
@@ -82,7 +84,7 @@ func poolLitBlocking(p *Package, lit *ast.FuncLit) []Diagnostic {
 			return true
 		}
 		out = append(out, p.diag("poolblock", call, fmt.Sprintf(
-			"pool task calls Pool.%s; blocking on the pool from a worker deadlocks when all workers do — drain inline (inline-claim, like waitSpills) or restructure the fan-out",
+			"pool task calls Pool.%s; blocking on the pool from a worker deadlocks when all workers do — claim the work on the waiting goroutine (like ForkJoinWidth's caller-participates claim loop) or restructure the fan-out",
 			sel.Sel.Name)))
 		return true
 	})

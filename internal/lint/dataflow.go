@@ -295,9 +295,9 @@ func (a *lifecycleAnalysis) applyCallsAndEscapes(n ast.Node, facts lcFacts) {
 
 // applyCloses kills fact kinds closed by any call under n, including calls
 // inside function literals: a closure that visibly releases the resource is
-// the sanctioned hand-off shape (the flushRunAsync pattern), and whether the
-// closure has run by exit is beyond an intraprocedural analysis — may-close
-// is the quiet direction.
+// the sanctioned hand-off shape (the resource moves to the closure), and
+// whether the closure has run by exit is beyond an intraprocedural analysis —
+// may-close is the quiet direction.
 func (a *lifecycleAnalysis) applyCloses(n ast.Node, facts lcFacts) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)

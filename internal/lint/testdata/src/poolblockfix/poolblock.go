@@ -14,12 +14,13 @@ func (p *Pool) Close()                              {}
 // Default mirrors exec.Default.
 func Default() *Pool { return &Pool{} }
 
-type spillJob struct {
-	p *Pool
+// fjGroup mirrors exec's fork-join group.
+type fjGroup struct {
+	next int64
 }
 
-// exec is the inline-claim shape: no blocking pool calls.
-func (j *spillJob) exec() {}
+// runClaims is the caller-participates claim loop: no blocking pool calls.
+func (g *fjGroup) runClaims() {}
 
 // nestedFanout blocks the worker on a nested fan-out: the classic deadlock.
 func nestedFanout(p *Pool, tasks []func()) {
@@ -62,10 +63,10 @@ func resubmitOK(p *Pool) {
 	})
 }
 
-// methodValueOK submits a method value: the sanctioned inline-claim
-// hand-off carries no literal to inspect. Clean by design.
-func methodValueOK(p *Pool, j *spillJob) {
-	p.Submit(j.exec)
+// methodValueOK submits a method value, as ForkJoinWidth submits its
+// helpers: it carries no literal to inspect. Clean by design.
+func methodValueOK(p *Pool, g *fjGroup) {
+	p.Submit(g.runClaims)
 }
 
 // outsideOK: blocking entry points are fine outside submitted tasks.

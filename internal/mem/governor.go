@@ -2,7 +2,7 @@
 // byte-budget Governor with per-operator grants, and a run store that spills
 // columnar batches to checksummed temp files when a grant is denied.
 //
-// The execution operators (hash join build sides, sort buffers) reserve their
+// The execution operators (hash join build sides) reserve their
 // working memory through a Grant before growing it. When the budget is
 // exhausted the reservation is denied and the operator spills part of its
 // state to the run store, releasing the bytes it no longer holds in RAM; the

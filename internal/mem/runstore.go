@@ -35,7 +35,7 @@ const runMagic = "SRN2"
 
 // encScratch pools per-batch encode/decode buffers across all writers and
 // readers of the process, so short-lived spill runs (one per grace-join
-// partition, one per sort run) stop allocating a fresh frame buffer each.
+// partition) stop allocating a fresh frame buffer each.
 var encScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // RunStats aggregates a store's spill volume: bytes that actually hit disk
@@ -109,7 +109,7 @@ func (s *RunStore) next(tag string) string {
 }
 
 // Create opens a writer for a new run of ncols columns. tag names the run's
-// role ("sortrun", "build-p3", ...) in its file name.
+// role ("join-build-p3", "join-out-l0", ...) in its file name.
 func (s *RunStore) Create(tag string, ncols int) (*RunWriter, error) {
 	if ncols <= 0 {
 		return nil, fmt.Errorf("mem: run needs at least one column, got %d", ncols)
@@ -184,8 +184,8 @@ func (w *RunWriter) putScratch() {
 
 // writer returns the buffered writer, created on the first batch with a size
 // derived from that batch's encoded footprint (clamped to [4KiB, 1MiB]) so
-// tiny row-major runs don't carry 64KiB buffers and wide sort runs don't
-// flush every few rows.
+// tiny row-major runs don't carry 64KiB buffers and wide runs don't flush
+// every few rows.
 func (w *RunWriter) writer(batchBytes int) *bufio.Writer {
 	if w.bw == nil {
 		size := 1 << 12

@@ -280,7 +280,14 @@ func TestRegistryBackgroundRefresh(t *testing.T) {
 	if err := reg.StartRefresh(5*time.Millisecond, 0.2); err == nil {
 		t.Fatal("second StartRefresh must fail while the first runs")
 	}
-	growTable(t, cat, "T1", 0.5)
+	// The refresher reads table sizes under the builder lock, so the append
+	// takes it too, as every catalog writer must.
+	if err := reg.WithBuilder(func(*Builder) error {
+		growTable(t, cat, "T1", 0.5)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.After(5 * time.Second)
 	for reg.Epoch() == epoch0 {
 		select {

@@ -121,8 +121,7 @@ type Config struct {
 	Parallelism int
 	// MemBudget caps the executor's operator memory in bytes (0 = unlimited,
 	// the previous behavior). Under a budget, hash-join build sides spill into
-	// grace partitioning and sorts become external merge sorts; results are
-	// bit-identical at any budget. Spill files live in a temp directory owned
+	// grace partitioning; results are bit-identical at any budget. Spill files live in a temp directory owned
 	// by the builder and are removed by Close.
 	MemBudget int64
 	// Governor injects a shared memory governor instead of the private one a
