@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -94,7 +96,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			req.Preds = append(req.Preds, predBody{Table: p.Table, Attr: p.Attr, Lo: p.Lo, Hi: p.Hi})
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody)).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -104,6 +106,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
+		w.Header().Set("Allow", "GET, POST") // RFC 9110 §15.5.6: a 405 names the allowed methods
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
 		return
 	}
@@ -152,8 +155,29 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// decodeBody reads a POST /estimate body strictly: at most maxEstimateBody
+// bytes, one JSON object of known fields and nothing after it. A misspelt
+// field ("pred" for "preds") would otherwise be dropped, and the estimate
+// answered without its predicates.
+func decodeBody(w http.ResponseWriter, r *http.Request, req *estimateRequest) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEstimateBody))
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON object")
+	}
+	return nil
+}
+
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", "GET")
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
@@ -167,6 +191,7 @@ type refreshResponse struct {
 
 func (s *server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", "POST")
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +20,7 @@ import (
 	"github.com/sitstats/sits/internal/cliopt"
 )
 
-func newTestServer(t *testing.T) (http.Handler, *sits.Catalog) {
+func newTestServer(t testing.TB) (http.Handler, *sits.Catalog) {
 	t.Helper()
 	cat, err := sits.GenerateChainDB(sits.DefaultChainConfig())
 	if err != nil {
@@ -47,7 +49,7 @@ func newTestServer(t *testing.T) (http.Handler, *sits.Catalog) {
 	return newServer(svc, 0.2), cat
 }
 
-func getJSON(t *testing.T, h http.Handler, method, target, body string, wantStatus int, out any) {
+func getJSON(t *testing.T, h http.Handler, method, target, body string, wantStatus int, out any) http.Header {
 	t.Helper()
 	var req *http.Request
 	if body != "" {
@@ -65,6 +67,7 @@ func getJSON(t *testing.T, h http.Handler, method, target, body string, wantStat
 			t.Fatalf("%s %s: decoding %q: %v", method, target, rr.Body.String(), err)
 		}
 	}
+	return rr.Header()
 }
 
 func estimateURL(preds string) string {
@@ -123,9 +126,24 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodGet, estimateURL("T2.zz:0:1"), "", http.StatusUnprocessableEntity, nil)
 	getJSON(t, h, http.MethodGet, "/estimate?"+url.Values{"query": {"T1 JOIN T2 ON T1.nocol = T2.jprev"}}.Encode(), "",
 		http.StatusUnprocessableEntity, nil)
-	getJSON(t, h, http.MethodDelete, "/estimate", "", http.StatusMethodNotAllowed, nil)
-	getJSON(t, h, http.MethodPost, "/stats", "", http.StatusMethodNotAllowed, nil)
-	getJSON(t, h, http.MethodGet, "/refresh", "", http.StatusMethodNotAllowed, nil)
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodDelete, "/estimate", "GET, POST"},
+		{http.MethodPost, "/stats", "GET"},
+		{http.MethodGet, "/refresh", "POST"},
+	} {
+		if allow := getJSON(t, h, c.method, c.path, "", http.StatusMethodNotAllowed, nil).Get("Allow"); allow != c.allow {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.path, allow, c.allow)
+		}
+	}
+
+	// POST bodies decode strictly: a misspelt field or data after the object
+	// is refused rather than answered without the predicates.
+	query := `"query": "T1 JOIN T2 ON T1.jnext = T2.jprev"`
+	preds := `[{"table":"T2","attr":"a","lo":0,"hi":900}]`
+	getJSON(t, h, http.MethodPost, "/estimate", `{`+query+`, "pred": `+preds+`}`, http.StatusBadRequest, nil)
+	getJSON(t, h, http.MethodPost, "/estimate", `{`+query+`, "preds": `+preds+`} junk`, http.StatusBadRequest, nil)
+	getJSON(t, h, http.MethodPost, "/estimate", `{`+query+`, "preds": `+preds+`}{}`, http.StatusBadRequest, nil)
+	getJSON(t, h, http.MethodPost, "/estimate", `{`+query+`, "preds": `+preds+"}\n", http.StatusOK, nil)
 
 	// A POST body past the 1 MiB bound is refused, not buffered, and the
 	// server answers the next request as usual.
@@ -317,4 +335,55 @@ func TestRunRejectsBadStaleThreshold(t *testing.T) {
 			t.Errorf("threshold %v: run returned %v, want a -stale-threshold error", threshold, err)
 		}
 	}
+}
+
+// FuzzEstimateRequest drives arbitrary GET query strings and POST bodies
+// through the handler. Bad input answers 4xx, never 5xx or a panic; a 200
+// carries a whole estimate; and a body past maxEstimateBody answers 413
+// whatever it holds. pad appends up to 2 MiB of spaces to the body, so the
+// mutator reaches both sides of the bound. The checked-in seeds pad a bad
+// value ("0", once a 400) and a valid object (once a 200) past the bound: a
+// streaming decoder stopped reading before it.
+func FuzzEstimateRequest(f *testing.F) {
+	h, _ := newTestServer(f)
+	get := func(preds string) string { return strings.TrimPrefix(estimateURL(preds), "/estimate?") }
+	f.Add(false, get("T2.a:0:900"), []byte(nil), uint32(0))
+	f.Add(false, get("T2.a:0:900,T1.b:10:20"), []byte(nil), uint32(0))
+	f.Add(false, get("T9.a:0:1"), []byte(nil), uint32(0))
+	f.Add(false, "query=T1+JOIN+T9+ON+T1.a+%3D+T2.b", []byte(nil), uint32(0))
+	f.Add(true, "", []byte(`{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev", "preds": [{"table":"T2","attr":"a","lo":0,"hi":900}]}`), uint32(0))
+	f.Add(true, "", []byte(`{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev", "pred": []}`), uint32(0))
+	f.Add(true, "", []byte(`{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev"} junk`), uint32(0))
+	f.Fuzz(func(t *testing.T, post bool, query string, body []byte, pad uint32) {
+		method := http.MethodGet
+		if post {
+			method = http.MethodPost
+		}
+		n := int64(pad % (2 * maxEstimateBody))
+		req := httptest.NewRequest(method, "/estimate",
+			io.MultiReader(bytes.NewReader(body), io.LimitReader(spaces{}, n)))
+		req.URL.RawQuery = query
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code >= 500 {
+			t.Fatalf("%s ?%q body %q: status %d (%s)", method, query, body, rr.Code, rr.Body.String())
+		}
+		var est estimateResponse
+		if rr.Code == http.StatusOK && json.Unmarshal(rr.Body.Bytes(), &est) != nil {
+			t.Fatalf("%s ?%q body %q: 200 with body %q", method, query, body, rr.Body.String())
+		}
+		if post && int64(len(body))+n > maxEstimateBody && rr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST body of %d bytes: status %d, want 413", int64(len(body))+n, rr.Code)
+		}
+	})
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
