@@ -134,7 +134,11 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusTooManyRequests, err)
 			return
 		}
-		httpError(w, http.StatusUnprocessableEntity, err)
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, sits.ErrRepeatedColumn) {
+			status = http.StatusBadRequest // malformed: one range per column
+		}
+		httpError(w, status, err)
 		return
 	}
 	resp := estimateResponse{

@@ -126,6 +126,14 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodGet, estimateURL("T2.zz:0:1"), "", http.StatusUnprocessableEntity, nil)
 	getJSON(t, h, http.MethodGet, "/estimate?"+url.Values{"query": {"T1 JOIN T2 ON T1.nocol = T2.jprev"}}.Encode(), "",
 		http.StatusUnprocessableEntity, nil)
+	// Two ranges on one column are refused, not multiplied as if
+	// independent: the disjoint pair used to answer 2 962.8 where the truth
+	// is 0, and a repeated range squared its selectivity.
+	getJSON(t, h, http.MethodGet, estimateURL("T2.a:0:900,T2.a:1000:2000"), "", http.StatusBadRequest, nil)
+	getJSON(t, h, http.MethodGet, estimateURL("T2.a:0:900,T2.a:0:900"), "", http.StatusBadRequest, nil)
+	getJSON(t, h, http.MethodPost, "/estimate", `{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev", "preds": [`+
+		`{"table":"T2","attr":"a","lo":0,"hi":900},{"table":"T1","attr":"b","lo":0,"hi":50},`+
+		`{"table":"T2","attr":"a","lo":1000,"hi":2000}]}`, http.StatusBadRequest, nil)
 	for _, c := range []struct{ method, path, allow string }{
 		{http.MethodDelete, "/estimate", "GET, POST"},
 		{http.MethodPost, "/stats", "GET"},

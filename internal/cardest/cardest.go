@@ -10,6 +10,7 @@
 package cardest
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -254,10 +255,18 @@ func (e *Estimator) Estimate(q SPJQuery) (Estimate, error) {
 	return plan.Execute(q.Preds)
 }
 
+// ErrRepeatedColumn is wrapped by Validate's error for a query with two
+// predicates on one column. Estimation multiplies predicate selectivities as
+// if they were independent, which two ranges on one column are not (two
+// disjoint ranges would still estimate a positive count), so the caller must
+// intersect them into one range.
+var ErrRepeatedColumn = errors.New("cardest: two predicates on one column")
+
 // Validate checks a query before any estimation work: it needs an acyclic
 // join expression over catalog tables whose join columns exist, and every
 // predicate must range over a column of the catalog table it names, that
-// table must be in the expression, and the range must not be empty. Serving
+// table must be in the expression, the range must not be empty, and no other
+// predicate may range over the same column (ErrRepeatedColumn). Serving
 // layers call it before their first tier, so a request that cannot be
 // answered never waits for the builder. It allocates only to report an
 // error.
@@ -279,7 +288,7 @@ func Validate(cat *data.Catalog, q SPJQuery) error {
 	if !q.Expr.IsAcyclic() {
 		return fmt.Errorf("cardest: join expression %q is cyclic", q.Expr.String())
 	}
-	for _, p := range q.Preds {
+	for i, p := range q.Preds {
 		if !q.Expr.HasTable(p.Table) {
 			return fmt.Errorf("cardest: predicate %q references table outside the query", p.String())
 		}
@@ -288,6 +297,12 @@ func Validate(cat *data.Catalog, q SPJQuery) error {
 		}
 		if !cat.MustTable(p.Table).HasColumn(p.Attr) {
 			return fmt.Errorf("cardest: predicate %q references an unknown column", p.String())
+		}
+		for _, o := range q.Preds[:i] {
+			if o.Table == p.Table && o.Attr == p.Attr {
+				return fmt.Errorf("%w: %q and %q both range over %s.%s; intersect them into one range",
+					ErrRepeatedColumn, o.String(), p.String(), p.Table, p.Attr)
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -49,6 +50,37 @@ func TestEstimateValidation(t *testing.T) {
 	}
 	if _, err := e.Estimate(SPJQuery{Expr: expr, Preds: []Predicate{{Table: "T2", Attr: "a", Lo: 5, Hi: 1}}}); err == nil {
 		t.Error("empty range: want error")
+	}
+}
+
+// TestValidateRepeatedColumn: two predicates on one column are refused,
+// since estimation would multiply their selectivities as if independent —
+// disjoint ranges would estimate a positive count where the truth is 0. The
+// same attribute name on two tables, or two attributes of one table, is fine.
+func TestValidateRepeatedColumn(t *testing.T) {
+	b, e, expr := correlatedSetup(t)
+	cat := b.Catalog()
+	for _, preds := range [][]Predicate{
+		{{Table: "T2", Attr: "a", Lo: 0, Hi: 900}, {Table: "T2", Attr: "a", Lo: 1000, Hi: 2000}},
+		{{Table: "T2", Attr: "a", Lo: 0, Hi: 900}, {Table: "T2", Attr: "a", Lo: 0, Hi: 900}},
+		{{Table: "T2", Attr: "a", Lo: 0, Hi: 900}, {Table: "T1", Attr: "b", Lo: 0, Hi: 50}, {Table: "T2", Attr: "a", Lo: 5, Hi: 9}},
+	} {
+		q := SPJQuery{Expr: expr, Preds: preds}
+		err := Validate(cat, q)
+		if !errors.Is(err, ErrRepeatedColumn) || !strings.Contains(err.Error(), "intersect") {
+			t.Errorf("%v: Validate = %v, want ErrRepeatedColumn asking to intersect the ranges", preds, err)
+		}
+		if _, err := e.Estimate(q); !errors.Is(err, ErrRepeatedColumn) {
+			t.Errorf("%v: Estimate = %v, want ErrRepeatedColumn", preds, err)
+		}
+	}
+	for _, preds := range [][]Predicate{
+		{{Table: "T1", Attr: "a", Lo: 0, Hi: 900}, {Table: "T2", Attr: "a", Lo: 0, Hi: 900}},
+		{{Table: "T2", Attr: "a", Lo: 0, Hi: 900}, {Table: "T2", Attr: "b", Lo: 0, Hi: 900}},
+	} {
+		if err := Validate(cat, SPJQuery{Expr: expr, Preds: preds}); err != nil {
+			t.Errorf("%v: Validate = %v, want nil", preds, err)
+		}
 	}
 }
 

@@ -91,8 +91,6 @@ type BatchOperator interface {
 	// returned batch (including its backing arrays) may be reused by
 	// subsequent calls.
 	NextBatch() (*Batch, bool)
-	// Reset rewinds the operator so it can be consumed again.
-	Reset()
 }
 
 func columnIndex(cols []string, name string) (int, error) {
@@ -161,9 +159,6 @@ func (s *BatchScan) NextBatch() (*Batch, bool) {
 	return &s.out, true
 }
 
-// Reset implements BatchOperator.
-func (s *BatchScan) Reset() { s.pos = 0 }
-
 // BatchFilter evaluates a row predicate over each input batch and narrows the
 // selection vector; column data is never moved.
 type BatchFilter struct {
@@ -213,6 +208,3 @@ func (f *BatchFilter) NextBatch() (*Batch, bool) {
 		return &f.out, true
 	}
 }
-
-// Reset implements BatchOperator.
-func (f *BatchFilter) Reset() { f.in.Reset() }

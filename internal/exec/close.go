@@ -26,7 +26,7 @@ func ClosePlan(op any) {
 }
 
 // ClosePlan releases the hash-join build arena's reservation and, when the
-// join spilled, its grace-mode output runs, then closes both inputs.
+// join spilled, every partition run it still holds, then closes both inputs.
 func (j *VecHashJoin) ClosePlan() {
 	if j.grace != nil {
 		j.grace.close()
@@ -38,35 +38,26 @@ func (j *VecHashJoin) ClosePlan() {
 	ClosePlan(j.right)
 }
 
-// close abandons the grace join's spill state: open merge cursors, any
-// partition runs still being written (a partially-drained plan), and the
-// retained output runs that back Reset replays.
+// close abandons the grace join at any point of its drain: the open run
+// reader, half-written partition writers, the live pair's runs and every
+// pending pair's. The live pair's reservation goes back with the grant.
 func (g *graceJoin) close() {
-	for _, c := range g.cursors {
-		if !c.done {
-			if err := c.rd.Close(); err != nil {
-				spillFail("close output run", err)
+	if g.rd != nil {
+		g.closeReader()
+	}
+	for _, ws := range [][]*spillRun{g.buildW, g.probeW} {
+		for _, w := range ws {
+			if w != nil {
+				removeRun(w.finish())
 			}
 		}
 	}
-	g.cursors, g.lt = nil, nil
-	for _, w := range g.buildW {
-		g.abandon(w)
+	g.buildW, g.probeW, g.cur = nil, nil, nil
+	g.dropLive()
+	for _, p := range g.pending {
+		g.removePair(p)
 	}
-	for _, w := range g.probeW {
-		g.abandon(w)
-	}
-	g.buildW, g.probeW = nil, nil
-	g.removeRuns(g.outRuns...)
-	g.outRuns = nil
-}
-
-// abandon finalizes a half-written partition run and removes it.
-func (g *graceJoin) abandon(w *spillRun) {
-	if w == nil {
-		return
-	}
-	g.removeRuns(w.finish())
+	g.pending = nil
 }
 
 // ClosePlan drops the sort's columns, then closes the input.

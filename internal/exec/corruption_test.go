@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,8 +11,9 @@ import (
 
 // Spilled state lives outside the process, so the engine must never trust it
 // blindly: every run frame carries a checksum, and these tests prove that a
-// disk that flips a bit or drops a tail turns into a loud spill panic on the
-// grace join's re-read path, never into silently wrong rows.
+// disk that flips a bit or drops a tail turns into a loud spill panic when
+// the grace join reads a partition back, never into silently wrong rows, and
+// that the abandoned join still returns its grant and spill files on close.
 
 // expectSpillPanic runs fn and asserts it panics with a message mentioning
 // substr.
@@ -31,9 +31,30 @@ func expectSpillPanic(t *testing.T, substr string, fn func()) {
 	fn()
 }
 
-// corruptRuns applies damage to every run file in the governor's spill
-// directory and returns how many files it touched.
-func corruptRuns(t *testing.T, gov *mem.Governor, damage func(path string, size int64)) int {
+// corruptPending applies damage to every non-empty run of the grace join's
+// pending partitions (an empty run is a bare header, with no frame to damage)
+// and returns how many files it touched.
+func corruptPending(t *testing.T, g *graceJoin, damage func(path string, size int64)) int {
+	t.Helper()
+	n := 0
+	for _, p := range g.pending {
+		for _, r := range []*mem.Run{p.build, p.probe} {
+			if r.Rows() == 0 {
+				continue
+			}
+			info, err := os.Stat(r.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(r.Path(), info.Size())
+			n++
+		}
+	}
+	return n
+}
+
+// spillFiles counts the files left in the governor's spill directory.
+func spillFiles(t *testing.T, gov *mem.Governor) int {
 	t.Helper()
 	store, err := gov.Runs()
 	if err != nil {
@@ -43,19 +64,33 @@ func corruptRuns(t *testing.T, gov *mem.Governor, damage func(path string, size 
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
+	return len(entries)
+}
+
+// drainN pulls up to n batches (n < 0: all of them) and returns the rows
+// seen.
+func drainN(op BatchOperator, n int) int {
+	rows := 0
+	for i := 0; n < 0 || i < n; i++ {
+		b, ok := op.NextBatch()
+		if !ok {
+			break
 		}
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		damage(filepath.Join(store.Dir(), e.Name()), info.Size())
-		n++
+		rows += b.NumRows()
 	}
-	return n
+	return rows
+}
+
+// assertClosed checks that a closed plan left no reservation and no spill
+// file behind.
+func assertClosed(t *testing.T, gov *mem.Governor) {
+	t.Helper()
+	if used := gov.Used(); used != 0 {
+		t.Fatalf("%d bytes still reserved after ClosePlan", used)
+	}
+	if n := spillFiles(t, gov); n != 0 {
+		t.Fatalf("%d spill files left after ClosePlan", n)
+	}
 }
 
 // flipByte flips one bit in the middle of the file, past the 8-byte header so
@@ -93,6 +128,10 @@ func chopTail(t *testing.T) func(path string, size int64) {
 	}
 }
 
+// TestGraceJoinCorruptRunDetected drains one batch of a fully spilled join,
+// damages the runs of the partitions still pending, and keeps draining: the
+// next partition read must panic with the damage named, and ClosePlan must
+// then release the grant and remove every run.
 func TestGraceJoinCorruptRunDetected(t *testing.T) {
 	l, r := spillJoinTables(t, 3000, 4000)
 	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
@@ -110,28 +149,50 @@ func TestGraceJoinCorruptRunDetected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := drainBatches(t, j); len(got) == 0 {
+			if drainN(j, 1) == 0 {
 				t.Fatal("join produced no rows; the test data is broken")
 			}
 			if j.grace == nil {
 				t.Fatal("join never spilled; the corruption is not exercised")
 			}
-			// After completion only the retained output runs remain on disk —
-			// exactly what Reset re-merges.
-			if n := corruptRuns(t, gov, tc.damage(t)); n == 0 {
-				t.Fatal("no spilled runs on disk; the corruption is not exercised")
+			if n := corruptPending(t, j.grace, tc.damage(t)); n == 0 {
+				t.Fatal("no pending partition runs; the corruption is not exercised")
 			}
-			expectSpillPanic(t, tc.want, func() {
-				j.Reset()
-				for {
-					if _, ok := j.NextBatch(); !ok {
-						break
-					}
-				}
-			})
+			expectSpillPanic(t, tc.want, func() { drainN(j, -1) })
+			ClosePlan(j)
+			assertClosed(t, gov)
 			if err := gov.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestGraceJoinPartialDrainClose stops a spilling join after one batch and
+// after several, at a budget that loads level-0 partitions and at one that
+// sub-partitions them; ClosePlan must release the live partition's
+// reservation and remove the live and pending partitions' runs.
+func TestGraceJoinPartialDrainClose(t *testing.T) {
+	l, r := spillJoinTables(t, 3000, 4000)
+	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
+	for _, budget := range []int64{tableBytes(l) / 4, tableBytes(l) / 40, 1} {
+		for _, batches := range []int{1, 7, 40} {
+			gov := mem.NewGovernor(budget)
+			j, err := NewVecHashJoinMem(NewBatchScanSize(l, 256), NewBatchScanSize(r, 256), 256, gov, cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drainN(j, batches) == 0 || j.grace == nil {
+				t.Fatalf("budget=%d: join produced no rows or never spilled", budget)
+			}
+			if len(j.grace.pending) == 0 {
+				t.Fatalf("budget=%d batches=%d: no partition left pending; the drain is not partial", budget, batches)
+			}
+			ClosePlan(j)
+			assertClosed(t, gov)
+			if err := gov.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -119,11 +119,6 @@ func TestHashJoinSmall(t *testing.T) {
 	if !reflect.DeepEqual(rows, want) {
 		t.Errorf("join = %v, want %v", rows, want)
 	}
-	// Reset re-probes with the retained build side.
-	j.Reset()
-	if got := drainBatches(t, j); len(got) != 5 {
-		t.Errorf("after Reset: %d rows", len(got))
-	}
 }
 
 // randomJoinInputs builds two random tables for join equivalence testing.
@@ -277,25 +272,5 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := AttrValues(cat, e, "S", "a"); err == nil {
 		t.Error("AttrValues with missing table: want error")
-	}
-}
-
-func TestOperatorResets(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	f := NewBatchFilter(NewBatchScan(tab), rangePred(1, 15, 35))
-	first := drainBatches(t, f)
-	f.Reset()
-	second := drainBatches(t, f)
-	if len(first) != 2 || !reflect.DeepEqual(first, second) {
-		t.Errorf("filter reset: %v vs %v", first, second)
-	}
-	s, err := NewBatchSort(NewBatchScan(tab), "R.a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainBatches(t, s)
-	s.Reset()
-	if got := drainBatches(t, s); len(got) != 3 {
-		t.Errorf("sort reset: %v", got)
 	}
 }

@@ -12,24 +12,21 @@ import (
 // When the build side's arena exceeds the operator's memory grant, the join
 // switches to grace mode: build rows are hash-partitioned to per-partition
 // spill runs (the partition is a pure function of the join-key hash, so all
-// rows with equal keys land in the same partition, and rows are written in
-// global build order, so each partition's run preserves build-input order).
-// The probe side is then partitioned the same way, with every probe row
-// tagged with a global sequence number. Each partition is joined
-// independently — its build run is loaded into a fresh joinTable under the
-// grant and its probe run streamed against it — emitting [seq, left-row,
-// right-row] rows to per-partition output runs. A partition whose build run
-// still exceeds the grant is hash-partitioned once more with a fresh salt;
-// at that second level the residual is force-admitted (equal keys co-hash at
-// every level, so further splitting cannot help a single oversized key
-// group).
+// rows with equal keys land in the same partition), and once the build side
+// is drained the probe side is partitioned the same way. The join then
+// streams its matches out one partition at a time: a pending (build run,
+// probe run) pair is loaded into a fresh joinTable under the grant and its
+// probe run is streamed through VecHashJoin's chain-emission loop, so matches
+// leave as output batches and never touch disk. A partition whose build run
+// still exceeds the grant is hash-partitioned once more with a fresh salt
+// into level-1 pairs; at that level the residual is force-admitted (equal
+// keys co-hash at every level, so further splitting cannot help a single
+// oversized key group).
 //
-// Order restoration: the in-memory join emits matches per probe row (probe
-// order) in build-input order within each probe row. Per-partition joins
-// preserve exactly that order locally — probe runs are seq-ascending, chains
-// are build-ordered — and the sequence number is globally unique per probe
-// row, so a loser-tree merge of the output runs by seq reproduces the
-// in-memory output stream byte for byte, at any budget.
+// The output is the in-memory join's multiset of rows, in partition order:
+// within a partition, matches follow probe-run order and build order per
+// probe row, but partitions interleave the probe stream. Every consumer of
+// plan output sorts or counts it (see PlanBatch), so no order is restored.
 const gracePartitions = 8
 
 // Partition salts. Level 0 and level 1 must disagree so re-partitioning an
@@ -95,55 +92,53 @@ func (s *spillRun) finish() *mem.Run {
 	return r
 }
 
+// gracePair is one partition still to join: its build and probe runs and
+// its partitioning level (0 from the inputs, 1 from a sub-partitioning).
+type gracePair struct {
+	build, probe *mem.Run
+	level        int
+}
+
 // graceJoin holds VecHashJoin's spill state once the build side has
-// overflowed its grant.
+// overflowed its grant. Everything it holds on disk or in the grant is
+// reachable from its fields, so close can abandon it at any point.
 type graceJoin struct {
 	j     *VecHashJoin
 	store *mem.RunStore
 
-	buildW  []*spillRun // level-0 build partition writers (nil after probe starts)
-	probeW  []*spillRun
-	outRuns []*mem.Run
+	// Partition writers being filled: the level-0 writers while the inputs
+	// are partitioned, then each sub-partitioning's.
+	buildW, probeW []*spillRun
 
-	buildStride int // left row width
-	probeStride int // 1 (seq) + right row width
-	outStride   int // 1 (seq) + left row width + right row width
+	buildStride int     // left row width
+	probeStride int     // right row width
+	rowScratch  []int64 // buildStride transpose scratch
 
-	rowScratch []int64 // buildStride transpose scratch
-	probeRow   []int64 // probeStride scratch
-	outRow     []int64 // outStride scratch
-
-	seq     int64 // next probe sequence number
-	subID   int   // uniquifier for sub-partition run names
-	merging bool
-	cursors []*rowCursor
-	lt      *loserTree
+	pending  []gracePair    // pairs not yet joined; the last is joined next
+	live     gracePair      // the pair being loaded or streamed
+	cur      *rowCursor     // the live pair's probe stream
+	rd       *mem.RunReader // the run reader open now, if any
+	reserved int64          // grant bytes held by the live pair's table
+	subID    int            // uniquifier for sub-partition run names
 }
 
 // startGrace flips the join into grace mode: the arena accumulated so far is
-// flushed to per-partition build runs (in arena order, preserving build-input
-// order within each partition) and its reservation returned to the budget.
+// flushed to per-partition build runs and its reservation returned to the
+// budget.
 func (j *VecHashJoin) startGrace() {
 	store, err := j.gov.Runs()
 	if err != nil {
 		spillFail("open run store", err)
 	}
 	nl := len(j.left.Columns())
-	nr := len(j.right.Columns())
 	g := &graceJoin{
 		j:           j,
 		store:       store,
 		buildStride: nl,
-		probeStride: 1 + nr,
-		outStride:   1 + nl + nr,
+		probeStride: len(j.right.Columns()),
 		rowScratch:  make([]int64, nl),
-		probeRow:    make([]int64, 1+nr),
-		buildW:      make([]*spillRun, gracePartitions),
 	}
-	g.outRow = make([]int64, g.outStride)
-	for p := range g.buildW {
-		g.buildW[p] = newSpillRun(store, fmt.Sprintf("join-build-p%d", p), nl)
-	}
+	g.buildW = g.newWriters("join-build", nl)
 	jt := j.jt
 	for i := 0; i < jt.rows; i++ {
 		row := jt.arena[i*nl : (i+1)*nl]
@@ -155,6 +150,15 @@ func (j *VecHashJoin) startGrace() {
 	jt.arena = nil
 	jt.rows = 0
 	j.grace = g
+}
+
+// newWriters creates one run writer per partition.
+func (g *graceJoin) newWriters(tag string, stride int) []*spillRun {
+	w := make([]*spillRun, gracePartitions)
+	for p := range w {
+		w[p] = newSpillRun(g.store, fmt.Sprintf("%s-p%d", tag, p), stride)
+	}
+	return w
 }
 
 // addBuildBatch routes one build batch's active rows to their partitions.
@@ -174,20 +178,12 @@ func (g *graceJoin) addBuildBatch(b *Batch) {
 	}
 }
 
-// run executes the grace join to completion: partition the probe side, join
-// every partition, and open the order-restoring merge over the output runs.
-func (g *graceJoin) run() {
+// partitionProbe drains the probe side into level-0 partition runs and
+// queues every (build, probe) pair.
+func (g *graceJoin) partitionProbe() {
 	j := g.j
-	buildRuns := make([]*mem.Run, gracePartitions)
-	for p := range g.buildW {
-		buildRuns[p] = g.buildW[p].finish()
-		g.buildW[p] = nil
-	}
-	g.probeW = make([]*spillRun, gracePartitions)
-	for p := range g.probeW {
-		g.probeW[p] = newSpillRun(g.store, fmt.Sprintf("join-probe-p%d", p), g.probeStride)
-	}
-	jt := j.jt
+	g.probeW = g.newWriters("join-probe", g.probeStride)
+	row := j.probeRow
 	for {
 		rb, ok := j.right.NextBatch()
 		if !ok {
@@ -199,65 +195,114 @@ func (g *graceJoin) run() {
 			if rb.Sel != nil {
 				r = int(rb.Sel[i])
 			}
-			for ci, c := range j.rIdx {
-				j.probeVals[ci] = rb.Cols[c][r]
-			}
-			_, h := jt.probeKeyHash(j.probeVals)
-			g.probeRow[0] = g.seq
-			g.seq++
 			for ci, col := range rb.Cols {
-				g.probeRow[1+ci] = col[r]
+				row[ci] = col[r]
 			}
-			g.probeW[gracePartOf(h, graceSalt0)].append(g.probeRow)
+			g.probeW[g.partOf(row, graceSalt0)].append(row)
 		}
 	}
-	probeRuns := make([]*mem.Run, gracePartitions)
-	for p := range g.probeW {
-		probeRuns[p] = g.probeW[p].finish()
-		g.probeW[p] = nil
-	}
-	for p := 0; p < gracePartitions; p++ {
-		g.joinPartition(buildRuns[p], probeRuns[p], 0)
-	}
-	g.openMerge()
+	g.queueWriters(0)
 }
 
-// joinPartition joins one (build run, probe run) pair. level 0 partitions
-// come straight from the inputs; level 1 are the sub-partitions of an
-// oversized level-0 partition and force-admit whatever doesn't fit.
-func (g *graceJoin) joinPartition(build, probe *mem.Run, level int) {
+// partOf returns a probe row's partition under salt.
+//
+//statcheck:hot
+func (g *graceJoin) partOf(row []int64, salt uint64) int {
 	j := g.j
-	if build.Rows() == 0 || probe.Rows() == 0 {
-		g.removeRuns(build, probe)
-		return
+	for ci, c := range j.rIdx {
+		j.probeVals[ci] = row[c]
 	}
-	jt := newJoinTable(g.buildStride, j.lIdx)
-	reserved, ok := g.loadBuild(jt, build, level)
-	if !ok {
-		g.subPartition(build, probe)
-		return
-	}
-	jt.build()
-	out := newSpillRun(g.store, fmt.Sprintf("join-out-l%d", level), g.outStride)
-	cur := openRowCursor(probe, g.probeStride)
-	g.probePartition(jt, cur, out)
-	g.outRuns = append(g.outRuns, out.finish())
-	j.grant.Release(reserved)
-	g.removeRuns(build, probe)
+	_, h := j.jt.probeKeyHash(j.probeVals)
+	return gracePartOf(h, salt)
 }
 
-// loadBuild streams a build partition run into a fresh joinTable arena,
-// reserving each chunk against the grant. At level 0 a denial abandons the
-// load (the caller sub-partitions instead); at level 1 the residual is
-// force-admitted, since equal keys co-hash at every level and splitting
-// further cannot shrink a single oversized key group.
-func (g *graceJoin) loadBuild(jt *joinTable, build *mem.Run, level int) (int64, bool) {
+// queueWriters finishes the partition writers and pushes their pairs, last
+// partition first, so partitions are joined in index order.
+func (g *graceJoin) queueWriters(level int) {
+	for p := gracePartitions - 1; p >= 0; p-- {
+		g.pending = append(g.pending, gracePair{g.buildW[p].finish(), g.probeW[p].finish(), level})
+		g.buildW[p], g.probeW[p] = nil, nil
+	}
+	g.buildW, g.probeW = nil, nil
+}
+
+// nextProbe advances the grace join to its next probe row, opening the next
+// pending partition whenever the live one's probe run ends. Like
+// VecHashJoin.nextProbe it sets the join's chain and, on a hit, probeRow; it
+// reports false once every partition is joined.
+//
+//statcheck:hot
+func (g *graceJoin) nextProbe() bool {
+	for g.cur == nil || g.cur.done {
+		if g.cur != nil {
+			g.finishPartition()
+		}
+		if !g.openPartition() {
+			return false
+		}
+	}
 	j := g.j
-	rd, err := build.Open()
+	row := g.cur.row()
+	for ci, c := range j.rIdx {
+		j.probeVals[ci] = row[c]
+	}
+	key, h := j.jt.probeKeyHash(j.probeVals)
+	if j.chain = j.jt.probeHead(key, h); j.chain != 0 {
+		copy(j.probeRow, row)
+	}
+	g.cur.advance()
+	return true
+}
+
+// openPartition pops pending pairs until one loads: pairs with an empty side
+// are dropped, and a level-0 build run the grant denies is sub-partitioned.
+// The loaded table becomes the join's table and its probe run the live
+// stream. It reports false when no pair is left.
+func (g *graceJoin) openPartition() bool {
+	j := g.j
+	for len(g.pending) > 0 {
+		g.live = g.pending[len(g.pending)-1]
+		g.pending = g.pending[:len(g.pending)-1]
+		if g.live.build.Rows() == 0 || g.live.probe.Rows() == 0 {
+			g.dropLive()
+			continue
+		}
+		jt := newJoinTable(g.buildStride, j.lIdx)
+		if !g.loadBuild(jt) {
+			g.subPartition()
+			continue
+		}
+		jt.build()
+		j.jt = jt
+		g.cur = g.openCursor(g.live.probe, g.probeStride)
+		return true
+	}
+	return false
+}
+
+// finishPartition returns the live pair's reservation and removes its runs.
+// The join keeps an empty table, which still hashes keys like every other.
+func (g *graceJoin) finishPartition() {
+	j := g.j
+	j.grant.Release(g.reserved)
+	g.reserved = 0
+	j.jt = newJoinTable(g.buildStride, j.lIdx)
+	g.cur, g.rd = nil, nil
+	g.dropLive()
+}
+
+// loadBuild streams the live build run into jt's arena, reserving each chunk
+// against the grant. At level 0 a denial abandons the load (the caller
+// sub-partitions instead); at level 1 the residual is force-admitted, since
+// equal keys co-hash at every level and splitting further cannot shrink a
+// single oversized key group.
+func (g *graceJoin) loadBuild(jt *joinTable) bool {
+	j := g.j
+	rd, err := g.live.build.Open()
 	if err != nil {
 		spillFail("open build partition", err)
 	}
-	var reserved int64
+	g.rd = rd
 	for {
 		cols, rerr := rd.Next()
 		if rerr == io.EOF {
@@ -269,173 +314,67 @@ func (g *graceJoin) loadBuild(jt *joinTable, build *mem.Run, level int) (int64, 
 		chunk := cols[0]
 		need := int64(len(chunk)) * 8
 		if !j.grant.TryReserve(need) {
-			if level == 0 {
-				j.grant.Release(reserved)
-				if cerr := rd.Close(); cerr != nil {
-					spillFail("close build partition", cerr)
-				}
-				return 0, false
+			if g.live.level == 0 {
+				j.grant.Release(g.reserved)
+				g.reserved = 0
+				g.closeReader()
+				return false
 			}
 			j.grant.Force(need)
 		}
-		reserved += need
+		g.reserved += need
 		copy(jt.grow(len(chunk)), chunk)
 		jt.rows += len(chunk) / jt.stride
 	}
-	if cerr := rd.Close(); cerr != nil {
-		spillFail("close build partition", cerr)
-	}
-	return reserved, true
+	g.closeReader()
+	return true
 }
 
-// probePartition streams one probe partition against its built table,
-// emitting [seq, left-row, right-row] rows in (seq, build-order) order.
-//
-//statcheck:hot
-func (g *graceJoin) probePartition(jt *joinTable, cur *rowCursor, out *spillRun) {
-	j := g.j
-	for !cur.done {
-		row := cur.row()
-		for ci := range j.rIdx {
-			j.probeVals[ci] = row[1+j.rIdx[ci]]
-		}
-		key, h := jt.probeKeyHash(j.probeVals)
-		for r := jt.probeHead(key, h); r != 0; r = jt.chainNext(r) {
-			if !jt.single && !jt.matches(r, j.probeVals) {
-				continue
-			}
-			g.outRow[0] = row[0]
-			copy(g.outRow[1:1+g.buildStride], jt.buildRow(r))
-			copy(g.outRow[1+g.buildStride:], row[1:])
-			out.append(g.outRow)
-		}
-		cur.advance()
-	}
-}
-
-// subPartition re-partitions an oversized level-0 partition with the level-1
-// salt and joins each sub-partition. Row order within each sub-run is the
-// parent run's order, i.e. still global build/seq order.
-func (g *graceJoin) subPartition(build, probe *mem.Run) {
-	j := g.j
+// subPartition re-partitions the live level-0 pair with the level-1 salt
+// and queues the sub-pairs ahead of the remaining level-0 pairs.
+func (g *graceJoin) subPartition() {
 	g.subID++
-	id := g.subID
-	subBuild := make([]*spillRun, gracePartitions)
-	subProbe := make([]*spillRun, gracePartitions)
-	for p := range subBuild {
-		subBuild[p] = newSpillRun(g.store, fmt.Sprintf("join-build-s%d-p%d", id, p), g.buildStride)
-		subProbe[p] = newSpillRun(g.store, fmt.Sprintf("join-probe-s%d-p%d", id, p), g.probeStride)
-	}
-	cur := openRowCursor(build, g.buildStride)
-	for !cur.done {
+	g.buildW = g.newWriters(fmt.Sprintf("join-build-s%d", g.subID), g.buildStride)
+	g.probeW = g.newWriters(fmt.Sprintf("join-probe-s%d", g.subID), g.probeStride)
+	jt := g.j.jt
+	for cur := g.openCursor(g.live.build, g.buildStride); !cur.done; cur.advance() {
 		row := cur.row()
-		_, h := j.jt.rowKeyHash(row)
-		subBuild[gracePartOf(h, graceSalt1)].append(row)
-		cur.advance()
+		_, h := jt.rowKeyHash(row)
+		g.buildW[gracePartOf(h, graceSalt1)].append(row)
 	}
-	pcur := openRowCursor(probe, g.probeStride)
-	for !pcur.done {
-		row := pcur.row()
-		for ci := range j.rIdx {
-			j.probeVals[ci] = row[1+j.rIdx[ci]]
-		}
-		_, h := j.jt.probeKeyHash(j.probeVals)
-		subProbe[gracePartOf(h, graceSalt1)].append(row)
-		pcur.advance()
-	}
-	g.removeRuns(build, probe)
-	for p := 0; p < gracePartitions; p++ {
-		g.joinPartition(subBuild[p].finish(), subProbe[p].finish(), 1)
-	}
-}
-
-// removeRuns deletes partition runs the join is done with, reclaiming spill
-// disk before the next partition loads.
-func (g *graceJoin) removeRuns(runs ...*mem.Run) {
-	for _, r := range runs {
-		if err := r.Remove(); err != nil {
-			spillFail("remove partition run", err)
-		}
-	}
-}
-
-// openMerge opens a cursor per output run and builds the loser tree ordered
-// by probe sequence number.
-func (g *graceJoin) openMerge() {
-	g.cursors = g.cursors[:0]
-	for _, r := range g.outRuns {
-		g.cursors = append(g.cursors, openRowCursor(r, g.outStride))
-	}
-	g.lt = newLoserTree(len(g.cursors), g.less)
-	g.merging = true
-}
-
-// less orders merge cursors by probe sequence number; exhausted and padding
-// cursors sort last. Each seq lives in exactly one output run (a probe row
-// joins in exactly one partition), so ties only pair dead cursors.
-func (g *graceJoin) less(a, b int) bool {
-	if a >= len(g.cursors) || g.cursors[a].done {
-		return false
-	}
-	if b >= len(g.cursors) || g.cursors[b].done {
-		return true
-	}
-	return g.cursors[a].key() < g.cursors[b].key()
-}
-
-// nextBatch is the grace-mode NextBatch: the first call runs the join to
-// completion, then batches stream from the seq-ordered merge of the output
-// runs, dropping the seq column.
-//
-//statcheck:hot
-func (g *graceJoin) nextBatch() (*Batch, bool) {
-	if !g.merging {
-		g.run()
-	}
-	j := g.j
-	nc := len(j.cols)
-	for i := range j.bufs {
-		j.bufs[i] = j.bufs[i][:0]
-	}
-	emitted := 0
-	for emitted < j.size && len(g.cursors) > 0 {
-		w := g.lt.winner()
-		if w >= len(g.cursors) {
-			break
-		}
-		cur := g.cursors[w]
-		if cur.done {
-			break
-		}
+	for cur := g.openCursor(g.live.probe, g.probeStride); !cur.done; cur.advance() {
 		row := cur.row()
-		for c := 0; c < nc; c++ {
-			j.bufs[c] = append(j.bufs[c], row[1+c])
-		}
-		cur.advance()
-		g.lt.fix()
-		emitted++
+		g.probeW[g.partOf(row, graceSalt1)].append(row)
 	}
-	if emitted == 0 {
-		return nil, false
-	}
-	return j.flush(), true
+	g.rd = nil
+	g.queueWriters(1)
+	g.dropLive()
 }
 
-// reset rewinds the grace join for another consumption pass: output runs are
-// retained, so a reset only reopens their cursors and replays the merge.
-func (g *graceJoin) reset() {
-	if !g.merging {
-		// The probe phase never started, so the right input is untouched by
-		// grace mode; rewind it like the in-memory path would.
-		g.j.right.Reset()
+func (g *graceJoin) closeReader() {
+	if err := g.rd.Close(); err != nil {
+		spillFail("close partition run", err)
+	}
+	g.rd = nil
+}
+
+// dropLive removes the live pair's runs, reclaiming spill disk before the
+// next partition loads.
+func (g *graceJoin) dropLive() {
+	g.removePair(g.live)
+	g.live = gracePair{}
+}
+
+func (g *graceJoin) removePair(p gracePair) {
+	removeRun(p.build)
+	removeRun(p.probe)
+}
+
+func removeRun(r *mem.Run) {
+	if r == nil {
 		return
 	}
-	for _, c := range g.cursors {
-		if !c.done {
-			if err := c.rd.Close(); err != nil {
-				spillFail("close output run", err)
-			}
-		}
+	if err := r.Remove(); err != nil {
+		spillFail("remove partition run", err)
 	}
-	g.openMerge()
 }

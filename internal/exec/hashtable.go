@@ -11,8 +11,7 @@ package exec
 // multi-condition joins (verified against the arena on probe) — plus the head
 // and tail of the chain of build rows sharing that slot key. Chains thread
 // through a per-row next array in insertion order, so probes emit matches in
-// build-input order: the in-memory and grace-partitioned joins emit the same
-// row stream.
+// build-input order.
 type joinTable struct {
 	stride int   // arena row width (number of build columns)
 	keyIdx []int // key column offsets within an arena row

@@ -22,7 +22,8 @@ type Options struct {
 	BatchSize int
 	// Gov, when non-nil, budgets the plan's operator memory: hash-join build
 	// sides reserve through it and spill into grace partitions when denied.
-	// Results are identical at any budget.
+	// A plan yields the same multiset of rows at any budget; once a join
+	// spills, their order is unspecified.
 	Gov *mem.Governor
 }
 
@@ -31,6 +32,11 @@ type Options struct {
 // order starting from the expression's first table, so every join has at
 // least one applicable predicate. Output columns are qualified names ("R.x").
 // The plan runs on the goroutine that drains it.
+//
+// Row order is fixed without a budget and unspecified under one (see
+// Options.Gov). Every consumer is order-insensitive: AttrValues feeds
+// histogram builders and ground-truth tables that sort their input, and
+// Cardinality and RangeCardinality count.
 func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, error) {
 	tables := e.Tables()
 	if opts.BatchSize <= 0 {

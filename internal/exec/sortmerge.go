@@ -116,7 +116,3 @@ func (s *BatchSort) NextBatch() (*Batch, bool) {
 	s.pos = end
 	return &s.out, true
 }
-
-// Reset implements BatchOperator: the sorted data is retained and only the
-// output cursor rewinds.
-func (s *BatchSort) Reset() { s.pos = 0 }

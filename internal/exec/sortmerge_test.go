@@ -67,14 +67,6 @@ func TestBatchSortMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s size %d: sort = %v, want %v", name, size, got, want)
 			}
-			bs.Reset()
-			again := drainBatches(t, bs)
-			if again == nil {
-				again = [][]int64{}
-			}
-			if !reflect.DeepEqual(again, want) {
-				t.Fatalf("%s size %d: sort after Reset = %v, want %v", name, size, again, want)
-			}
 		}
 	}
 }
@@ -83,8 +75,7 @@ func TestBatchSortMatchesReference(t *testing.T) {
 // more than 32k rows (once the threshold at which the gather split into
 // parallel blocks) whose payload records input order, so a stability or
 // ordering violation anywhere in it shows. Output is checked row by row and
-// against the reference, at the default and a small batch size, and after
-// Reset.
+// against the reference, at the default and a small batch size.
 func TestBatchSortParallelGatherMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := make([][]int64, 1<<15+1234)
@@ -98,20 +89,17 @@ func TestBatchSortParallelGatherMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pass := 0; pass < 2; pass++ {
-			got := drainBatches(t, bs)
-			for i := 1; i < len(got); i++ {
-				if got[i][0] < got[i-1][0] {
-					t.Fatalf("size %d pass %d: output not sorted at %d", size, pass, i)
-				}
-				if got[i][0] == got[i-1][0] && got[i][1] < got[i-1][1] {
-					t.Fatalf("size %d pass %d: output not stable at %d", size, pass, i)
-				}
+		got := drainBatches(t, bs)
+		for i := 1; i < len(got); i++ {
+			if got[i][0] < got[i-1][0] {
+				t.Fatalf("size %d: output not sorted at %d", size, i)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("size %d pass %d: sort diverges from the reference", size, pass)
+			if got[i][0] == got[i-1][0] && got[i][1] < got[i-1][1] {
+				t.Fatalf("size %d: output not stable at %d", size, i)
 			}
-			bs.Reset()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %d: sort diverges from the reference", size)
 		}
 	}
 }

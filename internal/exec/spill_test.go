@@ -9,11 +9,12 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
-// The spill-equivalence property: every memory-governed operator produces a
-// byte-identical output stream at any budget — unlimited, a fraction of the
-// working set, or a pathological 1-byte budget that spills everything. The
-// tests here drive each operator through every regime against its in-memory
-// reference.
+// The spill-equivalence property: a memory-governed join yields the
+// in-memory join's multiset of rows at any budget — unlimited, a fraction of
+// the working set, one small enough to force level-1 sub-partitioning, or a
+// pathological 1-byte budget that spills everything. Without a budget the
+// rows also keep the in-memory order; once the join spills their order is
+// unspecified, so those regimes compare sorted rows.
 
 // spillJoinTables builds a build/probe table pair with heavy key duplication
 // and negative keys (keys in [-50, 50] over thousands of rows).
@@ -41,10 +42,26 @@ func tableBytes(tab *data.Table) int64 {
 }
 
 // spillBudgets returns the budget regimes for a working set: unlimited, half
-// and a quarter of the working set (partial spill), and 1 byte (everything
-// spills).
+// and a quarter of the working set (partial spill), a fortieth (level-0
+// partitions overflow and split again), and 1 byte (everything spills).
 func spillBudgets(workingSet int64) []int64 {
-	return []int64{0, workingSet / 2, workingSet / 4, 1}
+	return []int64{0, workingSet / 2, workingSet / 4, workingSet / 40, 1}
+}
+
+// sameJoinRows compares a drained join with its in-memory reference: row for
+// row at budget 0, as sorted multisets under a budget.
+func sameJoinRows(budget int64, got, want [][]int64) bool {
+	if budget == 0 {
+		return reflect.DeepEqual(got, want)
+	}
+	return reflect.DeepEqual(sortedCopy(got), sortedCopy(want))
+}
+
+// sortedCopy returns rows sorted, leaving the argument as it was.
+func sortedCopy(rows [][]int64) [][]int64 {
+	out := append([][]int64(nil), rows...)
+	sortRows(out)
+	return out
 }
 
 func TestGraceJoinEquivalence(t *testing.T) {
@@ -65,7 +82,7 @@ func TestGraceJoinEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := drainBatches(t, j)
-		if !reflect.DeepEqual(got, ref) {
+		if !sameJoinRows(budget, got, ref) {
 			t.Fatalf("budget=%d: join diverges from in-memory reference (%d vs %d rows)",
 				budget, len(got), len(ref))
 		}
@@ -75,12 +92,12 @@ func TestGraceJoinEquivalence(t *testing.T) {
 		if budget == 0 && j.grace != nil {
 			t.Fatal("unlimited budget must not spill")
 		}
-		// Reset must replay the identical stream (in grace mode this
-		// re-merges the retained output runs).
-		j.Reset()
-		again := drainBatches(t, j)
-		if !reflect.DeepEqual(again, ref) {
-			t.Fatalf("budget=%d: Reset replay diverges", budget)
+		if budget == tableBytes(l)/40 && j.grace.subID == 0 {
+			t.Fatalf("budget=%d: no partition was sub-partitioned; level 1 is not exercised", budget)
+		}
+		ClosePlan(j)
+		if used := gov.Used(); used != 0 {
+			t.Fatalf("budget=%d: %d bytes still reserved after ClosePlan", budget, used)
 		}
 		if err := gov.Close(); err != nil {
 			t.Fatal(err)
@@ -108,7 +125,7 @@ func TestGraceJoinMultiCondEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := drainBatches(t, j); !reflect.DeepEqual(got, ref) {
+		if got := drainBatches(t, j); !sameJoinRows(budget, got, ref) {
 			t.Fatalf("budget=%d: multi-cond join diverges (%d vs %d rows)",
 				budget, len(got), len(ref))
 		}

@@ -14,8 +14,9 @@ type JoinCond struct {
 // VecHashJoin is the vectorized equi-join: it drains the left (build) input
 // batch-wise into a joinTable — flat arena, open-addressing slots — and
 // streams the right (probe) input, emitting concatenated left-row ++ right-row
-// matches as column batches. Matches are emitted per probe row in build-input
-// order, so the output row sequence is the same at every memory budget.
+// matches as column batches. In memory, matches are emitted per probe row in
+// build-input order. A join that spills under a memory budget yields the same
+// multiset of rows in an unspecified order (see gracejoin.go).
 type VecHashJoin struct {
 	left, right BatchOperator
 	conds       []JoinCond
@@ -36,11 +37,13 @@ type VecHashJoin struct {
 
 	// Probe state, persisted across NextBatch calls so a long match chain can
 	// span several output batches.
-	rb        *Batch  // current right batch
+	rb        *Batch  // current right batch (in-memory path)
 	rpos      int     // logical position within rb
-	rrow      int     // physical row of the in-flight probe
-	chain     int32   // next chain row to emit (1-based, 0 = none)
+	chain     int32   // next chain row of jt to emit (1-based, 0 = none)
 	probeVals []int64 // key tuple of the in-flight probe row
+	// probeRow is the in-flight probe row, copied when it has a chain; the
+	// grace join also uses it as scratch while it partitions the probe side.
+	probeRow []int64
 
 	out  Batch
 	bufs [][]int64
@@ -72,6 +75,7 @@ func NewVecHashJoinSize(left, right BatchOperator, batchSize int, conds ...JoinC
 	}
 	j.size = batchSize
 	j.probeVals = make([]int64, len(conds))
+	j.probeRow = make([]int64, len(right.Columns()))
 	j.bufs = make([][]int64, len(j.cols))
 	for i := range j.bufs {
 		j.bufs[i] = make([]int64, 0, j.size)
@@ -82,8 +86,9 @@ func NewVecHashJoinSize(left, right BatchOperator, batchSize int, conds ...JoinC
 
 // NewVecHashJoinMem is NewVecHashJoinSize with the build side budgeted
 // through gov: when the arena exceeds the operator's grant, the join spills
-// into grace hash partitioning (see gracejoin.go) and the output stays
-// byte-identical to the in-memory join. A nil governor means unlimited.
+// into grace hash partitioning (see gracejoin.go) and yields the in-memory
+// join's multiset of rows, in an unspecified order. A nil governor means
+// unlimited.
 func NewVecHashJoinMem(left, right BatchOperator, batchSize int, gov *mem.Governor, conds ...JoinCond) (*VecHashJoin, error) {
 	j, err := NewVecHashJoinSize(left, right, batchSize, conds...)
 	if err != nil {
@@ -99,8 +104,9 @@ func NewVecHashJoinMem(left, right BatchOperator, batchSize int, gov *mem.Govern
 // Columns implements BatchOperator.
 func (j *VecHashJoin) Columns() []string { return j.cols }
 
-// build drains the build side into the hash table (or, once the arena
-// overflows its grant, into grace partitions).
+// build drains the build side into the hash table, or, once the arena
+// overflows its grant, into grace partitions, and then partitions the probe
+// side too.
 func (j *VecHashJoin) build() {
 	j.jt = newJoinTable(len(j.left.Columns()), j.lIdx)
 	for {
@@ -123,6 +129,8 @@ func (j *VecHashJoin) build() {
 	}
 	if j.grace == nil {
 		j.jt.build()
+	} else {
+		j.grace.partitionProbe()
 	}
 	j.built = true
 }
@@ -135,74 +143,80 @@ func (j *VecHashJoin) NextBatch() (*Batch, bool) {
 	if !j.built {
 		j.build()
 	}
-	if j.grace != nil {
-		return j.grace.nextBatch()
-	}
-	nl := j.jt.stride
 	for i := range j.bufs {
 		j.bufs[i] = j.bufs[i][:0]
 	}
 	emitted := 0
 	for {
 		// Drain the in-flight chain first.
+		jt := j.jt
+		nl := jt.stride
 		for j.chain != 0 {
 			r := j.chain
-			j.chain = j.jt.chainNext(r)
-			if !j.jt.single && !j.jt.matches(r, j.probeVals) {
+			j.chain = jt.chainNext(r)
+			if !jt.single && !jt.matches(r, j.probeVals) {
 				continue
 			}
-			row := j.jt.buildRow(r)
+			row := jt.buildRow(r)
 			for i := 0; i < nl; i++ {
 				j.bufs[i] = append(j.bufs[i], row[i])
 			}
-			for i, c := range j.rb.Cols {
-				j.bufs[nl+i] = append(j.bufs[nl+i], c[j.rrow])
+			for i, v := range j.probeRow {
+				j.bufs[nl+i] = append(j.bufs[nl+i], v)
 			}
 			emitted++
 			if emitted >= j.size {
 				return j.flush(), true
 			}
 		}
-		// Advance to the next probe row, pulling right batches as needed.
-		if j.rb == nil || j.rpos >= j.rb.NumRows() {
-			rb, ok := j.right.NextBatch()
-			if !ok {
-				j.rb = nil
-				if emitted > 0 {
-					return j.flush(), true
-				}
-				return nil, false
+		var more bool
+		if j.grace != nil {
+			more = j.grace.nextProbe()
+		} else {
+			more = j.nextProbe()
+		}
+		if !more {
+			if emitted > 0 {
+				return j.flush(), true
 			}
-			j.rb, j.rpos = rb, 0
-			continue
+			return nil, false
 		}
-		r := j.rpos
-		if j.rb.Sel != nil {
-			r = int(j.rb.Sel[j.rpos])
-		}
-		j.rpos++
-		j.rrow = r
-		for i, c := range j.rIdx {
-			j.probeVals[i] = j.rb.Cols[c][r]
-		}
-		key, h := j.jt.probeKeyHash(j.probeVals)
-		j.chain = j.jt.probeHead(key, h)
 	}
+}
+
+// nextProbe advances to the next probe row, pulling right batches as needed:
+// it sets the row's chain and, when the chain is non-empty, copies the row
+// into probeRow. It reports false once the probe side is exhausted.
+//
+//statcheck:hot
+func (j *VecHashJoin) nextProbe() bool {
+	for j.rb == nil || j.rpos >= j.rb.NumRows() {
+		rb, ok := j.right.NextBatch()
+		if !ok {
+			j.rb = nil
+			return false
+		}
+		j.rb, j.rpos = rb, 0
+	}
+	r := j.rpos
+	if j.rb.Sel != nil {
+		r = int(j.rb.Sel[j.rpos])
+	}
+	j.rpos++
+	for i, c := range j.rIdx {
+		j.probeVals[i] = j.rb.Cols[c][r]
+	}
+	key, h := j.jt.probeKeyHash(j.probeVals)
+	if j.chain = j.jt.probeHead(key, h); j.chain != 0 {
+		for i, c := range j.rb.Cols {
+			j.probeRow[i] = c[r]
+		}
+	}
+	return true
 }
 
 func (j *VecHashJoin) flush() *Batch {
 	copy(j.out.Cols, j.bufs)
 	j.out.Sel = nil
 	return &j.out
-}
-
-// Reset implements BatchOperator: the hash table (or, in grace mode, the
-// spilled output runs) is retained and only the probe stream rewinds.
-func (j *VecHashJoin) Reset() {
-	if j.grace != nil {
-		j.grace.reset()
-		return
-	}
-	j.right.Reset()
-	j.rb, j.rpos, j.chain = nil, 0, 0
 }

@@ -6,9 +6,9 @@
 // working memory through a Grant before growing it. When the budget is
 // exhausted the reservation is denied and the operator spills part of its
 // state to the run store, releasing the bytes it no longer holds in RAM; the
-// engine's core invariant is that spilling never changes results — output is
-// bit-identical to the in-memory execution at any parallelism and any budget,
-// including pathological 1-byte budgets.
+// engine's core invariant is that spilling never changes results — an
+// operator yields the in-memory execution's rows, possibly in another order,
+// at any parallelism and any budget, including pathological 1-byte budgets.
 //
 // All methods are safe on a nil *Governor and a nil *Grant, which behave as
 // an unlimited budget: operators thread the governor through unconditionally

@@ -56,12 +56,25 @@ func randomQuery(exprs []*query.Expr, rng *rand.Rand, maxCols, nConst int) carde
 	preds := make([]cardest.Predicate, rng.Intn(maxCols+1))
 	for i := range preds {
 		lo := int64(rng.Intn(nConst)) * 97
-		preds[i] = cardest.Predicate{
-			Table: tables[rng.Intn(len(tables))], Attr: attrs[rng.Intn(len(attrs))],
-			Lo: lo, Hi: lo + 300 + int64(rng.Intn(nConst))*53,
+		p := cardest.Predicate{Table: tables[rng.Intn(len(tables))], Attr: attrs[rng.Intn(len(attrs))], Lo: lo}
+		// One range per column: cardest.Validate refuses a repeated one.
+		for hasColumn(preds[:i], p) {
+			p.Table, p.Attr = tables[rng.Intn(len(tables))], attrs[rng.Intn(len(attrs))]
 		}
+		p.Hi = lo + 300 + int64(rng.Intn(nConst))*53
+		preds[i] = p
 	}
 	return normalize(cardest.SPJQuery{Expr: expr, Preds: preds})
+}
+
+// hasColumn reports whether a predicate in preds ranges over p's column.
+func hasColumn(preds []cardest.Predicate, p cardest.Predicate) bool {
+	for _, o := range preds {
+		if o.Table == p.Table && o.Attr == p.Attr {
+			return true
+		}
+	}
+	return false
 }
 
 // newRaceService builds a registry over a fresh chain DB with the serving

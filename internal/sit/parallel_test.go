@@ -119,6 +119,56 @@ func TestExactMethodsWidthBudgetMatrix(t *testing.T) {
 	}
 }
 
+// TestMaterializeIdenticalUnderBudget: Materialize evaluates the generating
+// query with the executor, whose join spills into grace partitions under a
+// budget and then emits its rows in partition order. The histogram sorts its
+// input, so the SIT must be identical at budgets {unlimited, quarter working
+// set, 1 byte}.
+func TestMaterializeIdenticalUnderBudget(t *testing.T) {
+	cat := multiChunkCatalog(t, 3*scanChunkRows+123)
+	e := query.MustNewExpr(query.JoinPred{LeftTable: "R", LeftAttr: "x", RightTable: "S", RightAttr: "y"})
+	spec, err := query.NewSITSpec("S", "a", e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cat.Table("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := int64(s.NumRows()) * int64(s.NumCols()) * 8
+	var ref *SIT
+	for _, budget := range []int64{0, ws / 4, 1} {
+		cfg := DefaultConfig()
+		cfg.MemBudget = budget
+		b, err := NewBuilder(cat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Build(spec, Materialize)
+		if err != nil {
+			t.Fatalf("budget=%d: %v", budget, err)
+		}
+		if budget > 0 {
+			store, err := b.Governor().Runs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if store.Stats().SpilledBytes == 0 {
+				t.Fatalf("budget=%d: the join never spilled; the budget regime is not exercised", budget)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+		} else if !sameSIT(ref, got) {
+			t.Errorf("budget=%d: Materialize SIT differs from the unbudgeted one: card %v vs %v",
+				budget, got.EstimatedCard, ref.EstimatedCard)
+		}
+	}
+}
+
 // TestSampledMethodsDeterministicAtFixedParallelism: Sweep and SweepIndex
 // shard their reservoirs per worker, so two runs with the same seed and the
 // same parallelism level must agree bit for bit.

@@ -121,8 +121,8 @@ type Config struct {
 	Parallelism int
 	// MemBudget caps the executor's operator memory in bytes (0 = unlimited,
 	// the previous behavior). Under a budget, hash-join build sides spill into
-	// grace partitioning; results are bit-identical at any budget. Spill files live in a temp directory owned
-	// by the builder and are removed by Close.
+	// grace partitioning; SITs are bit-identical at any budget. Spill files
+	// live in a temp directory owned by the builder and are removed by Close.
 	MemBudget int64
 	// Governor injects a shared memory governor instead of the private one a
 	// positive MemBudget creates: every Builder (and service request) handed

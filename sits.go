@@ -234,6 +234,10 @@ type SPJQuery = cardest.SPJQuery
 // Predicate is one inclusive range predicate over an attribute.
 type Predicate = cardest.Predicate
 
+// ErrRepeatedColumn is wrapped by the error estimation returns for a query
+// with two predicates on one column; intersect them into one range instead.
+var ErrRepeatedColumn = cardest.ErrRepeatedColumn
+
 // ParsePredicates parses the CLI/query-string predicate form
 // "T.a:lo:hi[,T.b:lo:hi...]"; a blank string is no predicates.
 func ParsePredicates(s string) ([]Predicate, error) {
