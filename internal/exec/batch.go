@@ -70,6 +70,9 @@ func AdaptiveBatchSize(ncols int) int {
 type Batch struct {
 	Cols [][]int64
 	Sel  []int32
+	// rows is the physical row count of a batch without columns: a plan
+	// that projects every column away (Cardinality) still has rows to count.
+	rows int
 }
 
 // NumRows returns the number of active rows in the batch.
@@ -77,8 +80,13 @@ func (b *Batch) NumRows() int {
 	if b.Sel != nil {
 		return len(b.Sel)
 	}
+	return b.physRows()
+}
+
+// physRows returns the number of physical rows, ignoring Sel.
+func (b *Batch) physRows() int {
 	if len(b.Cols) == 0 {
-		return 0
+		return b.rows
 	}
 	return len(b.Cols[0])
 }
@@ -114,16 +122,28 @@ type BatchScan struct {
 }
 
 // NewBatchScan creates a batch scan over all columns of the table with an
-// adaptive batch size, exposing columns qualified with the table's name.
+// adaptive batch size, exposing columns qualified with the table's name. It
+// panics if a column cannot be read (a damaged segment block); plans scan
+// through newBatchScan, which returns the error.
 func NewBatchScan(t *data.Table) *BatchScan { return NewBatchScanSize(t, 0) }
 
 // NewBatchScanSize is NewBatchScan with an explicit batch size (0 = adaptive
 // from the table's column count).
 func NewBatchScanSize(t *data.Table, batchSize int) *BatchScan {
-	if batchSize <= 0 {
-		batchSize = AdaptiveBatchSize(t.NumCols())
+	s, err := newBatchScan(t, t.ColumnNames(), batchSize)
+	if err != nil {
+		panic(err)
 	}
-	names := t.ColumnNames()
+	return s
+}
+
+// newBatchScan scans only the named columns of t, in the order given, so a
+// column the plan never reads is never decoded from a segment. batchSize 0
+// is adaptive from the number of columns served.
+func newBatchScan(t *data.Table, names []string, batchSize int) (*BatchScan, error) {
+	if batchSize <= 0 {
+		batchSize = AdaptiveBatchSize(len(names))
+	}
 	s := &BatchScan{
 		cols:  make([]string, len(names)),
 		store: make([][]int64, len(names)),
@@ -131,11 +151,15 @@ func NewBatchScanSize(t *data.Table, batchSize int) *BatchScan {
 		size:  batchSize,
 	}
 	for i, n := range names {
+		col, err := t.Column(n)
+		if err != nil {
+			return nil, err
+		}
 		s.cols[i] = t.Name() + "." + n
-		s.store[i] = t.MustColumn(n)
+		s.store[i] = col
 	}
 	s.out.Cols = make([][]int64, len(names))
-	return s
+	return s, nil
 }
 
 // Columns implements BatchOperator.
@@ -155,6 +179,7 @@ func (s *BatchScan) NextBatch() (*Batch, bool) {
 		s.out.Cols[i] = s.store[i][s.pos:end]
 	}
 	s.out.Sel = nil
+	s.out.rows = end - s.pos
 	s.pos = end
 	return &s.out, true
 }
@@ -207,4 +232,31 @@ func (f *BatchFilter) NextBatch() (*Batch, bool) {
 		f.out.Sel = sel
 		return &f.out, true
 	}
+}
+
+// batchProject serves a subset of its input's columns, zero-copy: the plan's
+// last operator when an equality filter still needed columns the consumer
+// does not read.
+type batchProject struct {
+	in   BatchOperator
+	idx  []int // input column of each output column
+	cols []string
+	out  Batch
+}
+
+// Columns implements BatchOperator.
+func (p *batchProject) Columns() []string { return p.cols }
+
+// NextBatch implements BatchOperator.
+func (p *batchProject) NextBatch() (*Batch, bool) {
+	b, ok := p.in.NextBatch()
+	if !ok {
+		return nil, false
+	}
+	for i, c := range p.idx {
+		p.out.Cols[i] = b.Cols[c]
+	}
+	p.out.Sel = b.Sel
+	p.out.rows = b.physRows()
+	return &p.out, true
 }

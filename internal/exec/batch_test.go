@@ -261,7 +261,7 @@ func TestPlanBatchMatchesRowReference(t *testing.T) {
 	j1 := nestedLoop(t, scanRel(t, s), scanRel(t, r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
 	want := nestedLoop(t, scanRel(t, u), j1, JoinCond{LeftCol: "T.w", RightCol: "S.z"}).rows
 
-	op, err := PlanBatch(cat, e, Options{})
+	op, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPlanBatchMatchesRowReference(t *testing.T) {
 // ClosePlan must return every reserved byte.
 func TestPlanBatchBudgetMatrix(t *testing.T) {
 	cat, e := chainCatalog(4_000, 400)
-	refOp, err := PlanBatch(cat, e, Options{BatchSize: 128})
+	refOp, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestPlanBatchBudgetMatrix(t *testing.T) {
 		if budget > 0 {
 			gov = mem.NewGovernor(budget)
 		}
-		op, err := PlanBatch(cat, e, Options{BatchSize: 128, Gov: gov})
+		op, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{BatchSize: 128, Gov: gov})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
+	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
 )
 
@@ -83,14 +84,31 @@ func benchPlanCatalog() (*data.Catalog, *query.Expr) {
 }
 
 // BenchmarkAttrValues measures the value-vector drain that feeds SIT
-// creation.
+// creation (T3.a over the 3-way chain), unbudgeted and under a quarter of
+// the largest table, where it also reports the spilled bytes: a projected
+// plan spills only the columns its later joins read.
 func BenchmarkAttrValues(b *testing.B) {
 	cat, e := benchPlanCatalog()
-	for i := 0; i < b.N; i++ {
-		vals, err := AttrValuesOpts(cat, e, "T3", "a", Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(vals)), "vals")
+	t2, err := cat.Table("T2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, reg := range spillRegimes(tableBytes(t2)) {
+		b.Run(reg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gov := mem.NewGovernor(reg.budget)
+				vals, err := AttrValuesOpts(cat, e, "T3", "a", Options{Gov: gov})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if reg.budget > 0 {
+					reportSpill(b, gov)
+				}
+				if err := gov.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(len(vals)), "vals")
+			}
+		})
 	}
 }

@@ -71,3 +71,6 @@ func (s *BatchSort) ClosePlan() {
 // BatchFilter holds no governed state of its own; it only forwards the close
 // to its input.
 func (f *BatchFilter) ClosePlan() { ClosePlan(f.in) }
+
+// ClosePlan forwards the close to the projected input.
+func (p *batchProject) ClosePlan() { ClosePlan(p.in) }

@@ -2,11 +2,16 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/sitstats/sits/internal/data"
 	"github.com/sitstats/sits/internal/mem"
+	"github.com/sitstats/sits/internal/query"
 )
 
 // Spilled state lives outside the process, so the engine must never trust it
@@ -194,5 +199,66 @@ func TestGraceJoinPartialDrainClose(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestPlanCorruptSegmentColumn damages the one column of a segment table
+// that the projected plan does not read: a plan that reads it (every column,
+// or the damaged column itself) returns the block's checksum error instead
+// of panicking, and the projected plan never decodes it and answers as if
+// the table were intact.
+func TestPlanCorruptSegmentColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r := data.MustNewTable("R", "x", "pad")
+	for i := 0; i < 3000; i++ {
+		r.AppendRow(int64(i%50), rng.Int63()) // pad is incompressible: most of the file
+	}
+	s := data.MustNewTable("S", "y", "a")
+	for i := 0; i < 400; i++ {
+		s.AppendRow(rng.Int63n(60), rng.Int63n(1000))
+	}
+	e := query.MustNewExpr(query.JoinPred{LeftTable: "R", LeftAttr: "x", RightTable: "S", RightAttr: "y"})
+	inMem := data.NewCatalog()
+	inMem.MustAdd(r)
+	inMem.MustAdd(s)
+	want, err := AttrValues(inMem, e, "S", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "R.seg")
+	if err := data.WriteSegment(path, r); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t)(path, info.Size()) // mid-file: past the small x block, inside pad's
+	seg, err := data.OpenSegmentTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := seg.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	cat := data.NewCatalog()
+	cat.MustAdd(seg)
+	cat.MustAdd(s)
+
+	got, err := AttrValues(cat, e, "S", "a")
+	if err != nil {
+		t.Fatalf("projected plan read the damaged column: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("projected plan over the segment: %d values differ from the in-memory table's %d", len(got), len(want))
+	}
+	if _, err := AttrValues(cat, e, "R", "pad"); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("plan reading the damaged column: err = %v, want a checksum error", err)
+	}
+	if _, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{}); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("unprojected plan: err = %v, want a checksum error", err)
 	}
 }

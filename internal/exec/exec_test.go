@@ -81,6 +81,24 @@ func nestedLoop(t testing.TB, left, right rel, conds ...JoinCond) rel {
 	return out
 }
 
+// allColumns is every qualified column of the expression's tables: the
+// request that yields the unprojected plan, the oracle of the projection
+// tests.
+func allColumns(t testing.TB, cat *data.Catalog, e *query.Expr) []string {
+	t.Helper()
+	var cols []string
+	for _, name := range e.Tables() {
+		tab, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tab.ColumnNames() {
+			cols = append(cols, name+"."+c)
+		}
+	}
+	return cols
+}
+
 func TestFilterAndProject(t *testing.T) {
 	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {20, 20}, {3, 30}})
 	f, err := equalityFilter(NewBatchScan(tab), "R.x", "R.a")
@@ -214,7 +232,7 @@ func TestPlanAndMaterializeChain(t *testing.T) {
 	if n != 3 {
 		t.Errorf("range cardinality = %d, want 3", n)
 	}
-	op, err := PlanBatch(cat, e, Options{})
+	op, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +285,7 @@ func TestPlanErrors(t *testing.T) {
 	cat := data.NewCatalog()
 	cat.MustAdd(makeTable(t, "R", []string{"x"}, nil))
 	e := query.MustNewExpr(query.JoinPred{LeftTable: "R", LeftAttr: "x", RightTable: "S", RightAttr: "y"})
-	if _, err := PlanBatch(cat, e, Options{}); err == nil {
+	if _, err := PlanBatch(cat, e, nil, Options{}); err == nil {
 		t.Error("missing table S: want error")
 	}
 	if _, err := AttrValues(cat, e, "S", "a"); err == nil {

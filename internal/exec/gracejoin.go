@@ -15,7 +15,8 @@ import (
 // rows with equal keys land in the same partition), and once the build side
 // is drained the probe side is partitioned the same way. The join then
 // streams its matches out one partition at a time: a pending (build run,
-// probe run) pair is loaded into a fresh joinTable under the grant and its
+// probe run) pair is loaded into the join's table, emptied but with its
+// capacity kept from the previous partition, under the grant, and its
 // probe run is streamed through VecHashJoin's chain-emission loop, so matches
 // leave as output batches and never touch disk. A partition whose build run
 // still exceeds the grant is hash-partitioned once more with a fresh salt
@@ -110,9 +111,10 @@ type graceJoin struct {
 	// are partitioned, then each sub-partitioning's.
 	buildW, probeW []*spillRun
 
-	buildStride int     // left row width
-	probeStride int     // right row width
-	rowScratch  []int64 // buildStride transpose scratch
+	buildStride  int     // arena row width
+	probeStride  int     // right row width
+	rowScratch   []int64 // buildStride transpose scratch
+	probeScratch []int64 // probeStride transpose scratch
 
 	pending  []gracePair    // pairs not yet joined; the last is joined next
 	live     gracePair      // the pair being loaded or streamed
@@ -130,13 +132,14 @@ func (j *VecHashJoin) startGrace() {
 	if err != nil {
 		spillFail("open run store", err)
 	}
-	nl := len(j.left.Columns())
+	nl, nr := len(j.lCols), len(j.right.Columns())
 	g := &graceJoin{
-		j:           j,
-		store:       store,
-		buildStride: nl,
-		probeStride: len(j.right.Columns()),
-		rowScratch:  make([]int64, nl),
+		j:            j,
+		store:        store,
+		buildStride:  nl,
+		probeStride:  nr,
+		rowScratch:   make([]int64, nl),
+		probeScratch: make([]int64, nr),
 	}
 	g.buildW = g.newWriters("join-build", nl)
 	jt := j.jt
@@ -170,8 +173,8 @@ func (g *graceJoin) addBuildBatch(b *Batch) {
 		if b.Sel != nil {
 			r = int(b.Sel[i])
 		}
-		for ci, col := range b.Cols {
-			g.rowScratch[ci] = col[r]
+		for k, c := range g.j.lCols {
+			g.rowScratch[k] = b.Cols[c][r]
 		}
 		_, h := jt.rowKeyHash(g.rowScratch)
 		g.buildW[gracePartOf(h, graceSalt0)].append(g.rowScratch)
@@ -183,7 +186,7 @@ func (g *graceJoin) addBuildBatch(b *Batch) {
 func (g *graceJoin) partitionProbe() {
 	j := g.j
 	g.probeW = g.newWriters("join-probe", g.probeStride)
-	row := j.probeRow
+	row := g.probeScratch
 	for {
 		rb, ok := j.right.NextBatch()
 		if !ok {
@@ -248,7 +251,9 @@ func (g *graceJoin) nextProbe() bool {
 	}
 	key, h := j.jt.probeKeyHash(j.probeVals)
 	if j.chain = j.jt.probeHead(key, h); j.chain != 0 {
-		copy(j.probeRow, row)
+		for i, c := range j.rOut {
+			j.probeRow[i] = row[c]
+		}
 	}
 	g.cur.advance()
 	return true
@@ -267,26 +272,29 @@ func (g *graceJoin) openPartition() bool {
 			g.dropLive()
 			continue
 		}
-		jt := newJoinTable(g.buildStride, j.lIdx)
-		if !g.loadBuild(jt) {
+		if !g.loadBuild(j.jt) {
+			j.jt.reset()
 			g.subPartition()
 			continue
 		}
-		jt.build()
-		j.jt = jt
+		j.jt.build()
 		g.cur = g.openCursor(g.live.probe, g.probeStride)
 		return true
 	}
+	// Every partition is joined: drop the capacity kept for reuse.
+	j.jt = newJoinTable(g.buildStride, j.lKey)
 	return false
 }
 
-// finishPartition returns the live pair's reservation and removes its runs.
-// The join keeps an empty table, which still hashes keys like every other.
+// finishPartition returns the live pair's reservation, empties the table for
+// the next partition and removes the live runs. The table keeps its capacity
+// while partitions remain, so the memory the join holds between partitions
+// is at most the largest reservation it has made.
 func (g *graceJoin) finishPartition() {
 	j := g.j
 	j.grant.Release(g.reserved)
 	g.reserved = 0
-	j.jt = newJoinTable(g.buildStride, j.lIdx)
+	j.jt.reset()
 	g.cur, g.rd = nil, nil
 	g.dropLive()
 }

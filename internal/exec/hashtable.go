@@ -25,6 +25,8 @@ type joinTable struct {
 	key  []uint64 // slot key; meaningful only where head != 0
 	head []int32  // 1-based first build row of the slot's chain; 0 = empty
 	tail []int32  // 1-based last build row of the slot's chain
+
+	keys, hs []uint64 // build's per-row slot key and hash scratch
 }
 
 func newJoinTable(stride int, keyIdx []int) *joinTable {
@@ -79,16 +81,17 @@ func (t *joinTable) grow(n int) []int64 {
 }
 
 // appendBatch transposes a column batch into the arena (row-major), applying
-// the batch's selection vector.
+// the batch's selection vector: arena column k is batch column cols[k].
 //
 //statcheck:hot
-func (t *joinTable) appendBatch(b *Batch) {
+func (t *joinTable) appendBatch(b *Batch, cols []int) {
 	n := b.NumRows()
 	if n == 0 {
 		return
 	}
 	dst := t.grow(n * t.stride)
-	for ci, col := range b.Cols {
+	for ci, c := range cols {
+		col := b.Cols[c]
 		if b.Sel != nil {
 			for i, r := range b.Sel {
 				dst[i*t.stride+ci] = col[r]
@@ -147,24 +150,44 @@ func nextPow2(n int) int {
 	return p
 }
 
+// reset empties the table for the next grace partition. The arena, chain
+// links, slot arrays and hash scratch keep their capacity, so partitions
+// after the first allocate only when they outgrow every earlier one.
+func (t *joinTable) reset() {
+	t.arena = t.arena[:0]
+	t.rows = 0
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices; reused elements keep stale values.
+func resize[T int32 | uint64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // build hashes every arena row into slot arrays sized to load factor <= 1/2,
 // so linear probing always terminates. Chains grow at the tail, in ascending
-// arena order, so they preserve build-input order.
+// arena order, so they preserve build-input order. Only next and head need
+// zeroing: key and tail are read only where head is set.
 func (t *joinTable) build() {
 	n := t.rows
 	size := nextPow2(2 * n)
 	if size < 8 {
 		size = 8
 	}
-	t.next = make([]int32, n)
+	t.next = resize(t.next, n)
+	clear(t.next)
 	t.mask = uint64(size - 1)
-	t.key = make([]uint64, size)
-	t.head = make([]int32, size)
-	t.tail = make([]int32, size)
+	t.key = resize(t.key, size)
+	t.head = resize(t.head, size)
+	clear(t.head)
+	t.tail = resize(t.tail, size)
 	// Hash every row before inserting any: on a 1 M-row build this measured
 	// about 8 % faster than one fused hash-and-insert loop.
-	keys := make([]uint64, n)
-	hs := make([]uint64, n)
+	t.keys, t.hs = resize(t.keys, n), resize(t.hs, n)
+	keys, hs := t.keys, t.hs
 	for i := 0; i < n; i++ {
 		keys[i], hs[i] = t.slotKeyHash(i)
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/sitstats/sits/internal/data"
 	"github.com/sitstats/sits/internal/mem"
@@ -16,8 +17,8 @@ type Options struct {
 	// when that benchmark retires its width measurement.
 	Parallelism int
 	// BatchSize overrides the rows-per-batch granularity. 0 picks an adaptive
-	// size from the plan's total column width (AdaptiveBatchSize), so wide
-	// join outputs stay inside L2. No production caller sets it: it is the
+	// size from the widest projected operator output (AdaptiveBatchSize), so
+	// wide join outputs stay inside L2. No production caller sets it: it is the
 	// executor tests' seam for forcing many small batches.
 	BatchSize int
 	// Gov, when non-nil, budgets the plan's operator memory: hash-join build
@@ -30,82 +31,167 @@ type Options struct {
 // PlanBatch builds a vectorized operator tree evaluating the generating
 // expression with hash joins: tables are joined in a connectivity-preserving
 // order starting from the expression's first table, so every join has at
-// least one applicable predicate. Output columns are qualified names ("R.x").
-// The plan runs on the goroutine that drains it.
+// least one applicable predicate. The plan's output columns are exactly the
+// qualified names in cols ("R.x"), in plan order; cols may be empty when
+// only rows are counted. The plan projects as it goes: each scan serves only
+// the columns of its table that are requested or named in a join predicate,
+// and each join emits only the requested columns and those a later join or
+// equality filter still reads, so batch sizes follow the widest projected
+// operator. Asking for every column of every table yields the unprojected
+// plan. The plan runs on the goroutine that drains it.
 //
 // Row order is fixed without a budget and unspecified under one (see
 // Options.Gov). Every consumer is order-insensitive: AttrValues feeds
 // histogram builders and ground-truth tables that sort their input, and
 // Cardinality and RangeCardinality count.
-func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, error) {
+func PlanBatch(cat *data.Catalog, e *query.Expr, cols []string, opts Options) (BatchOperator, error) {
 	tables := e.Tables()
-	if opts.BatchSize <= 0 {
-		// Size batches from the plan's total output width: every join in the
-		// left-deep chain carries the accumulated columns of all tables
-		// joined so far, so the final width is what must stay inside L2.
-		width := 0
-		for _, name := range tables {
-			t, err := cat.Table(name)
-			if err != nil {
-				return nil, err
-			}
-			width += t.NumCols()
-		}
-		opts.BatchSize = AdaptiveBatchSize(width)
-	}
-	if len(tables) == 1 {
-		t, err := cat.Table(tables[0])
+	tabs := make(map[string]*data.Table, len(tables))
+	var all []string             // every qualified column, in table order
+	owner := map[string]string{} // qualified column -> table
+	for _, name := range tables {
+		t, err := cat.Table(name)
 		if err != nil {
 			return nil, err
 		}
-		return NewBatchScanSize(t, opts.BatchSize), nil
+		tabs[name] = t
+		for _, c := range t.ColumnNames() {
+			all = append(all, name+"."+c)
+			owner[name+"."+c] = name
+		}
 	}
-	joined := map[string]bool{}
-	remaining := append([]query.JoinPred(nil), e.Joins()...)
-
-	first, err := cat.Table(tables[0])
+	want := make(map[string]bool, len(cols))
+	for _, c := range cols {
+		if _, ok := owner[c]; !ok {
+			return nil, fmt.Errorf("exec: no column %q in %s", c, e.String())
+		}
+		want[c] = true
+	}
+	steps, err := planSteps(tables[0], e)
 	if err != nil {
 		return nil, err
 	}
-	var root BatchOperator = NewBatchScanSize(first, opts.BatchSize)
-	joined[tables[0]] = true
 
+	// keep[k] is what step k's output must carry: the requested columns and
+	// every column a later step's predicate names.
+	keep := make([]map[string]bool, len(steps))
+	next := want
+	for k := len(steps) - 1; k >= 0; k-- {
+		keep[k] = next
+		next = maps.Clone(next)
+		next[steps[k].probeCol] = true
+		next[steps[k].buildCol] = true
+	}
+	// A scan serves what its table's share of next holds: the requested
+	// columns and every join-predicate column.
+	scanCols := func(name string) []string {
+		var out []string
+		for _, c := range tabs[name].ColumnNames() {
+			if next[name+"."+c] {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+
+	if opts.BatchSize <= 0 {
+		// Size batches from the widest operator output: a scan, or a join
+		// carrying the kept columns of every table joined so far.
+		width := len(scanCols(tables[0]))
+		joined := map[string]bool{tables[0]: true}
+		for k, s := range steps {
+			if s.filter {
+				continue
+			}
+			joined[s.table] = true
+			w := 0
+			for _, c := range all {
+				if keep[k][c] && joined[owner[c]] {
+					w++
+				}
+			}
+			width = max(width, w, len(scanCols(s.table)))
+		}
+		opts.BatchSize = AdaptiveBatchSize(width)
+	}
+
+	var root BatchOperator
+	if root, err = newBatchScan(tabs[tables[0]], scanCols(tables[0]), opts.BatchSize); err != nil {
+		return nil, err
+	}
+	for k, s := range steps {
+		if s.filter {
+			// Both sides already joined: an extra predicate between an
+			// already-connected table pair.
+			f, err := equalityFilter(root, s.probeCol, s.buildCol)
+			if err != nil {
+				return nil, err
+			}
+			root = f
+			continue
+		}
+		// Build on the new base table, probe with the accumulated
+		// intermediate result.
+		build, err := newBatchScan(tabs[s.table], scanCols(s.table), opts.BatchSize)
+		if err != nil {
+			return nil, err
+		}
+		j, err := newVecHashJoin(build, root, keep[k], opts.BatchSize, opts.Gov,
+			[]JoinCond{{LeftCol: s.buildCol, RightCol: s.probeCol}})
+		if err != nil {
+			return nil, err
+		}
+		root = j
+	}
+	if in := root.Columns(); len(in) > len(want) {
+		// A final equality filter read columns nobody requested.
+		p := &batchProject{in: root}
+		for i, c := range in {
+			if want[c] {
+				p.idx = append(p.idx, i)
+				p.cols = append(p.cols, c)
+			}
+		}
+		p.out.Cols = make([][]int64, len(p.idx))
+		root = p
+	}
+	return root, nil
+}
+
+// planStep is one predicate of a plan, in application order: a hash join
+// that builds on a new table and probes with the accumulated result, or an
+// equality filter between two already-joined tables.
+type planStep struct {
+	filter             bool
+	table              string // the join's new (build) table
+	buildCol, probeCol string // qualified; for a filter, the two compared columns
+}
+
+// planSteps orders the expression's predicates so every join connects a new
+// table to the tables joined so far, starting from first.
+func planSteps(first string, e *query.Expr) ([]planStep, error) {
+	joined := map[string]bool{first: true}
+	remaining := append([]query.JoinPred(nil), e.Joins()...)
+	var steps []planStep
 	for len(remaining) > 0 {
 		progress := false
 		for i, p := range remaining {
 			lIn, rIn := joined[p.LeftTable], joined[p.RightTable]
-			switch {
-			case lIn && rIn:
-				// Both sides already joined: apply as a filter (extra
-				// predicate between an already-connected table pair).
-				f, err := equalityFilter(root, p.LeftTable+"."+p.LeftAttr, p.RightTable+"."+p.RightAttr)
-				if err != nil {
-					return nil, err
-				}
-				root = f
-			case lIn || rIn:
-				newTable := p.RightTable
-				probeCol, buildCol := p.LeftTable+"."+p.LeftAttr, p.RightTable+"."+p.RightAttr
-				if rIn {
-					newTable = p.LeftTable
-					probeCol, buildCol = p.RightTable+"."+p.RightAttr, p.LeftTable+"."+p.LeftAttr
-				}
-				t, err := cat.Table(newTable)
-				if err != nil {
-					return nil, err
-				}
-				// Build on the new base table, probe with the accumulated
-				// intermediate result.
-				j, err := NewVecHashJoinMem(NewBatchScanSize(t, opts.BatchSize), root,
-					opts.BatchSize, opts.Gov, JoinCond{LeftCol: buildCol, RightCol: probeCol})
-				if err != nil {
-					return nil, err
-				}
-				root = j
-				joined[newTable] = true
-			default:
+			if !lIn && !rIn {
 				continue
 			}
+			s := planStep{
+				filter:   lIn && rIn,
+				table:    p.RightTable,
+				probeCol: p.LeftTable + "." + p.LeftAttr,
+				buildCol: p.RightTable + "." + p.RightAttr,
+			}
+			if !lIn {
+				s.table = p.LeftTable
+				s.probeCol, s.buildCol = s.buildCol, s.probeCol
+			}
+			joined[s.table] = true
+			steps = append(steps, s)
 			remaining = append(remaining[:i], remaining[i+1:]...)
 			progress = true
 			break
@@ -114,7 +200,7 @@ func PlanBatch(cat *data.Catalog, e *query.Expr, opts Options) (BatchOperator, e
 			return nil, fmt.Errorf("exec: expression %q is not connected", e.String())
 		}
 	}
-	return root, nil
+	return steps, nil
 }
 
 func equalityFilter(in BatchOperator, colA, colB string) (BatchOperator, error) {
@@ -139,22 +225,18 @@ func AttrValues(cat *data.Catalog, e *query.Expr, table, attr string) ([]int64, 
 
 // AttrValuesOpts is AttrValues with explicit execution options.
 func AttrValuesOpts(cat *data.Catalog, e *query.Expr, table, attr string, opts Options) ([]int64, error) {
-	op, err := PlanBatch(cat, e, opts)
+	op, err := PlanBatch(cat, e, []string{table + "." + attr}, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer ClosePlan(op)
-	idx, err := columnIndex(op.Columns(), table+"."+attr)
-	if err != nil {
-		return nil, err
-	}
 	var out []int64
 	for {
 		b, ok := op.NextBatch()
 		if !ok {
 			break
 		}
-		col := b.Cols[idx]
+		col := b.Cols[0]
 		if b.Sel == nil {
 			out = append(out, col...)
 		} else {
@@ -173,7 +255,7 @@ func Cardinality(cat *data.Catalog, e *query.Expr) (int64, error) {
 
 // CardinalityOpts is Cardinality with explicit execution options.
 func CardinalityOpts(cat *data.Catalog, e *query.Expr, opts Options) (int64, error) {
-	op, err := PlanBatch(cat, e, opts)
+	op, err := PlanBatch(cat, e, nil, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -197,22 +279,18 @@ func RangeCardinality(cat *data.Catalog, e *query.Expr, table, attr string, lo, 
 // The range predicate is counted directly over the target column of each
 // batch — no filter operator, no selection vector, no row materialization.
 func RangeCardinalityOpts(cat *data.Catalog, e *query.Expr, table, attr string, lo, hi int64, opts Options) (int64, error) {
-	op, err := PlanBatch(cat, e, opts)
+	op, err := PlanBatch(cat, e, []string{table + "." + attr}, opts)
 	if err != nil {
 		return 0, err
 	}
 	defer ClosePlan(op)
-	idx, err := columnIndex(op.Columns(), table+"."+attr)
-	if err != nil {
-		return 0, err
-	}
 	var n int64
 	for {
 		b, ok := op.NextBatch()
 		if !ok {
 			return n, nil
 		}
-		col := b.Cols[idx]
+		col := b.Cols[0]
 		if b.Sel == nil {
 			for _, v := range col {
 				if v >= lo && v <= hi {

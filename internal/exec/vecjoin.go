@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/sitstats/sits/internal/mem"
 )
@@ -13,14 +14,22 @@ type JoinCond struct {
 
 // VecHashJoin is the vectorized equi-join: it drains the left (build) input
 // batch-wise into a joinTable — flat arena, open-addressing slots — and
-// streams the right (probe) input, emitting concatenated left-row ++ right-row
-// matches as column batches. In memory, matches are emitted per probe row in
-// build-input order. A join that spills under a memory budget yields the same
-// multiset of rows in an unspecified order (see gracejoin.go).
+// streams the right (probe) input, emitting left-row ++ right-row matches as
+// column batches. A join planned by PlanBatch emits only the columns later
+// operators read; the exported constructors emit every input column. In
+// memory, matches are emitted per probe row in build-input order. A join
+// that spills under a memory budget yields the same multiset of rows in an
+// unspecified order (see gracejoin.go).
 type VecHashJoin struct {
 	left, right BatchOperator
 	conds       []JoinCond
-	lIdx, rIdx  []int
+	// An arena row holds the kept left columns first, then the key columns
+	// not kept: lCols is the left input column of each arena column, and the
+	// first nl of them are output. lKey holds the key columns' arena
+	// offsets, rIdx the right input's key columns, rOut its kept columns.
+	lCols, lKey []int
+	nl          int
+	rIdx, rOut  []int
 	cols        []string
 	size        int
 
@@ -41,22 +50,48 @@ type VecHashJoin struct {
 	rpos      int     // logical position within rb
 	chain     int32   // next chain row of jt to emit (1-based, 0 = none)
 	probeVals []int64 // key tuple of the in-flight probe row
-	// probeRow is the in-flight probe row, copied when it has a chain; the
-	// grace join also uses it as scratch while it partitions the probe side.
-	probeRow []int64
+	probeRow  []int64 // kept columns of the in-flight probe row, copied when it has a chain
 
 	out  Batch
 	bufs [][]int64
 }
 
-// NewVecHashJoinSize joins left and right on the conjunction of conds.
-// batchSize is the output batch size (0 = adaptive from the output column
-// count).
+// NewVecHashJoinSize joins left and right on the conjunction of conds and
+// emits every column of both inputs. batchSize is the output batch size (0 =
+// adaptive from the output column count).
 func NewVecHashJoinSize(left, right BatchOperator, batchSize int, conds ...JoinCond) (*VecHashJoin, error) {
+	return newVecHashJoin(left, right, nil, batchSize, nil, conds)
+}
+
+// NewVecHashJoinMem is NewVecHashJoinSize with the build side budgeted
+// through gov: when the arena exceeds the operator's grant, the join spills
+// into grace hash partitioning (see gracejoin.go) and yields the in-memory
+// join's multiset of rows, in an unspecified order. A nil governor means
+// unlimited.
+func NewVecHashJoinMem(left, right BatchOperator, batchSize int, gov *mem.Governor, conds ...JoinCond) (*VecHashJoin, error) {
+	return newVecHashJoin(left, right, nil, batchSize, gov, conds)
+}
+
+// newVecHashJoin builds the join. keep selects the output columns among the
+// inputs' (nil keeps all of them); the key columns need not be kept.
+func newVecHashJoin(left, right BatchOperator, keep map[string]bool, batchSize int, gov *mem.Governor, conds []JoinCond) (*VecHashJoin, error) {
 	if len(conds) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs at least one condition")
 	}
-	j := &VecHashJoin{left: left, right: right, conds: conds}
+	j := &VecHashJoin{left: left, right: right, conds: conds, gov: gov}
+	for i, c := range left.Columns() {
+		if keep == nil || keep[c] {
+			j.lCols = append(j.lCols, i)
+			j.cols = append(j.cols, c)
+		}
+	}
+	j.nl = len(j.lCols)
+	for i, c := range right.Columns() {
+		if keep == nil || keep[c] {
+			j.rOut = append(j.rOut, i)
+			j.cols = append(j.cols, c)
+		}
+	}
 	for _, c := range conds {
 		li, err := columnIndex(left.Columns(), c.LeftCol)
 		if err != nil {
@@ -66,35 +101,25 @@ func NewVecHashJoinSize(left, right BatchOperator, batchSize int, conds ...JoinC
 		if err != nil {
 			return nil, err
 		}
-		j.lIdx = append(j.lIdx, li)
+		k := slices.Index(j.lCols, li)
+		if k < 0 {
+			k = len(j.lCols)
+			j.lCols = append(j.lCols, li)
+		}
+		j.lKey = append(j.lKey, k)
 		j.rIdx = append(j.rIdx, ri)
 	}
-	j.cols = append(append([]string(nil), left.Columns()...), right.Columns()...)
 	if batchSize <= 0 {
 		batchSize = AdaptiveBatchSize(len(j.cols))
 	}
 	j.size = batchSize
 	j.probeVals = make([]int64, len(conds))
-	j.probeRow = make([]int64, len(right.Columns()))
+	j.probeRow = make([]int64, len(j.rOut))
 	j.bufs = make([][]int64, len(j.cols))
 	for i := range j.bufs {
 		j.bufs[i] = make([]int64, 0, j.size)
 	}
 	j.out.Cols = make([][]int64, len(j.cols))
-	return j, nil
-}
-
-// NewVecHashJoinMem is NewVecHashJoinSize with the build side budgeted
-// through gov: when the arena exceeds the operator's grant, the join spills
-// into grace hash partitioning (see gracejoin.go) and yields the in-memory
-// join's multiset of rows, in an unspecified order. A nil governor means
-// unlimited.
-func NewVecHashJoinMem(left, right BatchOperator, batchSize int, gov *mem.Governor, conds ...JoinCond) (*VecHashJoin, error) {
-	j, err := NewVecHashJoinSize(left, right, batchSize, conds...)
-	if err != nil {
-		return nil, err
-	}
-	j.gov = gov
 	if gov != nil {
 		j.grant = gov.Grant("hashjoin-build")
 	}
@@ -108,7 +133,7 @@ func (j *VecHashJoin) Columns() []string { return j.cols }
 // overflows its grant, into grace partitions, and then partitions the probe
 // side too.
 func (j *VecHashJoin) build() {
-	j.jt = newJoinTable(len(j.left.Columns()), j.lIdx)
+	j.jt = newJoinTable(len(j.lCols), j.lKey)
 	for {
 		b, ok := j.left.NextBatch()
 		if !ok {
@@ -121,7 +146,7 @@ func (j *VecHashJoin) build() {
 		need := int64(b.NumRows()) * int64(j.jt.stride) * 8
 		if j.grant.TryReserve(need) {
 			j.buildBytes += need
-			j.jt.appendBatch(b)
+			j.jt.appendBatch(b, j.lCols)
 			continue
 		}
 		j.startGrace()
@@ -148,9 +173,10 @@ func (j *VecHashJoin) NextBatch() (*Batch, bool) {
 	}
 	emitted := 0
 	for {
-		// Drain the in-flight chain first.
+		// Drain the in-flight chain first: each match is the arena row's
+		// leading nl (output) columns and the probe row's kept columns.
 		jt := j.jt
-		nl := jt.stride
+		nl := j.nl
 		for j.chain != 0 {
 			r := j.chain
 			j.chain = jt.chainNext(r)
@@ -166,7 +192,7 @@ func (j *VecHashJoin) NextBatch() (*Batch, bool) {
 			}
 			emitted++
 			if emitted >= j.size {
-				return j.flush(), true
+				return j.flush(emitted), true
 			}
 		}
 		var more bool
@@ -177,7 +203,7 @@ func (j *VecHashJoin) NextBatch() (*Batch, bool) {
 		}
 		if !more {
 			if emitted > 0 {
-				return j.flush(), true
+				return j.flush(emitted), true
 			}
 			return nil, false
 		}
@@ -185,8 +211,8 @@ func (j *VecHashJoin) NextBatch() (*Batch, bool) {
 }
 
 // nextProbe advances to the next probe row, pulling right batches as needed:
-// it sets the row's chain and, when the chain is non-empty, copies the row
-// into probeRow. It reports false once the probe side is exhausted.
+// it sets the row's chain and, when the chain is non-empty, copies the row's
+// kept columns into probeRow. It reports false once the probe side is exhausted.
 //
 //statcheck:hot
 func (j *VecHashJoin) nextProbe() bool {
@@ -208,15 +234,16 @@ func (j *VecHashJoin) nextProbe() bool {
 	}
 	key, h := j.jt.probeKeyHash(j.probeVals)
 	if j.chain = j.jt.probeHead(key, h); j.chain != 0 {
-		for i, c := range j.rb.Cols {
-			j.probeRow[i] = c[r]
+		for i, c := range j.rOut {
+			j.probeRow[i] = j.rb.Cols[c][r]
 		}
 	}
 	return true
 }
 
-func (j *VecHashJoin) flush() *Batch {
+func (j *VecHashJoin) flush(rows int) *Batch {
 	copy(j.out.Cols, j.bufs)
 	j.out.Sel = nil
+	j.out.rows = rows
 	return &j.out
 }
