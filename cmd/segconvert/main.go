@@ -67,8 +67,8 @@ func run(csvPath string, gen int64, inspect, out, name string, block int, raw bo
 	return generate(out, name, gen, block, raw, seed)
 }
 
-// newWriter creates a segment writer with the shared exec pool driving the
-// per-column block encodes.
+// newWriter creates a segment writer that encodes the columns of each row
+// group side by side, one exec.ForkJoin per group at GOMAXPROCS width.
 func newWriter(out, name string, columns []string, block int, raw bool) (*data.SegmentWriter, error) {
 	w, err := data.CreateSegment(out, name, columns)
 	if err != nil {
@@ -76,7 +76,7 @@ func newWriter(out, name string, columns []string, block int, raw bool) (*data.S
 	}
 	w.SetBlockRows(block)
 	w.SetForceRaw(raw)
-	w.SetFork(exec.Default().ForkJoin)
+	w.SetFork(func(n int, task func(i int)) { exec.ForkJoin(n, 0, task) })
 	return w, nil
 }
 

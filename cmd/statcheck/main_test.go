@@ -24,14 +24,14 @@ func lintDir(t *testing.T) string {
 // TestRunJSONOnFixture: -json emits one valid JSON object per finding per
 // line with the documented fields, and the count matches the line count.
 func TestRunJSONOnFixture(t *testing.T) {
-	fixture := filepath.Join(lintDir(t), "testdata", "src", "poolblockfix")
+	fixture := filepath.Join(lintDir(t), "testdata", "src", "rawrandfix")
 	var buf bytes.Buffer
-	n, err := run(&buf, fixture, []string{"."}, "poolblock", true)
+	n, err := run(&buf, fixture, []string{"."}, "rawrand", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
-		t.Fatal("poolblockfix should produce findings")
+		t.Fatal("rawrandfix should produce findings")
 	}
 	lines := 0
 	sc := bufio.NewScanner(&buf)
@@ -41,7 +41,7 @@ func TestRunJSONOnFixture(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v: %s", lines, err, sc.Text())
 		}
-		if f.Check != "poolblock" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
+		if f.Check != "rawrand" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
 			t.Errorf("incomplete finding: %+v", f)
 		}
 	}
@@ -52,17 +52,17 @@ func TestRunJSONOnFixture(t *testing.T) {
 
 // TestRunTextOnFixture: the default text form stays file:line:col: check: msg.
 func TestRunTextOnFixture(t *testing.T) {
-	fixture := filepath.Join(lintDir(t), "testdata", "src", "poolblockfix")
+	fixture := filepath.Join(lintDir(t), "testdata", "src", "rawrandfix")
 	var buf bytes.Buffer
-	n, err := run(&buf, fixture, []string{"."}, "poolblock", false)
+	n, err := run(&buf, fixture, []string{"."}, "rawrand", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
-		t.Fatal("poolblockfix should produce findings")
+		t.Fatal("rawrandfix should produce findings")
 	}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if !strings.Contains(line, ": poolblock: ") {
+		if !strings.Contains(line, ": rawrand: ") {
 			t.Errorf("malformed text diagnostic: %s", line)
 		}
 	}

@@ -26,6 +26,8 @@ type Predicate struct {
 	Lo, Hi      int64
 }
 
+func (p Predicate) column() PredColumn { return PredColumn{Table: p.Table, Attr: p.Attr} }
+
 // String renders the predicate.
 func (p Predicate) String() string {
 	return fmt.Sprintf("%d <= %s.%s <= %d", p.Lo, p.Table, p.Attr, p.Hi)
@@ -255,12 +257,23 @@ func (e *Estimator) Estimate(q SPJQuery) (Estimate, error) {
 	return plan.Execute(q.Preds)
 }
 
-// ErrRepeatedColumn is wrapped by Validate's error for a query with two
-// predicates on one column. Estimation multiplies predicate selectivities as
-// if they were independent, which two ranges on one column are not (two
-// disjoint ranges would still estimate a positive count), so the caller must
-// intersect them into one range.
+// ErrRepeatedColumn is wrapped by the error Validate, Prepare and TryPrepare
+// return for two predicates on one column. Estimation multiplies predicate
+// selectivities as if they were independent, which two ranges on one column
+// are not (two disjoint ranges would still estimate a positive count), so
+// the caller must intersect them into one range.
 var ErrRepeatedColumn = errors.New("cardest: two predicates on one column")
+
+// repeatOf returns the index of the first of xs[:i] on the same column as
+// xs[i], or -1: the one rule behind ErrRepeatedColumn.
+func repeatOf[T interface{ column() PredColumn }](xs []T, i int) int {
+	for k, o := range xs[:i] {
+		if o.column() == xs[i].column() {
+			return k
+		}
+	}
+	return -1
+}
 
 // Validate checks a query before any estimation work: it needs an acyclic
 // join expression over catalog tables whose join columns exist, and every
@@ -298,11 +311,9 @@ func Validate(cat *data.Catalog, q SPJQuery) error {
 		if !cat.MustTable(p.Table).HasColumn(p.Attr) {
 			return fmt.Errorf("cardest: predicate %q references an unknown column", p.String())
 		}
-		for _, o := range q.Preds[:i] {
-			if o.Table == p.Table && o.Attr == p.Attr {
-				return fmt.Errorf("%w: %q and %q both range over %s.%s; intersect them into one range",
-					ErrRepeatedColumn, o.String(), p.String(), p.Table, p.Attr)
-			}
+		if k := repeatOf(q.Preds, i); k >= 0 {
+			return fmt.Errorf("%w: %q and %q both range over %s.%s; intersect them into one range",
+				ErrRepeatedColumn, q.Preds[k].String(), p.String(), p.Table, p.Attr)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -182,7 +183,7 @@ func TestMatchIndexEqualsOracle(t *testing.T) {
 	universe := propertyUniverse(t)
 	attrs := []string{"a", "b"}
 	rng := rand.New(rand.NewSource(29))
-	ties := 0
+	ties, repeats := 0, 0
 	for round := 0; round < 40; round++ {
 		e, err := New(b)
 		if err != nil {
@@ -217,6 +218,14 @@ func TestMatchIndexEqualsOracle(t *testing.T) {
 				cols[i] = PredColumn{Table: tables[rng.Intn(len(tables))], Attr: attrs[rng.Intn(len(attrs))]}
 				lo := rng.Int63n(2000)
 				preds[i] = Predicate{Table: cols[i].Table, Attr: cols[i].Attr, Lo: lo, Hi: lo + rng.Int63n(1000)}
+			}
+			if repeatsColumn(cols) {
+				// The original matching accepted such shapes; Prepare refuses them.
+				if _, err := e.Prepare(expr, cols); !errors.Is(err, ErrRepeatedColumn) {
+					t.Fatalf("round %d %s: Prepare(%v) = %v, want ErrRepeatedColumn", round, expr, cols, err)
+				}
+				repeats++
+				continue
 			}
 			want, err := oraclePrepare(b, sits, expr, cols)
 			if err != nil {
@@ -254,7 +263,22 @@ func TestMatchIndexEqualsOracle(t *testing.T) {
 	if ties == 0 {
 		t.Fatal("no slot was resolved among tied candidates: the property test does not exercise tie-breaking")
 	}
-	t.Logf("%d slots resolved among tied candidates", ties)
+	if repeats == 0 {
+		t.Fatal("no shape repeated a column: the property test does not exercise ErrRepeatedColumn")
+	}
+	t.Logf("%d slots resolved among tied candidates, %d shapes refused for a repeated column", ties, repeats)
+}
+
+// repeatsColumn reports whether two of the columns are the same.
+func repeatsColumn(cols []PredColumn) bool {
+	seen := map[PredColumn]bool{}
+	for _, c := range cols {
+		if seen[c] {
+			return true
+		}
+		seen[c] = true
+	}
+	return false
 }
 
 // tiedCandidates counts the applicable SITs over the column with the given

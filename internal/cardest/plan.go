@@ -26,6 +26,8 @@ type PredColumn struct {
 	Table, Attr string
 }
 
+func (c PredColumn) column() PredColumn { return c }
+
 // Columns extracts the predicate columns (the conjunction's shape) from
 // concrete predicates, in order.
 func Columns(preds []Predicate) []PredColumn {
@@ -34,7 +36,7 @@ func Columns(preds []Predicate) []PredColumn {
 	}
 	cols := make([]PredColumn, len(preds))
 	for i, p := range preds {
-		cols[i] = PredColumn{Table: p.Table, Attr: p.Attr}
+		cols[i] = p.column()
 	}
 	return cols
 }
@@ -150,9 +152,13 @@ func (e *Estimator) match(expr *query.Expr, cols []PredColumn) (*EstimatorPlan, 
 	if expr == nil {
 		return nil, pd, fmt.Errorf("cardest: Prepare needs a join expression")
 	}
-	for _, c := range cols {
+	for i, c := range cols {
 		if !expr.HasTable(c.Table) {
 			return nil, pd, fmt.Errorf("cardest: predicate column %s.%s references table outside the query", c.Table, c.Attr)
+		}
+		if repeatOf(cols, i) >= 0 {
+			return nil, pd, fmt.Errorf("%w: %s.%s is named twice; intersect its ranges into one predicate",
+				ErrRepeatedColumn, c.Table, c.Attr)
 		}
 	}
 	p := &EstimatorPlan{exprCanonical: expr.Canonical()}

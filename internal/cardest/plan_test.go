@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -104,6 +105,29 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := plan.Execute([]Predicate{{Table: "T2", Attr: "a", Lo: 5, Hi: 1}}); err == nil {
 		t.Error("empty range: want error")
+	}
+}
+
+// TestPrepareRepeatedColumn: Prepare and TryPrepare refuse two predicate
+// columns on one (table, attr), as Validate does, so a caller that skips
+// Validate cannot get a plan that multiplies two ranges over one column as
+// if they were independent (disjoint ranges would estimate a positive count
+// where the truth is 0). The same attribute on two tables is fine.
+func TestPrepareRepeatedColumn(t *testing.T) {
+	_, e, expr := correlatedSetup(t)
+	for _, cols := range [][]PredColumn{
+		{{Table: "T2", Attr: "a"}, {Table: "T2", Attr: "a"}},
+		{{Table: "T2", Attr: "a"}, {Table: "T1", Attr: "b"}, {Table: "T2", Attr: "a"}},
+	} {
+		if _, err := e.Prepare(expr, cols); !errors.Is(err, ErrRepeatedColumn) {
+			t.Errorf("%v: Prepare = %v, want ErrRepeatedColumn", cols, err)
+		}
+		if _, _, err := e.TryPrepare(expr, cols); !errors.Is(err, ErrRepeatedColumn) {
+			t.Errorf("%v: TryPrepare = %v, want ErrRepeatedColumn", cols, err)
+		}
+	}
+	if _, err := e.Prepare(expr, []PredColumn{{Table: "T1", Attr: "a"}, {Table: "T2", Attr: "a"}}); err != nil {
+		t.Errorf("one attribute on two tables: Prepare = %v, want nil", err)
 	}
 }
 

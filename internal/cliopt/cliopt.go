@@ -22,7 +22,7 @@ type Engine struct {
 // the binary's default seed.
 func Register(fs *flag.FlagSet, seed int64) *Engine {
 	e := &Engine{}
-	fs.IntVar(&e.Parallel, "parallel", 0, "width of the shared exec worker pool for shared scans (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
+	fs.IntVar(&e.Parallel, "parallel", 0, "fork-join width of each shared scan (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
 	fs.StringVar(&e.MemBudget, "mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); hash joins spill beyond it")
 	fs.Int64Var(&e.Seed, "seed", seed, "random seed")
 	return e

@@ -151,9 +151,9 @@ func (w *SegmentWriter) SetForceRaw(on bool) { w.forceRaw = on }
 
 // SetFork installs a parallel fork-join callback (fork(n, task) must run
 // task(0..n-1) to completion before returning) used to encode the columns of
-// a row group concurrently. The default encodes serially; callers with a
-// worker pool inject it here, keeping this package free of an executor
-// dependency.
+// a row group concurrently. The default encodes serially; callers that
+// want parallel encodes inject exec.ForkJoin here, keeping this package free
+// of an executor dependency.
 func (w *SegmentWriter) SetFork(fork func(n int, task func(i int))) {
 	if fork != nil {
 		w.fork = fork

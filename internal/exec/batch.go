@@ -15,7 +15,7 @@
 // for arbitrary connected equi-join expressions; output columns carry
 // qualified names ("T.a"). A plan runs on the goroutine that drains it: the
 // parallelism of SIT creation lives in the sit package's shared scans, which
-// fan out on the shared Pool.
+// fan out through ForkJoin.
 package exec
 
 import (

@@ -26,7 +26,7 @@ type AblationConfig struct {
 	Method      sit.Method
 	HistMethods []histogram.Method
 	Seed        int64
-	// Parallelism bounds the worker pool over the construction algorithms and
+	// Parallelism bounds the fork-join over the construction algorithms and
 	// the builders' shared scans (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
@@ -93,9 +93,9 @@ func RunHistogramAblation(cfg AblationConfig) ([]AblationCell, error) {
 		return nil, err
 	}
 	// Each construction algorithm gets a private builder, so the cells are
-	// independent and run on the worker pool; results land at their index.
+	// independent and run side by side; results land at their index.
 	out := make([]AblationCell, len(cfg.HistMethods))
-	err = parallelFor(len(cfg.HistMethods), workerCount(cfg.Parallelism, len(cfg.HistMethods)), func(i int) error {
+	err = parallelFor(len(cfg.HistMethods), cfg.Parallelism, func(i int) error {
 		hm := cfg.HistMethods[i]
 		bcfg := sit.DefaultConfig()
 		bcfg.Buckets = cfg.Buckets

@@ -25,7 +25,7 @@ type AcyclicConfig struct {
 	Queries int
 	Methods []sit.Method
 	Seed    int64
-	// Parallelism bounds the worker pool over the creation techniques and the
+	// Parallelism bounds the fork-join over the creation techniques and the
 	// builders' shared scans (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
@@ -99,9 +99,9 @@ func RunAcyclic(cfg AcyclicConfig) ([]AcyclicCell, error) {
 		return nil, err
 	}
 	// Each technique gets a private builder, so the cells are independent and
-	// run on the worker pool; results land at their index.
+	// run side by side; results land at their index.
 	out := make([]AcyclicCell, len(cfg.Methods))
-	err = parallelFor(len(cfg.Methods), workerCount(cfg.Parallelism, len(cfg.Methods)), func(i int) error {
+	err = parallelFor(len(cfg.Methods), cfg.Parallelism, func(i int) error {
 		m := cfg.Methods[i]
 		bcfg := sit.DefaultConfig()
 		bcfg.Buckets = cfg.Buckets

@@ -38,7 +38,7 @@ type Fig7Config struct {
 	Methods []sit.Method
 	// Seed drives query generation and sampling.
 	Seed int64
-	// Parallelism bounds the harness's worker pool and the builders' shared
+	// Parallelism bounds the harness's fork-joins and the builders' shared
 	// scans (0 = GOMAXPROCS, 1 = serial; serial runs reproduce the original
 	// single-threaded results exactly). Cells are always assembled in
 	// deterministic (way, buckets, method) order regardless of the setting.
@@ -117,7 +117,7 @@ type fig7WayData struct {
 }
 
 // RunFigure7 executes the accuracy sweep. The per-width ground truths and the
-// per-(width, buckets) cell groups run on a worker pool sized by
+// per-(width, buckets) cell groups run as fork-joins of width
 // cfg.Parallelism; each group gets a private builder, so no builder cache is
 // shared across workers and the results are identical to a serial run of the
 // same configuration.
@@ -135,7 +135,7 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 		return nil, err
 	}
 	ways := make([]fig7WayData, len(cfg.JoinWays))
-	err = parallelFor(len(cfg.JoinWays), workerCount(cfg.Parallelism, len(cfg.JoinWays)), func(wi int) error {
+	err = parallelFor(len(cfg.JoinWays), cfg.Parallelism, func(wi int) error {
 		w := cfg.JoinWays[wi]
 		spec, err := chainSpec(w)
 		if err != nil {
@@ -178,7 +178,7 @@ func RunFigure7(cfg Fig7Config) (*Fig7Result, error) {
 	// builder (and its caches) and therefore run serially within the task.
 	nb := len(cfg.Buckets)
 	groups := make([][]Fig7Cell, len(cfg.JoinWays)*nb)
-	err = parallelFor(len(groups), workerCount(cfg.Parallelism, len(groups)), func(gi int) error {
+	err = parallelFor(len(groups), cfg.Parallelism, func(gi int) error {
 		wd := ways[gi/nb]
 		buckets := cfg.Buckets[gi%nb]
 		bcfg := sit.DefaultConfig()

@@ -4,40 +4,16 @@ import (
 	"github.com/sitstats/sits/internal/exec"
 )
 
-// workerCount maps a Parallelism knob (0 = GOMAXPROCS, 1 = serial, n = at
-// most n workers) to an actual worker count for n tasks.
-func workerCount(parallelism, n int) int {
-	w := exec.ResolveParallelism(parallelism)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelFor runs fn(i) for every i in [0, n) as fork-join morsels on the
-// shared exec pool, capped at `workers` concurrent claimers, and returns the
-// first error encountered (by task index, so the reported error is
-// deterministic). Tasks must be independent and write their results to
-// distinct locations (typically index i of a pre-sized slice, which keeps
-// the assembled output order deterministic regardless of scheduling). With
-// workers <= 1 it degrades to a plain loop that stops at the first error.
-func parallelFor(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// parallelFor runs fn(i) for every i in [0, n) as one exec.ForkJoin at the
+// Parallelism knob's width (0 = GOMAXPROCS, 1 = serial, n = at most n
+// concurrent tasks) and returns the first error by task index, so the
+// reported error is deterministic. Tasks must be independent and write their
+// results to distinct locations (typically index i of a pre-sized slice,
+// which keeps the assembled output order deterministic regardless of
+// scheduling).
+func parallelFor(n, parallelism int, fn func(i int) error) error {
 	errs := make([]error, n)
-	exec.Default().ForkJoinWidth(n, workers, func(i int) {
+	exec.ForkJoin(n, parallelism, func(i int) {
 		errs[i] = fn(i)
 	})
 	for _, err := range errs {

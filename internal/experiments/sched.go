@@ -28,7 +28,7 @@ type SchedConfig struct {
 	HybridBudget time.Duration
 	// OptExpansionCap aborts pathological Opt searches (0 = unlimited).
 	OptExpansionCap int
-	// Parallelism bounds the worker pool solving the random instances of a
+	// Parallelism bounds the fork-join solving the random instances of a
 	// sweep point (0 = GOMAXPROCS, 1 = serial). Instances are always drawn
 	// serially from one seeded stream and aggregated in instance order, so
 	// the estimated costs are identical at every parallelism level; only the
@@ -158,8 +158,8 @@ func SchedSweep(base SchedConfig, xs []float64, vary func(*SchedConfig, float64)
 		cfg := base
 		vary(&cfg, x)
 		// Draw every instance up front from the single seeded stream (the
-		// exact sequence a serial run sees), then solve the instances on the
-		// worker pool and reduce in instance order.
+		// exact sequence a serial run sees), then solve the instances side by
+		// side and reduce in instance order.
 		type instance struct {
 			tasks []sched.Task
 			env   sched.Env
@@ -179,7 +179,7 @@ func SchedSweep(base SchedConfig, xs []float64, vary func(*SchedConfig, float64)
 			failed  bool
 		}
 		results := make([]map[TechName]techOutcome, cfg.Instances)
-		err := parallelFor(cfg.Instances, workerCount(cfg.Parallelism, cfg.Instances), func(i int) error {
+		err := parallelFor(cfg.Instances, cfg.Parallelism, func(i int) error {
 			r := make(map[TechName]techOutcome, len(techs))
 			for _, tn := range techs {
 				cost, elapsed, err := runTechnique(tn, insts[i].tasks, insts[i].env, cfg)

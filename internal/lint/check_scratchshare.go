@@ -11,26 +11,16 @@ import (
 //
 //   - values of a scratch type (annotated //statcheck:scratch, or any named
 //     type whose name contains "scratch") must not be captured by or passed
-//     into a goroutine launched with `go`, nor into a task closure handed to
-//     the worker pool (Submit, ForkJoin, ForkJoinWidth) — every worker forks
-//     its own;
+//     into a goroutine launched with `go`, nor into a closure handed to
+//     exec.ForkJoin — every worker forks its own;
 //   - sync primitives (Mutex, WaitGroup, Once, ...) must not be taken by
 //     value as parameters or receivers, which silently copies their state.
 func checkScratchShare() Check {
 	return Check{
 		Name: "scratchshare",
-		Doc:  "per-worker scratch escaping into a goroutine or pool task, or sync types copied by value",
+		Doc:  "per-worker scratch escaping into a goroutine or fork-join closure, or sync types copied by value",
 		Run:  runScratchShare,
 	}
-}
-
-// poolSubmitNames are the methods that hand a closure to the shared worker
-// pool; a closure passed to any of them runs on an arbitrary worker, so it is
-// held to the same scratch-isolation rule as a `go` statement.
-var poolSubmitNames = map[string]bool{
-	"Submit":        true,
-	"ForkJoin":      true,
-	"ForkJoinWidth": true,
 }
 
 func runScratchShare(p *Package) []Diagnostic {
@@ -41,7 +31,7 @@ func runScratchShare(p *Package) []Diagnostic {
 			case *ast.GoStmt:
 				out = append(out, goStmtScratch(p, node)...)
 			case *ast.CallExpr:
-				out = append(out, poolSubmitScratch(p, node)...)
+				out = append(out, forkJoinScratch(p, node)...)
 			case *ast.FuncDecl:
 				out = append(out, syncByValue(p, node)...)
 			}
@@ -68,19 +58,18 @@ func goStmtScratch(p *Package, g *ast.GoStmt) []Diagnostic {
 	return out
 }
 
-// poolSubmitScratch applies the goroutine rule to task closures handed to the
-// worker pool: a func literal passed to Submit/ForkJoin/ForkJoinWidth runs on
-// an arbitrary pool worker, so scratch captured from the enclosing scope
-// would be shared across concurrent claims.
-func poolSubmitScratch(p *Package, call *ast.CallExpr) []Diagnostic {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !poolSubmitNames[sel.Sel.Name] {
+// forkJoinScratch applies the goroutine rule to closures handed to
+// ForkJoin: the func literal runs on the caller and on helper goroutines at
+// once, so scratch captured from the enclosing scope would be shared across
+// concurrent calls.
+func forkJoinScratch(p *Package, call *ast.CallExpr) []Diagnostic {
+	if calleeName(call) != "ForkJoin" {
 		return nil
 	}
 	var out []Diagnostic
 	for _, arg := range call.Args {
 		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
-			out = append(out, closureScratchCaptures(p, lit, "pool task")...)
+			out = append(out, closureScratchCaptures(p, lit, "fork-join")...)
 		}
 	}
 	return out

@@ -7,12 +7,11 @@
 //   - bit-identical SIT streams at any parallelism (no map-iteration-order
 //     dependent output, no wall-clock or global-randomness inputs),
 //   - zero per-row allocation in the batch executor's hot paths,
-//   - per-worker scratch isolation across the worker-pool fan-outs,
+//   - per-worker scratch isolation across goroutine and fork-join fan-outs,
 //   - resource lifecycles under the shared memory Governor: grants,
 //     reservations, and operator plans released on every path (grantleak,
 //     planclose — built on the cfg.go/dataflow.go flow-sensitive layer),
-//     atomically-accessed fields never touched plainly (atomicmix), and no
-//     pool task blocking on the pool (poolblock).
+//     and atomically-accessed fields never touched plainly (atomicmix).
 //
 // The engine loads every package of the module, type-checks it with a source
 // importer, and runs a registry of checks that emit file:line diagnostics.
@@ -84,7 +83,6 @@ func AllChecks() []Check {
 		checkGrantLeak(),
 		checkPlanClose(),
 		checkAtomicMix(),
-		checkPoolBlock(),
 	}
 }
 

@@ -44,7 +44,6 @@ func fixtures(w *World) map[string]string {
 		"grantleakfix":  w.ModulePath + "/lintfixture/grantleakfix",
 		"planclosefix":  w.ModulePath + "/lintfixture/planclosefix",
 		"atomicmixfix":  w.ModulePath + "/lintfixture/atomicmixfix",
-		"poolblockfix":  w.ModulePath + "/lintfixture/poolblockfix",
 	}
 }
 
@@ -155,8 +154,8 @@ func TestCheckSelection(t *testing.T) {
 		}
 		seen[c.Name] = true
 	}
-	if len(seen) < 9 {
-		t.Errorf("expected at least 9 registered checks, got %d", len(seen))
+	if len(seen) < 8 {
+		t.Errorf("expected at least 8 registered checks, got %d", len(seen))
 	}
 }
 

@@ -91,34 +91,22 @@ func CopyLock(wg sync.WaitGroup) { // want scratchshare
 	wg.Wait()
 }
 
-// pool mimics the exec worker pool's submission surface: a closure handed to
-// any of these methods runs on an arbitrary worker.
-type pool struct{}
+// ForkJoin mirrors exec.ForkJoin: its closure runs on the caller and on
+// helper goroutines at once.
+func ForkJoin(n, width int, fn func(int)) { fn(0) }
 
-func (pool) Submit(fn func())                         { fn() }
-func (pool) ForkJoin(n int, fn func(int))             { fn(0) }
-func (pool) ForkJoinWidth(n, width int, fn func(int)) { fn(0) }
-
-// PoolShared hands one scratch to every pool task — the same violation as a
-// bare `go` statement, routed through the pool's submission methods.
-func PoolShared(p pool, jobs []int) {
+// ForkJoinShared hands one scratch to every fork-join call — the same
+// violation as a bare `go` statement.
+func ForkJoinShared(jobs []int) {
 	var s workScratch
-	for range jobs {
-		p.Submit(func() {
-			_ = s.m // want scratchshare
-		})
-	}
-	p.ForkJoin(len(jobs), func(i int) {
-		_ = s.m // want scratchshare
-	})
-	p.ForkJoinWidth(len(jobs), 2, func(i int) {
+	ForkJoin(len(jobs), 2, func(i int) {
 		_ = s.m // want scratchshare
 	})
 }
 
-// PoolIsolated declares a private scratch inside each pool task: allowed.
-func PoolIsolated(p pool, jobs []int) {
-	p.ForkJoin(len(jobs), func(i int) {
+// ForkJoinIsolated declares a private scratch inside each call: allowed.
+func ForkJoinIsolated(jobs []int) {
+	ForkJoin(len(jobs), 2, func(i int) {
 		var s workScratch
 		_ = s.m
 	})

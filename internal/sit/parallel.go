@@ -13,10 +13,10 @@ import (
 // family. The paper's cost argument (Section 4) is that one sequential scan
 // amortizes over many SITs; the engine additionally spreads that scan over
 // the machine: the table's fixed chunk grid is split into contiguous
-// windows, one per fork-join morsel on the shared exec pool; every morsel
-// streams its window through a private data.ChunkReader (zero-copy
-// sub-slices for in-memory tables, on-demand block decode for segment-backed
-// ones) into private consumer shards, and the shards are merged back in
+// windows, one per exec.ForkJoin index; each index streams its window
+// through a private data.ChunkReader (zero-copy sub-slices for in-memory
+// tables, on-demand block decode for segment-backed ones) into private
+// consumer shards, and the shards are merged back in
 // deterministic partition order. Per-worker probe scratch and segment decode
 // buffers are accounted against the builder's memory governor through one
 // pooled grant, so budget Peak reflects the scan's real footprint at high
@@ -210,7 +210,7 @@ func feedChunk(ch data.Chunk, p *scanPlan, dst []consumer, s *probeScratch) {
 }
 
 // runSharedScan performs one sequential scan over the table and feeds every
-// job, using up to parallelism pool workers (0 = GOMAXPROCS; the worker
+// job, using up to parallelism goroutines (0 = GOMAXPROCS; the worker
 // count is additionally capped by the number of chunks, so small tables run
 // serially). The per-worker probe scratch is accounted against gov through
 // one pooled grant, released when the scan completes; a nil governor means
@@ -279,15 +279,15 @@ func scanSerial(t *data.Table, plan *scanPlan, grant *mem.Grant) error {
 }
 
 // scanParallel partitions the chunk grid into contiguous windows, one per
-// worker, streams each window as a fork-join morsel on the shared exec pool
-// into private consumer shards, and merges the shards back in worker order —
-// which is chunk order. Window boundaries depend only on (nchunks, workers),
-// so the merge order — and for exact consumers the result itself — is
-// independent of pool scheduling.
+// worker, streams each window as one exec.ForkJoin index into private
+// consumer shards, and merges the shards back in worker order — which is
+// chunk order. Window boundaries depend only on (nchunks, workers), so the
+// merge order — and for exact consumers the result itself — is independent
+// of goroutine scheduling.
 func scanParallel(t *data.Table, plan *scanPlan, nchunks, workers int, grant *mem.Grant) error {
 	shards := make([][]consumer, workers)
 	errs := make([]error, workers)
-	exec.Default().ForkJoinWidth(workers, workers, func(w int) {
+	exec.ForkJoin(workers, workers, func(w int) {
 		dst := make([]consumer, len(plan.jobs))
 		for ji, j := range plan.jobs {
 			if dst[ji], errs[w] = j.cons.fork(w); errs[w] != nil {
@@ -303,7 +303,7 @@ func scanParallel(t *data.Table, plan *scanPlan, nchunks, workers int, grant *me
 	// Jobs are independent of one another, so their merges run side by side;
 	// within a job the shards still arrive in worker order.
 	errs = make([]error, len(plan.jobs))
-	exec.Default().ForkJoinWidth(len(plan.jobs), workers, func(ji int) {
+	exec.ForkJoin(len(plan.jobs), workers, func(ji int) {
 		for _, dst := range shards {
 			if errs[ji] = plan.jobs[ji].cons.merge(dst[ji]); errs[ji] != nil {
 				return

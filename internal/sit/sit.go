@@ -109,10 +109,11 @@ type Config struct {
 	MinSample int
 	// Seed drives sampling.
 	Seed int64
-	// Parallelism is the builder's pool width (exec.ResolveParallelism): it
-	// caps the fork-join fan-out of the shared sequential scans, which run on
-	// the process-wide exec pool. Generating-query plans (Materialize) run
-	// on the building goroutine whatever the width.
+	// Parallelism is the width of every shared sequential scan's
+	// exec.ForkJoin (resolved by exec.ResolveParallelism): each scan's
+	// windows run on the building goroutine plus at most width-1 helper
+	// goroutines started for that scan. Generating-query plans (Materialize)
+	// run on the building goroutine whatever the width.
 	// 0 uses GOMAXPROCS, 1 runs fully serially (bit-identical to the original
 	// single-threaded implementation), n > 1 uses at most n workers. Exact
 	// methods (SweepFull, SweepExact) produce bit-identical SITs at every
