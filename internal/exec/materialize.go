@@ -230,20 +230,38 @@ func AttrValuesOpts(cat *data.Catalog, e *query.Expr, table, attr string, opts O
 		return nil, err
 	}
 	defer ClosePlan(op)
-	var out []int64
+	// Batches gather in chunks of fixed capacity that are never regrown, then
+	// move once into a result of exact length.
+	const chunkCap = 64 << 10
+	var chunks [][]int64
+	var cur []int64
+	total := 0
 	for {
 		b, ok := op.NextBatch()
 		if !ok {
 			break
 		}
+		n := b.NumRows()
+		if cap(cur)-len(cur) < n {
+			chunks = append(chunks, cur)
+			cur = make([]int64, 0, max(chunkCap, n))
+		}
 		col := b.Cols[0]
 		if b.Sel == nil {
-			out = append(out, col...)
+			cur = append(cur, col...)
 		} else {
 			for _, r := range b.Sel {
-				out = append(out, col[r])
+				cur = append(cur, col[r])
 			}
 		}
+		total += n
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]int64, 0, total)
+	for _, c := range append(chunks, cur) {
+		out = append(out, c...)
 	}
 	return out, nil
 }

@@ -202,15 +202,24 @@ func TestExactConsumerBitIdenticalToMapReference(t *testing.T) {
 
 // BenchmarkExactFold measures exact aggregation alone — chunk argsort, run
 // fold and root merge against the preserved per-chunk map reference — over
-// bench-sized streams, in ns per streamed row.
+// bench-sized streams, in ns per streamed row. Targets are uniform in
+// [lo, hi); the signed domain is shaped like the bench workloads' SIT
+// attribute a, which spans [-d/10, 1.1·d) for a join domain d.
 func BenchmarkExactFold(b *testing.B) {
 	const rows = 600000
-	for _, domain := range []int64{60000, 300000} {
+	for _, dom := range []struct {
+		name   string
+		lo, hi int64
+	}{
+		{"domain=60000", 0, 60000},
+		{"domain=300000", 0, 300000},
+		{"signed=60000", -6000, 66000},
+	} {
 		rng := rand.New(rand.NewSource(1))
 		target := make([]int64, rows)
 		m := make([]float64, rows)
 		for i := range target {
-			target[i] = rng.Int63n(domain)
+			target[i] = dom.lo + rng.Int63n(dom.hi-dom.lo)
 			m[i] = 0.25 + rng.Float64()
 		}
 		run := func(b *testing.B, feed func(target []int64, m []float64), finish func()) {
@@ -223,7 +232,7 @@ func BenchmarkExactFold(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 		}
-		b.Run(fmt.Sprintf("domain=%d/radix", domain), func(b *testing.B) {
+		b.Run(dom.name+"/radix", func(b *testing.B) {
 			var s probeScratch
 			var ts sortedCol
 			var c *fullConsumer
@@ -238,7 +247,7 @@ func BenchmarkExactFold(b *testing.B) {
 				c = nil
 			})
 		})
-		b.Run(fmt.Sprintf("domain=%d/map-ref", domain), func(b *testing.B) {
+		b.Run(dom.name+"/map-ref", func(b *testing.B) {
 			var c *mapConsumer
 			run(b, func(target []int64, m []float64) {
 				if c == nil {
