@@ -44,21 +44,14 @@ type inner struct {
 	children []node
 }
 
-// Build constructs a tree from a value slice: it sorts once, pre-aggregates
-// duplicates, and bulk-loads the tree bottom-up.
+// Build constructs a tree from a value slice: the radix counting kernel
+// tallies it into ascending (key, count) runs, which bulk-load the tree
+// bottom-up.
 func Build(vals []int64) *Tree {
-	sorted := radix.SortedCopy(vals)
-	keys := make([]int64, 0, len(sorted))
-	counts := make([]int64, 0, len(sorted))
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		keys = append(keys, sorted[i])
-		counts = append(counts, int64(j-i))
-		i = j
+	r := radix.Count(vals)
+	keys, counts := make([]int64, 0, r.Len()), make([]int64, 0, r.Len())
+	for ks, cs := r.Next(); len(ks) > 0; ks, cs = r.Next() {
+		keys, counts = append(keys, ks...), append(counts, cs...)
 	}
 	loaded, err := BulkLoad(keys, counts)
 	if err != nil {

@@ -88,32 +88,35 @@ func (m Method) String() string {
 }
 
 // FromValues builds a histogram with at most nb buckets over raw values.
+// Its (value, frequency) pairs come from Tally, so a column whose span is at
+// most twice its length is counted without a sort.
 func FromValues(vals []int64, nb int, m Method) (*Histogram, error) {
 	return FromPairs(Tally(vals), nb, m)
 }
 
-// Tally aggregates raw values into sorted (value, frequency) pairs: one radix
-// sort of a copy, then a run-length count.
+// Tally aggregates raw values into sorted (value, frequency) pairs with the
+// radix counting kernel: a dense count over [min, max] when the span is at
+// most 2·len(vals), else a radix sort of a copy and a run-length count. The
+// frequencies are integer counts, so both give the same pairs.
 func Tally(vals []int64) []ValueFreq {
-	return TallySorted(radix.SortedCopy(vals))
+	r := radix.Count(vals)
+	return pairsOf(&r)
 }
 
 // TallySorted is Tally over values already in ascending order.
 func TallySorted(sorted []int64) []ValueFreq {
-	distinct := 0
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			distinct++
+	r := radix.SortedRuns(sorted)
+	return pairsOf(&r)
+}
+
+// pairsOf reads a tally's runs into pairs of exact length.
+func pairsOf(r *radix.Runs) []ValueFreq {
+	pairs := make([]ValueFreq, 0, r.Len())
+	for keys, counts := r.Next(); len(keys) > 0; keys, counts = r.Next() {
+		counts = counts[:len(keys)]
+		for i, v := range keys {
+			pairs = append(pairs, ValueFreq{Value: v, Freq: float64(counts[i])})
 		}
-	}
-	pairs := make([]ValueFreq, 0, distinct)
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		pairs = append(pairs, ValueFreq{Value: sorted[i], Freq: float64(j - i)})
-		i = j
 	}
 	return pairs
 }

@@ -5,8 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+
+	"github.com/sitstats/sits/internal/btree"
+	"github.com/sitstats/sits/internal/radix"
 )
 
 // tallyRef is the pre-radix Tally, kept as the bit-identity oracle: a map
@@ -69,6 +73,10 @@ func maxDiffBreaksRef(pairs []ValueFreq, nb int, useArea bool) []int {
 	return breaks
 }
 
+// TestTallyMatchesMapReference checks Tally, and btree.Build's tree, against
+// the map reference on both sides of the counting kernel's guard: spans up
+// to 2n count densely, wider ones (and the {MinInt64, MaxInt64} span, whose
+// size wraps to 0 in uint64) sort.
 func TestTallyMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	wide := make([]int64, 20000)
@@ -79,15 +87,32 @@ func TestTallyMatchesMapReference(t *testing.T) {
 	for i := range skewed {
 		skewed[i] = int64(rng.ExpFloat64()*40) - 30
 	}
+	spread := func(n int, span int64) []int64 {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(span) - span/2
+		}
+		vals[0], vals[1] = -span/2, span-1-span/2 // pin the span
+		return vals
+	}
 	cases := map[string][]int64{
 		"empty":     {},
 		"single":    {9},
 		"extremes":  {math.MaxInt64, math.MinInt64, -1, 0, math.MinInt64, 1, math.MaxInt64, math.MaxInt64},
+		"overflow":  {math.MinInt64, math.MaxInt64, 0, -1},
 		"all-equal": make([]int64, 5000),
 		"wide":      wide,
 		"skewed":    skewed,
+		"span=2n":   spread(4000, 8000),
+		"span=2n+1": spread(4000, 8001),
+		"sparse":    spread(4000, 1<<41),
 	}
+	regimes := map[bool]int{}
 	for name, vals := range cases {
+		if len(vals) > 0 {
+			lo, hi := slices.Min(vals), slices.Max(vals)
+			regimes[radix.Dense(lo, hi, 2*len(vals))]++
+		}
 		got, want := Tally(vals), tallyRef(vals)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Errorf("%s: Tally has %d pairs, map reference %d, or they differ", name, len(got), len(want))
@@ -95,6 +120,22 @@ func TestTallyMatchesMapReference(t *testing.T) {
 		if cap(got) != len(got) {
 			t.Errorf("%s: Tally result over-allocated: len %d cap %d", name, len(got), cap(got))
 		}
+		tree := btree.Build(vals)
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("%s: btree.Build: %v", name, err)
+		}
+		if tree.Len() != int64(len(vals)) {
+			t.Errorf("%s: btree.Build holds %d keys, want %d", name, tree.Len(), len(vals))
+		}
+		for _, p := range want {
+			if c := tree.Count(p.Value); float64(c) != p.Freq {
+				t.Errorf("%s: btree.Build counts %d for %d, map reference %v", name, c, p.Value, p.Freq)
+				break
+			}
+		}
+	}
+	if regimes[true] == 0 || regimes[false] == 0 {
+		t.Fatalf("cases cover dense %d and sorted %d times: need both", regimes[true], regimes[false])
 	}
 }
 
@@ -161,16 +202,21 @@ func benchColumn(rows int, domain int64) []int64 {
 }
 
 // BenchmarkTally compares the radix Tally against the preserved map
-// reference on bench-sized columns, in ns per input row.
+// reference on bench-sized columns, in ns per input row. Both domain cases
+// span at most 2·rows values, so Tally counts them densely; sparse=2^40
+// spreads the rows over [0, 2^40) and pins the sorted regime's cost.
 func BenchmarkTally(b *testing.B) {
 	const rows = 600000
-	for _, domain := range []int64{60000, 300000} {
-		vals := benchColumn(rows, domain)
+	for _, dom := range []struct {
+		name   string
+		domain int64
+	}{{"domain=60000", 60000}, {"domain=300000", 300000}, {"sparse=2^40", 1 << 40}} {
+		vals := benchColumn(rows, dom.domain)
 		for _, impl := range []struct {
 			name string
 			f    func([]int64) []ValueFreq
 		}{{"radix", Tally}, {"map-ref", tallyRef}} {
-			b.Run(fmt.Sprintf("domain=%d/%s", domain, impl.name), func(b *testing.B) {
+			b.Run(dom.name+"/"+impl.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					sinkPairs = impl.f(vals)
 				}

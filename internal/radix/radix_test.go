@@ -115,16 +115,21 @@ func TestSortPassesFollowKeyRange(t *testing.T) {
 	}
 }
 
-// TestSortedCopyLeavesInputUntouched: SortedCopy must not reorder its input.
+// TestSortedCopyLeavesInputUntouched: SortedCopy must not reorder its input
+// nor return it, even when no byte varies and no pass runs.
 func TestSortedCopyLeavesInputUntouched(t *testing.T) {
-	in := []int64{5, -9, 5, 0, math.MinInt64, 3}
-	orig := slices.Clone(in)
-	out := SortedCopy(in)
-	if !slices.Equal(in, orig) {
-		t.Fatalf("input reordered: %v", in)
-	}
-	if !slices.IsSorted(out) || len(out) != len(in) {
-		t.Fatalf("bad sorted copy %v", out)
+	for _, in := range [][]int64{{5, -9, 5, 0, math.MinInt64, 3}, {7, 7, 7}, {-2}} {
+		orig := slices.Clone(in)
+		out := SortedCopy(in)
+		if !slices.Equal(in, orig) {
+			t.Fatalf("input reordered: %v", in)
+		}
+		if !slices.IsSorted(out) || len(out) != len(in) {
+			t.Fatalf("bad sorted copy %v", out)
+		}
+		if &out[0] == &in[0] {
+			t.Fatalf("SortedCopy(%v) returned its input", orig)
+		}
 	}
 }
 
@@ -147,17 +152,23 @@ func FuzzRadixPairs(f *testing.F) {
 		if len(raw) == 0 {
 			return
 		}
-		keep := uint(raw[0]%8) + 1
-		raw = raw[1:]
-		keys := make([]int64, 0, len(raw)/8)
-		for ; len(raw) >= 8; raw = raw[8:] {
-			u := binary.LittleEndian.Uint64(raw)
-			// Sign-extend from the kept width so negatives stay in play.
-			shift := 64 - 8*keep
-			keys = append(keys, int64(u<<shift)>>shift)
-		}
-		checkAgainstStable(t, keys)
+		checkAgainstStable(t, fuzzKeys(raw))
 	})
+}
+
+// fuzzKeys decodes a fuzz input into int64 keys: the first byte picks how
+// many low bytes of each following 8-byte word survive, sign-extended.
+func fuzzKeys(raw []byte) []int64 {
+	keep := uint(raw[0]%8) + 1
+	raw = raw[1:]
+	keys := make([]int64, 0, len(raw)/8)
+	for ; len(raw) >= 8; raw = raw[8:] {
+		u := binary.LittleEndian.Uint64(raw)
+		// Sign-extend from the kept width so negatives stay in play.
+		shift := 64 - 8*keep
+		keys = append(keys, int64(u<<shift)>>shift)
+	}
+	return keys
 }
 
 var sink []int64

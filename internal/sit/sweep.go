@@ -218,18 +218,30 @@ func histogramFromSample(vals []int64, mass float64, nb int, method histogram.Me
 const foldBatch = 64 << 10
 
 // fullConsumer aggregates the whole stream exactly (SweepFull and SweepExact:
-// no sampling assumption) as sorted (value, weight) runs. This mirrors the
-// paper's "materialize the temporary table" with the aggregation done on the
-// fly, which is equivalent for histogram construction.
+// no sampling assumption) into per-value sums. This mirrors the paper's
+// "materialize the temporary table" with the aggregation done on the fly,
+// which is equivalent for histogram construction.
 //
 // Every per-value sum is associated the same way at every parallelism level:
 // a chunk's rows fold in row order into one partial, and the root folds
 // partials left to right in chunk order with its own running sum as the
 // leftmost operand. Worker shards therefore only collect partials — folding
 // two of them ahead of the root would re-associate the sum.
+//
+// The root holds its sums in one of two forms, chosen at every fold by
+// radix.Dense (see denseSlots). Dense: acc[i] is the sum of value lo+i over a
+// window that covers every value folded so far, and each pending entry is
+// added onto its slot in arrival order. Sorted: root holds (value, sum) pairs
+// strictly ascending, and each batch is radix-sorted and merged in. Per value
+// both compute ((w1 + w2) + w3)... in chunk order, since an empty dense slot
+// is 0 and 0 + w == w for the positive weights streamed here, so the forms
+// are bit-identical and a fold may switch between them at any batch.
 type fullConsumer struct {
-	// root holds the folded sums, strictly ascending by value; spare is the
-	// next fold's output buffer.
+	// Dense form: acc[i] sums value lo+i, 0 where none has streamed.
+	acc []float64
+	lo  int64
+	// Sorted form: root holds the folded sums, strictly ascending by value;
+	// spare is the next merge's output buffer.
 	root, spare []histogram.ValueFreq
 	mass        float64
 	// Pending chunk partials, concatenated in chunk order: each partial is
@@ -237,7 +249,7 @@ type fullConsumer struct {
 	pv []int64
 	pw []float64
 	pm []float64
-	// tv/tw are the radix ping-pong partners of a fold's batch.
+	// tv/tw are the radix ping-pong partners of a sorted merge's batch.
 	tv []int64
 	tw []float64
 	// shard marks a worker shard, which never folds.
@@ -310,14 +322,100 @@ func (c *fullConsumer) absorb(from *fullConsumer) {
 	from.pv, from.pw, from.pm = from.pv[:0], from.pw[:0], from.pm[:0]
 }
 
-// fold adds a batch of pending entries (clobbered) onto the root. A stable
-// sort by value keeps each value's weights in chunk order; one 2-way merge
-// against the root then adds them left to right onto the root's sum (or onto
-// the first of them when the value is new: 0 + w == w exactly for the
-// positive weights streamed here).
+// denseSlots bounds the dense window when d distinct values are folded and
+// a batch of n entries arrives, by the 8-byte words the sorted form would
+// hold for the same state: its root (2d), the spare the merge writes into
+// (2(d+n)) and the batch's ping-pong buffers (2n). Under a floor of
+// foldBatch slots, the window never holds more bytes than the sorted form,
+// so a serial scan stays O(distinct + batch) resident in either form.
+func denseSlots(d, n int) int { return max(foldBatch, 4*(d+n)) }
+
+// fold adds a non-empty batch of pending entries (clobbered) onto the root.
+// A batch inside the dense window is added in place; otherwise the root takes
+// the dense form over its new span when radix.Dense allows that span and the
+// sorted form when not, converting itself when the form changes.
 //
 //statcheck:hot
 func (c *fullConsumer) fold(pv []int64, pw []float64) {
+	lo, hi := radix.Bounds(pv)
+	d := len(c.root)
+	if len(c.acc) > 0 {
+		top := c.lo + int64(len(c.acc)-1)
+		if lo >= c.lo && hi <= top {
+			addDense(c.acc, c.lo, pv, pw)
+			return
+		}
+		lo, hi, d = min(lo, c.lo), max(hi, top), occupied(c.acc)
+	} else if d > 0 {
+		lo, hi = min(lo, c.root[0].Value), max(hi, c.root[d-1].Value)
+	}
+	if radix.Dense(lo, hi, denseSlots(d, len(pv))) {
+		c.rebase(lo, hi)
+		addDense(c.acc, c.lo, pv, pw)
+		return
+	}
+	if len(c.acc) > 0 {
+		c.root, c.acc = c.densePairs(), nil
+	}
+	c.mergeSorted(pv, pw)
+}
+
+// rebase moves the sums into a dense window over exactly [lo, hi], which
+// covers every value folded so far, and drops the sorted form's buffers.
+func (c *fullConsumer) rebase(lo, hi int64) {
+	acc := make([]float64, uint64(hi)-uint64(lo)+1)
+	if len(c.acc) > 0 {
+		copy(acc[uint64(c.lo)-uint64(lo):], c.acc)
+	}
+	for _, p := range c.root {
+		acc[uint64(p.Value)-uint64(lo)] = p.Freq
+	}
+	c.acc, c.lo = acc, lo
+	c.root, c.spare, c.tv, c.tw = nil, nil, nil, nil
+}
+
+// addDense adds every pending entry onto its window slot, in arrival order.
+//
+//statcheck:hot
+func addDense(acc []float64, lo int64, pv []int64, pw []float64) {
+	pw = pw[:len(pv)]
+	for i, v := range pv {
+		acc[uint64(v)-uint64(lo)] += pw[i]
+	}
+}
+
+// occupied counts the dense window's non-zero slots.
+//
+//statcheck:hot
+func occupied(acc []float64) int {
+	n := 0
+	for _, w := range acc {
+		if w != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// densePairs returns the dense window's sums as ascending pairs of exact
+// length.
+func (c *fullConsumer) densePairs() []histogram.ValueFreq {
+	out := make([]histogram.ValueFreq, 0, occupied(c.acc))
+	for i, w := range c.acc {
+		if w != 0 {
+			out = append(out, histogram.ValueFreq{Value: c.lo + int64(i), Freq: w})
+		}
+	}
+	return out
+}
+
+// mergeSorted adds a batch onto the sorted root. A stable sort by value keeps each
+// value's weights in chunk order; one 2-way merge against the root then adds
+// them left to right onto the root's sum (or onto the first of them when the
+// value is new).
+//
+//statcheck:hot
+func (c *fullConsumer) mergeSorted(pv []int64, pw []float64) {
 	n := len(pv)
 	if cap(c.tv) < n {
 		c.tv, c.tw = make([]int64, n), make([]float64, n)
@@ -354,6 +452,9 @@ func (c *fullConsumer) fold(pv []int64, pw []float64) {
 
 func (c *fullConsumer) result(nb int, method histogram.Method) (*histogram.Histogram, float64, error) {
 	c.absorb(c)
+	if len(c.acc) > 0 {
+		c.root, c.acc = c.densePairs(), nil
+	}
 	h, err := histogram.FromPairs(c.root, nb, method)
 	return h, c.mass, err
 }
