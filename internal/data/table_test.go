@@ -1,10 +1,7 @@
 package data
 
 import (
-	"bytes"
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,44 +103,6 @@ func TestCatalog(t *testing.T) {
 	}
 	if !c.MustTable("R").HasColumn("x") {
 		t.Error("MustTable(R) lost its column")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tab := MustNewTable("R", "x", "a")
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		if err := tab.AppendRow(rng.Int63n(1000)-500, rng.Int63()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(tab, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("R", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.ColumnNames(), tab.ColumnNames()) {
-		t.Errorf("columns = %v", back.ColumnNames())
-	}
-	for _, col := range tab.ColumnNames() {
-		if !reflect.DeepEqual(back.MustColumn(col), tab.MustColumn(col)) {
-			t.Errorf("column %q differs after round trip", col)
-		}
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("R", strings.NewReader("")); err == nil {
-		t.Error("empty CSV: want error")
-	}
-	if _, err := ReadCSV("R", strings.NewReader("x,y\n1\n")); err == nil {
-		t.Error("ragged CSV: want error")
-	}
-	if _, err := ReadCSV("R", strings.NewReader("x\nnotanint\n")); err == nil {
-		t.Error("non-integer CSV: want error")
 	}
 }
 

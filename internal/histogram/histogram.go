@@ -103,10 +103,25 @@ func Tally(vals []int64) []ValueFreq {
 	return pairsOf(&r)
 }
 
-// TallySorted is Tally over values already in ascending order.
+// TallySorted is Tally over values already in ascending order: one pass
+// counts the runs and a second writes each run's pair.
 func TallySorted(sorted []int64) []ValueFreq {
-	r := radix.SortedRuns(sorted)
-	return pairsOf(&r)
+	d := 0
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			d++
+		}
+	}
+	pairs := make([]ValueFreq, 0, d)
+	for i := 0; i < len(sorted); {
+		v, j := sorted[i], i+1
+		for j < len(sorted) && sorted[j] == v {
+			j++
+		}
+		pairs = append(pairs, ValueFreq{Value: v, Freq: float64(j - i)})
+		i = j
+	}
+	return pairs
 }
 
 // pairsOf reads a tally's runs into pairs of exact length.

@@ -120,6 +120,11 @@ func TestTallyMatchesMapReference(t *testing.T) {
 		if cap(got) != len(got) {
 			t.Errorf("%s: Tally result over-allocated: len %d cap %d", name, len(got), cap(got))
 		}
+		asc := slices.Clone(vals)
+		slices.Sort(asc)
+		if sorted := TallySorted(asc); len(sorted) != len(want) || cap(sorted) != len(want) || (len(want) > 0 && !reflect.DeepEqual(sorted, want)) {
+			t.Errorf("%s: TallySorted has %d pairs (cap %d), map reference %d, or they differ", name, len(sorted), cap(sorted), len(want))
+		}
 		tree := btree.Build(vals)
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("%s: btree.Build: %v", name, err)

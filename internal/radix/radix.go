@@ -154,20 +154,6 @@ func countSorted(vals []int64, lo, hi int64) Runs {
 	return Runs{keys: sorted[:d], counts: other[:d], n: d}
 }
 
-// SortedRuns is Count over values already in ascending order, which it leaves
-// untouched.
-func SortedRuns(sorted []int64) Runs {
-	d := 0
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			d++
-		}
-	}
-	keys, counts := make([]int64, d), make([]int64, d)
-	compact(sorted, keys, counts)
-	return Runs{keys: keys, counts: counts, n: d}
-}
-
 // compact writes the runs of sorted into keys and counts and returns how many
 // there are. keys may be sorted itself: no run's key is written ahead of
 // where it is read.
