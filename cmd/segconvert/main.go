@@ -15,9 +15,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,37 +88,31 @@ func convertCSV(csvPath, out, name string, block int, raw bool) error {
 		return err
 	}
 	defer f.Close() //statcheck:ignore droppederr read-only file, close errors carry no data loss
+	return convertCSVFrom(f, out, name, block, raw)
+}
 
-	// Peek the header to learn the schema, then rewind and stream.
-	header, err := csvHeader(f)
+// convertCSVFrom streams the CSV read from r into a segment. The input is
+// read once, front to back, so it may be a pipe: the bytes consumed to learn
+// the header are replayed ahead of the rest of r.
+func convertCSVFrom(r io.Reader, out, name string, block int, raw bool) error {
+	var head bytes.Buffer
+	rec, err := csv.NewReader(io.TeeReader(r, &head)).Read()
+	if err != nil {
+		return fmt.Errorf("reading CSV header: %w", err)
+	}
+	w, err := newWriter(out, name, rec, block, raw)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return err
-	}
-	w, err := newWriter(out, name, header, block, raw)
-	if err != nil {
-		return err
-	}
-	rows, err := data.StreamCSVToSegment(name, f, w)
+	rows, err := data.StreamCSVToSegment(name, io.MultiReader(&head, r), w)
 	if err != nil {
 		return err
 	}
 	if err := w.Finish(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: table %q, %d rows, %d columns\n", out, name, rows, len(header))
+	fmt.Printf("wrote %s: table %q, %d rows, %d columns\n", out, name, rows, len(rec))
 	return inspectSegment(out)
-}
-
-// csvHeader reads just the first CSV record of f.
-func csvHeader(f *os.File) ([]string, error) {
-	rec, err := csv.NewReader(f).Read()
-	if err != nil {
-		return nil, fmt.Errorf("reading CSV header: %w", err)
-	}
-	return rec, nil
 }
 
 // generate streams a deterministic synthetic table into a segment: id is a

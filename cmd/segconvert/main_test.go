@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
@@ -38,6 +41,58 @@ func TestConvertCSVRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, []int64{1, 2, 3}) || !reflect.DeepEqual(b, []int64{10, 20, -30}) {
 		t.Fatalf("round-tripped columns a=%v b=%v", a, b)
+	}
+}
+
+// TestConvertCSVFromPipe converts a CSV read from a pipe, which cannot
+// seek: the header is read once and the rest streamed, and a header longer
+// than one read of the CSV reader's buffer still round-trips.
+func TestConvertCSVFromPipe(t *testing.T) {
+	long := strings.Repeat("c", 5000)
+	var body strings.Builder
+	body.WriteString("a,\"b\"," + long + "\n")
+	for i := range 3000 {
+		fmt.Fprintf(&body, "%d,%d,%d\n", i, -i, i%7)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go func() {
+		defer pw.Close() //statcheck:ignore droppederr the reader sees EOF either way
+		if _, err := io.WriteString(pw, body.String()); err != nil {
+			t.Error(err)
+		}
+	}()
+	segPath := filepath.Join(t.TempDir(), "P.seg")
+	if err := convertCSVFrom(pr, segPath, "P", 0, false); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := data.OpenSegmentTable(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	if got := tab.ColumnNames(); !reflect.DeepEqual(got, []string{"a", "b", long}) {
+		t.Fatalf("columns %q", got)
+	}
+	for _, c := range []struct {
+		name string
+		at   func(i int) int64
+	}{{"a", func(i int) int64 { return int64(i) }}, {"b", func(i int) int64 { return int64(-i) }}, {long, func(i int) int64 { return int64(i % 7) }}} {
+		col, err := tab.Column(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(col) != 3000 {
+			t.Fatalf("column %.8s has %d rows, want 3000", c.name, len(col))
+		}
+		for i, v := range col {
+			if v != c.at(i) {
+				t.Fatalf("column %.8s row %d = %d, want %d", c.name, i, v, c.at(i))
+			}
+		}
 	}
 }
 
