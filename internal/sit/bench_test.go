@@ -75,7 +75,7 @@ func BenchmarkSharedScan(b *testing.B) {
 						}
 						jobs[ji] = job
 					}
-					if err := runSharedScan(tab, jobs, p, nil); err != nil {
+					if _, err := runSharedScan(tab, jobs, p, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -148,7 +148,7 @@ func BenchmarkSharedScanExact(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := runSharedScan(tab, []*scanJob{job}, p, nil); err != nil {
+				if _, err := runSharedScan(tab, []*scanJob{job}, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

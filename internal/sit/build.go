@@ -74,7 +74,7 @@ func (b *Builder) BuildGroup(specs []query.SITSpec, m Method) ([]*SIT, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runSharedScan(t, jobs, b.cfg.Parallelism, b.gov); err != nil {
+		if _, err := runSharedScan(t, jobs, b.cfg.Parallelism, b.gov); err != nil {
 			return nil, err
 		}
 	}
@@ -122,7 +122,7 @@ func (b *Builder) build(spec query.SITSpec, m Method, nb int) (*SIT, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runSharedScan(t, []*scanJob{job}, b.cfg.Parallelism, b.gov); err != nil {
+		if _, err := runSharedScan(t, []*scanJob{job}, b.cfg.Parallelism, b.gov); err != nil {
 			return nil, err
 		}
 		return b.finishJob(spec, m, job, nb)
