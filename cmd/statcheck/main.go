@@ -2,24 +2,19 @@
 // internal/lint) over the module:
 //
 //	go run ./cmd/statcheck ./...
-//	go run ./cmd/statcheck -checks maprange,grantleak ./internal/sit
-//	go run ./cmd/statcheck -json ./... > findings.jsonl
+//	go run ./cmd/statcheck -checks maprange,atomicmix ./internal/sit
 //	go run ./cmd/statcheck -list
 //
 // It loads every matched package, type-checks it with the standard library's
 // go/types (source importer, no third-party tooling), runs the registered
-// checks, and prints file:line:col diagnostics — or, with -json, one JSON
-// object per finding per line ({"check","file","line","col","message"}) for
-// CI artifact upload and PR annotation. The exit status is 0 when the tree
-// is clean, 1 when there are findings, and 2 on load errors — so CI can gate
-// on it directly. Findings are suppressed case by case with
-// //statcheck:ignore directives next to the excused code, and lifecycle
-// hand-offs are declared with //statcheck:transfers (see package lint for
-// the annotation grammar).
+// checks, and prints file:line:col diagnostics. The exit status is 0 when
+// the tree is clean, 1 when there are findings, and 2 on load errors — so CI
+// can gate on it directly. Findings are suppressed case by case with
+// //statcheck:ignore directives next to the excused code (see package lint
+// for the annotation grammar).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,9 +27,8 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list registered checks and exit")
-		checks   = flag.String("checks", "", "comma-separated checks to run (default: all)")
-		jsonMode = flag.Bool("json", false, "emit one JSON object per finding per line")
+		list   = flag.Bool("list", false, "list registered checks and exit")
+		checks = flag.String("checks", "", "comma-separated checks to run (default: all)")
 	)
 	flag.Parse()
 	if *list {
@@ -48,7 +42,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "statcheck:", err)
 		os.Exit(2)
 	}
-	n, err := run(os.Stdout, cwd, flag.Args(), *checks, *jsonMode)
+	n, err := run(os.Stdout, cwd, flag.Args(), *checks)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "statcheck:", err)
 		os.Exit(2)
@@ -59,18 +53,9 @@ func main() {
 	}
 }
 
-// finding is the -json wire form: one object per diagnostic per line.
-type finding struct {
-	Check   string `json:"check"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
-}
-
 // run loads the patterns relative to cwd, executes the selected checks, and
-// writes findings to out in text or JSON-lines form, returning the count.
-func run(out io.Writer, cwd string, patterns []string, checkNames string, jsonMode bool) (int, error) {
+// writes findings to out, returning the count.
+func run(out io.Writer, cwd string, patterns []string, checkNames string) (int, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -91,19 +76,10 @@ func run(out io.Writer, cwd string, patterns []string, checkNames string, jsonMo
 		return 0, err
 	}
 	diags := lint.Run(pkgs, selected)
-	enc := json.NewEncoder(out)
 	for _, d := range diags {
 		file := d.Pos.Filename
 		if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
 			file = rel
-		}
-		if jsonMode {
-			if err := enc.Encode(finding{
-				Check: d.Check, File: file, Line: d.Pos.Line, Col: d.Pos.Column, Message: d.Message,
-			}); err != nil {
-				return 0, err
-			}
-			continue
 		}
 		fmt.Fprintf(out, "%s:%d:%d: %s: %s\n", file, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
-	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
 )
 
@@ -111,7 +110,7 @@ func TestVecHashJoinBitIdentical(t *testing.T) {
 			t.Fatalf("%s: reference join is empty; the test data is broken", in.name)
 		}
 		for _, budget := range []int64{0, tableBytes(in.r) / 40, 1} {
-			gov := mem.NewGovernor(budget)
+			gov := newGov(t, budget)
 			vj, err := NewVecHashJoinMem(NewBatchScan(in.r), NewBatchScan(in.s), 0, gov, in.conds...)
 			if err != nil {
 				t.Fatal(err)
@@ -123,9 +122,7 @@ func TestVecHashJoinBitIdentical(t *testing.T) {
 			if (budget > 0) != (vj.grace != nil) {
 				t.Fatalf("%s budget %d: grace mode = %v", in.name, budget, vj.grace != nil)
 			}
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
+			ClosePlan(vj)
 		}
 	}
 }
@@ -295,11 +292,7 @@ func TestPlanBatchBudgetMatrix(t *testing.T) {
 	}
 	ws := int64(t2.NumRows()) * int64(t2.NumCols()) * 8
 	for _, budget := range []int64{0, ws / 4, ws / 40, 1} {
-		var gov *mem.Governor
-		if budget > 0 {
-			gov = mem.NewGovernor(budget)
-		}
-		op, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{BatchSize: 128, Gov: gov})
+		op, err := PlanBatch(cat, e, allColumns(t, cat, e), Options{BatchSize: 128, Gov: newGov(t, budget)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,12 +301,6 @@ func TestPlanBatchBudgetMatrix(t *testing.T) {
 				budget, len(got), len(ref))
 		}
 		ClosePlan(op)
-		if used := gov.Used(); used != 0 {
-			t.Fatalf("budget=%d: %d bytes still reserved after ClosePlan", budget, used)
-		}
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

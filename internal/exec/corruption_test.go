@@ -86,16 +86,26 @@ func drainN(op BatchOperator, n int) int {
 	return rows
 }
 
-// assertClosed checks that a closed plan left no reservation and no spill
-// file behind.
-func assertClosed(t *testing.T, gov *mem.Governor) {
+// newGov returns a governor with the given budget (0 = unlimited) for one
+// test. When the test ends, a cleanup fails it if any plan the governor ran
+// left a reservation or a spill file behind, and then closes the governor.
+// A test that builds plans on it must close them with ClosePlan, as every
+// production drain does, so a drain that leaks fails whatever test drives it.
+func newGov(t *testing.T, budget int64) *mem.Governor {
 	t.Helper()
-	if used := gov.Used(); used != 0 {
-		t.Fatalf("%d bytes still reserved after ClosePlan", used)
-	}
-	if n := spillFiles(t, gov); n != 0 {
-		t.Fatalf("%d spill files left after ClosePlan", n)
-	}
+	gov := mem.NewGovernor(budget)
+	t.Cleanup(func() {
+		if used := gov.Used(); used != 0 {
+			t.Errorf("budget %d: %d bytes still reserved after ClosePlan", budget, used)
+		}
+		if n := spillFiles(t, gov); n != 0 {
+			t.Errorf("budget %d: %d spill files left after ClosePlan", budget, n)
+		}
+		if err := gov.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return gov
 }
 
 // flipByte flips one bit in the middle of the file, past the 8-byte header so
@@ -149,7 +159,7 @@ func TestGraceJoinCorruptRunDetected(t *testing.T) {
 		{"truncated", chopTail, "truncated"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gov := mem.NewGovernor(1)
+			gov := newGov(t, 1)
 			j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, gov, cond)
 			if err != nil {
 				t.Fatal(err)
@@ -165,10 +175,6 @@ func TestGraceJoinCorruptRunDetected(t *testing.T) {
 			}
 			expectSpillPanic(t, tc.want, func() { drainN(j, -1) })
 			ClosePlan(j)
-			assertClosed(t, gov)
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
@@ -182,7 +188,7 @@ func TestGraceJoinPartialDrainClose(t *testing.T) {
 	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
 	for _, budget := range []int64{tableBytes(l) / 4, tableBytes(l) / 40, 1} {
 		for _, batches := range []int{1, 7, 40} {
-			gov := mem.NewGovernor(budget)
+			gov := newGov(t, budget)
 			j, err := NewVecHashJoinMem(NewBatchScanSize(l, 256), NewBatchScanSize(r, 256), 256, gov, cond)
 			if err != nil {
 				t.Fatal(err)
@@ -194,10 +200,6 @@ func TestGraceJoinPartialDrainClose(t *testing.T) {
 				t.Fatalf("budget=%d batches=%d: no partition left pending; the drain is not partial", budget, batches)
 			}
 			ClosePlan(j)
-			assertClosed(t, gov)
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
-	"github.com/sitstats/sits/internal/mem"
 )
 
 // FuzzGraceJoin drives a memory-governed join over random inputs: the seed
@@ -61,7 +60,7 @@ func FuzzGraceJoin(f *testing.F) {
 		}
 		want := sortedCopy(drainBatches(t, refJ))
 
-		gov := mem.NewGovernor(budget)
+		gov := newGov(t, budget)
 		j, err := NewVecHashJoinMem(NewBatchScanSize(l, size), NewBatchScanSize(r, size), size, gov, conds...)
 		if err != nil {
 			t.Fatal(err)
@@ -72,9 +71,5 @@ func FuzzGraceJoin(f *testing.F) {
 			t.Fatalf("budget %d: %d rows differ from the in-memory join's %d", budget, len(got), len(want))
 		}
 		ClosePlan(j)
-		assertClosed(t, gov)
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
-	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
 )
 
@@ -116,10 +115,7 @@ func checkProjection(t *testing.T, cat *data.Catalog, e *query.Expr) {
 	}
 	for _, budget := range []int64{0, ws / 4, ws / 40, 1} {
 		for _, size := range []int{0, 128} {
-			var gov *mem.Governor
-			if budget > 0 {
-				gov = mem.NewGovernor(budget)
-			}
+			gov := newGov(t, budget)
 			opts := Options{BatchSize: size, Gov: gov}
 			where := fmt.Sprintf("budget=%d batch=%d", budget, size)
 			card, err := CardinalityOpts(cat, e, opts)
@@ -173,9 +169,6 @@ func checkProjection(t *testing.T, cat *data.Catalog, e *query.Expr) {
 			checkProjectedPlan(t, cat, e, nil, refCols, ref, predCols, opts, where)
 			if used := gov.Used(); used != 0 {
 				t.Fatalf("%s: %d bytes still reserved after ClosePlan", where, used)
-			}
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
-	"github.com/sitstats/sits/internal/mem"
 )
 
 // The spill-equivalence property: a memory-governed join yields the
@@ -76,8 +75,7 @@ func TestGraceJoinEquivalence(t *testing.T) {
 		t.Fatal("reference join is empty; the test data is broken")
 	}
 	for _, budget := range spillBudgets(tableBytes(l)) {
-		gov := mem.NewGovernor(budget)
-		j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, gov, cond)
+		j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, newGov(t, budget), cond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +94,6 @@ func TestGraceJoinEquivalence(t *testing.T) {
 			t.Fatalf("budget=%d: no partition was sub-partitioned; level 1 is not exercised", budget)
 		}
 		ClosePlan(j)
-		if used := gov.Used(); used != 0 {
-			t.Fatalf("budget=%d: %d bytes still reserved after ClosePlan", budget, used)
-		}
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -120,8 +112,7 @@ func TestGraceJoinMultiCondEquivalence(t *testing.T) {
 		t.Fatal("reference multi-cond join is empty")
 	}
 	for _, budget := range spillBudgets(tableBytes(l)) {
-		gov := mem.NewGovernor(budget)
-		j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, gov, conds...)
+		j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 0, newGov(t, budget), conds...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,9 +120,7 @@ func TestGraceJoinMultiCondEquivalence(t *testing.T) {
 			t.Fatalf("budget=%d: multi-cond join diverges (%d vs %d rows)",
 				budget, len(got), len(ref))
 		}
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
+		ClosePlan(j)
 	}
 }
 
@@ -140,7 +129,7 @@ func TestGraceJoinEmptyInputs(t *testing.T) {
 	empty := data.MustNewTable("E", "k", "k2", "v")
 	cond := JoinCond{LeftCol: "E.k", RightCol: "R.k"}
 	for _, budget := range []int64{0, 1} {
-		gov := mem.NewGovernor(budget)
+		gov := newGov(t, budget)
 		// Empty build side.
 		j, err := NewVecHashJoinMem(NewBatchScan(empty), NewBatchScan(r), 0, gov, cond)
 		if err != nil {
@@ -158,9 +147,8 @@ func TestGraceJoinEmptyInputs(t *testing.T) {
 		if got := drainBatches(t, j2); len(got) != 0 {
 			t.Fatalf("budget=%d: empty probe side produced %d rows", budget, len(got))
 		}
-		if err := gov.Close(); err != nil {
-			t.Fatal(err)
-		}
+		ClosePlan(j)
+		ClosePlan(j2)
 	}
 }
 
@@ -173,7 +161,7 @@ func TestGovernorPeakWithinBudget(t *testing.T) {
 	l, r := spillJoinTables(t, 4096, 4096)
 	ws := tableBytes(l)
 	budget := ws / 4
-	gov := mem.NewGovernor(budget)
+	gov := newGov(t, budget)
 	j, err := NewVecHashJoinMem(NewBatchScanSize(l, 64), NewBatchScanSize(r, 64), 64, gov,
 		JoinCond{LeftCol: "L.k", RightCol: "R.k"})
 	if err != nil {
@@ -193,7 +181,5 @@ func TestGovernorPeakWithinBudget(t *testing.T) {
 	if peak := gov.Peak(); peak > budget {
 		t.Fatalf("join: accounted peak %d exceeds budget %d", peak, budget)
 	}
-	if err := gov.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ClosePlan(j)
 }

@@ -8,10 +8,9 @@ import (
 )
 
 const (
-	directiveHot       = "statcheck:hot"
-	directiveScratch   = "statcheck:scratch"
-	directiveIgnore    = "statcheck:ignore"
-	directiveTransfers = "statcheck:transfers"
+	directiveHot     = "statcheck:hot"
+	directiveScratch = "statcheck:scratch"
+	directiveIgnore  = "statcheck:ignore"
 )
 
 // collectAnnotations harvests the package's statcheck directives: hot
@@ -19,32 +18,12 @@ const (
 func (p *Package) collectAnnotations() {
 	p.Scratch = map[types.Object]bool{}
 	p.ignores = map[string][]ignoreDirective{}
-	p.transfers = map[string][]transferDirective{}
 	for _, f := range p.Files {
 		filename := p.Fset.Position(f.Pos()).Filename
 		src, srcErr := os.ReadFile(filename)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if rest, ok := strings.CutPrefix(text, directiveTransfers); ok {
-					fields := strings.Fields(rest)
-					if len(fields) == 0 {
-						continue
-					}
-					names := map[string]bool{}
-					for _, name := range strings.Split(fields[0], ",") {
-						if name != "" {
-							names[name] = true
-						}
-					}
-					pos := p.Fset.Position(c.Pos())
-					p.transfers[filename] = append(p.transfers[filename], transferDirective{
-						line:       pos.Line,
-						standalone: srcErr == nil && standaloneAt(src, pos.Offset),
-						names:      names,
-					})
-					continue
-				}
 				rest, ok := strings.CutPrefix(text, directiveIgnore)
 				if !ok {
 					continue
@@ -88,32 +67,6 @@ func (p *Package) collectAnnotations() {
 			}
 		}
 	}
-}
-
-// transferDirective is one //statcheck:transfers <var>[,<var>] [reason]
-// declaration: the lifecycle checks treat a statement it covers as handing
-// ownership of the named variables' resources elsewhere (a spill job, a
-// long-lived struct), discharging the close obligation. Positional like
-// ignore: a trailing directive covers its own line, a standalone one the
-// line below.
-type transferDirective struct {
-	line       int
-	standalone bool
-	names      map[string]bool
-}
-
-// transferredAt reports whether a transfers directive naming the variable
-// covers the given line.
-func (p *Package) transferredAt(filename string, line int, name string) bool {
-	for _, tr := range p.transfers[filename] {
-		if !tr.names[name] {
-			continue
-		}
-		if tr.line == line || (tr.standalone && tr.line == line-1) {
-			return true
-		}
-	}
-	return false
 }
 
 // standaloneAt reports whether the comment starting at offset is alone on its

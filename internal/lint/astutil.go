@@ -77,6 +77,18 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// calleeName returns the bare name a call invokes (the selector's name for
+// pkg.F and x.M calls), or "" for calls of other expressions.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
 // isBuiltin reports whether the call invokes the named builtin.
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := unparen(call.Fun).(*ast.Ident)

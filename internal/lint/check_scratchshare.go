@@ -7,18 +7,16 @@ import (
 	"strings"
 )
 
-// checkScratchShare enforces per-worker scratch isolation:
-//
-//   - values of a scratch type (annotated //statcheck:scratch, or any named
-//     type whose name contains "scratch") must not be captured by or passed
-//     into a goroutine launched with `go`, nor into a closure handed to
-//     exec.ForkJoin — every worker forks its own;
-//   - sync primitives (Mutex, WaitGroup, Once, ...) must not be taken by
-//     value as parameters or receivers, which silently copies their state.
+// checkScratchShare enforces per-worker scratch isolation: values of a
+// scratch type (annotated //statcheck:scratch, or any named type whose name
+// contains "scratch") must not be captured by or passed into a goroutine
+// launched with `go`, nor into a closure handed to exec.ForkJoin — every
+// worker forks its own. Sync primitives copied by value are go vet's
+// copylocks check, not this one.
 func checkScratchShare() Check {
 	return Check{
 		Name: "scratchshare",
-		Doc:  "per-worker scratch escaping into a goroutine or fork-join closure, or sync types copied by value",
+		Doc:  "per-worker scratch escaping into a goroutine or fork-join closure",
 		Run:  runScratchShare,
 	}
 }
@@ -32,8 +30,6 @@ func runScratchShare(p *Package) []Diagnostic {
 				out = append(out, goStmtScratch(p, node)...)
 			case *ast.CallExpr:
 				out = append(out, forkJoinScratch(p, node)...)
-			case *ast.FuncDecl:
-				out = append(out, syncByValue(p, node)...)
 			}
 			return true
 		})
@@ -116,57 +112,4 @@ func (p *Package) isScratchType(t types.Type) bool {
 		return true
 	}
 	return strings.Contains(strings.ToLower(named.Obj().Name()), "scratch")
-}
-
-// syncByValue flags receivers and parameters that copy a sync primitive.
-func syncByValue(p *Package, fd *ast.FuncDecl) []Diagnostic {
-	var out []Diagnostic
-	fields := []*ast.Field{}
-	if fd.Recv != nil {
-		fields = append(fields, fd.Recv.List...)
-	}
-	if fd.Type.Params != nil {
-		fields = append(fields, fd.Type.Params.List...)
-	}
-	for _, field := range fields {
-		t := p.Info.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if containsSyncType(t, map[types.Type]bool{}) {
-			out = append(out, p.diag("scratchshare", field, fmt.Sprintf(
-				"%s copies a sync primitive by value in %s; pass a pointer", types.ExprString(field.Type), funcName(fd))))
-		}
-	}
-	return out
-}
-
-// containsSyncType reports whether t transitively embeds a type declared in
-// sync or sync/atomic (all of which are invalid to copy once used).
-func containsSyncType(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Named:
-		if pkg := u.Obj().Pkg(); pkg != nil {
-			if path := pkg.Path(); path == "sync" || path == "sync/atomic" {
-				return true
-			}
-		}
-		return containsSyncType(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsSyncType(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsSyncType(u.Elem(), seen)
-	}
-	return false
 }

@@ -8,17 +8,18 @@
 //     dependent output, no wall-clock or global-randomness inputs),
 //   - zero per-row allocation in the batch executor's hot paths,
 //   - per-worker scratch isolation across goroutine and fork-join fan-outs,
-//   - resource lifecycles under the shared memory Governor: grants,
-//     reservations, and operator plans released on every path (grantleak,
-//     planclose — built on the cfg.go/dataflow.go flow-sensitive layer),
-//     and atomically-accessed fields never touched plainly (atomicmix).
+//   - atomically-accessed fields never touched plainly (atomicmix).
+//
+// Lifecycles under the shared memory Governor (grants and operator plans
+// released on every path) are guarded dynamically, not here: the governed
+// tests fail when a drain leaves bytes reserved or spill files behind.
 //
 // The engine loads every package of the module, type-checks it with a source
 // importer, and runs a registry of checks that emit file:line diagnostics.
 //
 // # Annotation grammar
 //
-// Four comment directives steer the checks:
+// Three comment directives steer the checks:
 //
 //	//statcheck:hot                       — marks a function as a hot path:
 //	                                        the hotalloc check forbids
@@ -32,18 +33,10 @@
 //	                                        check(s). A trailing comment covers
 //	                                        its own line; a comment alone on a
 //	                                        line covers the line directly below.
-//	//statcheck:transfers <var>[,<var>] [reason]
-//	                                      — declares that the covered statement
-//	                                        hands ownership of the named
-//	                                        variables' resources elsewhere (a
-//	                                        spill job, a long-lived struct):
-//	                                        the lifecycle checks stop demanding
-//	                                        a close on this function's paths.
-//	                                        Positional like ignore.
 //
-// hot and scratch attach to the declaration they document; ignore and
-// transfers are positional and apply only at their own location, so every
-// suppression or hand-off is visible next to the code it excuses.
+// hot and scratch attach to the declaration they document; ignore is
+// positional and applies only at its own location, so every suppression is
+// visible next to the code it excuses.
 package lint
 
 import (
@@ -80,8 +73,6 @@ func AllChecks() []Check {
 		checkRawRand(),
 		checkScratchShare(),
 		checkDroppedErr(),
-		checkGrantLeak(),
-		checkPlanClose(),
 		checkAtomicMix(),
 	}
 }

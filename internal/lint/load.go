@@ -30,9 +30,6 @@ type Package struct {
 
 	// ignores maps filename -> ignore directives, from //statcheck:ignore.
 	ignores map[string][]ignoreDirective
-	// transfers maps filename -> ownership hand-off declarations, from
-	// //statcheck:transfers.
-	transfers map[string][]transferDirective
 }
 
 type ignoreDirective struct {

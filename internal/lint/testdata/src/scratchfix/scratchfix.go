@@ -1,6 +1,6 @@
 // Package scratchfix seeds scratchshare violations: per-worker scratch
-// escaping into goroutines (by argument and by closure capture) and sync
-// primitives copied by value.
+// escaping into goroutines (by argument and by closure capture) and into
+// fork-join closures.
 package scratchfix
 
 import "sync"
@@ -83,11 +83,6 @@ func Isolated(jobs []int) {
 			_ = s
 		}()
 	}
-	wg.Wait()
-}
-
-// CopyLock takes the WaitGroup by value, silently copying its state.
-func CopyLock(wg sync.WaitGroup) { // want scratchshare
 	wg.Wait()
 }
 
